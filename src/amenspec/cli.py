@@ -90,6 +90,13 @@ def _as_int(v, what) -> int:
         raise InputError(f"{what} must be an integer, got {v!r}") from None
 
 
+def _as_seed(v, what) -> int:
+    seed = _as_int(v, what)
+    if seed < 0:
+        raise InputError(f"{what} must be a nonnegative integer, got {v!r}")
+    return seed
+
+
 def _as_bool(v, what) -> bool:
     if isinstance(v, bool):
         return v
@@ -166,31 +173,33 @@ def _build_ring(args, config, command: str, default_level: int):
 # -- command handlers ---------------------------------------------------------
 
 
+def _verdict_report(cmd: str, config: dict, op, verdict, seed: int):
+    """Report and CSV of a command that ends in a verdict on the operator op."""
+    rep = spectral_radius(op, seed=seed)
+    report = {"schema": 1, "version": __version__, "command": cmd,
+              "config": config, "operator": fingerprint(op),
+              "spectral": rep.to_dict(), "verdict": verdict.to_dict()}
+    return report, ("index,eigenvalue", list(enumerate(rep.top_eigenvalues)))
+
+
 def _run_fusion(args, config):
     cmd = "fusion"
     tol = _get(args, config, cmd, "tol", CERT_TOL, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_int)
+    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
     trunc_opt = _get(args, config, cmd, "trunc", None, _as_int)
     omega = _get(args, config, cmd, "omega", required=True, cast=_as_str_list)
     ring, ring_echo = _build_ring(args, config, cmd, (trunc_opt or 2000) - 1)
     trunc = trunc_opt if trunc_opt is not None else min(2000, ring.size)
     verdict = fusion.coamenability_test(ring, omega, trunc=trunc, tol=tol, seed=seed)
-    op = fusion.window_operator(ring, omega, trunc)
-    rep = spectral_radius(op, seed=seed)
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": {"ring": ring_echo, "omega": omega, "trunc": trunc,
-                         "tol": tol, "seed": seed},
-              "operator": fingerprint(op), "spectral": rep.to_dict(),
-              "verdict": verdict.to_dict()}
-    csv = ("index,eigenvalue",
-           [(i, v) for i, v in enumerate(rep.top_eigenvalues)])
-    return report, csv
+    return _verdict_report(cmd, {"ring": ring_echo, "omega": omega, "trunc": trunc,
+                                 "tol": tol, "seed": seed},
+                           verdict.operator, verdict, seed)
 
 
 def _run_sweep(args, config):
     cmd = "sweep"
     tol = _get(args, config, cmd, "tol", CERT_TOL, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_int)
+    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
     sizes = _get(args, config, cmd, "sizes", required=True, cast=_as_int_list)
     omega = _get(args, config, cmd, "omega", required=True, cast=_as_str_list)
     ring, ring_echo = _build_ring(args, config, cmd, max(sizes) - 1)
@@ -208,7 +217,7 @@ def _run_sweep(args, config):
 def _run_walk(args, config):
     cmd = "walk"
     tol = _get(args, config, cmd, "tol", 5e-2, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_int)
+    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
     group = walks.parse_group(_get(args, config, cmd, "group", required=True))
     radius = _get(args, config, cmd, "radius", required=True, cast=_as_int)
     omega = _get(args, config, cmd, "omega", None, _as_str_list)
@@ -237,7 +246,7 @@ def _run_walk(args, config):
 def _run_semidirect(args, config):
     cmd = "semidirect"
     tol = _get(args, config, cmd, "tol", 5e-2, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_int)
+    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
     a, b = _as_colon_pair(_get(args, config, cmd, "interval", required=True),
                           "interval")
     h, max_r = _as_colon_pair(_get(args, config, cmd, "grid", required=True),
@@ -245,22 +254,15 @@ def _run_semidirect(args, config):
     ms = _get(args, config, cmd, "witness_m", [2.0, 4.0, 8.0], _as_float_list)
     grid = semidirect.half_line_grid(h, max_r)
     verdict = semidirect.interval_spectrum_test(grid, a, b, ms, tol=tol, seed=seed)
-    op = semidirect.interval_operator(grid, a, b)
-    rep = spectral_radius(op, seed=seed)
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": {"interval": [a, b], "grid": {"h": h, "max_r": max_r},
-                         "witness_m": ms, "tol": tol, "seed": seed},
-              "operator": fingerprint(op), "spectral": rep.to_dict(),
-              "verdict": verdict.to_dict()}
-    csv = ("index,eigenvalue",
-           [(i, v) for i, v in enumerate(rep.top_eigenvalues)])
-    return report, csv
+    return _verdict_report(cmd, {"interval": [a, b], "grid": {"h": h, "max_r": max_r},
+                                 "witness_m": ms, "tol": tol, "seed": seed},
+                           verdict.operator, verdict, seed)
 
 
 def _run_bicrossed(args, config):
     cmd = "bicrossed"
     tol = _get(args, config, cmd, "tol", 5e-2, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_int)
+    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
     bounds = _get(args, config, cmd, "bound", required=True, cast=_as_int_list)
     shift = _get(args, config, cmd, "shift", required=True, cast=_as_int_list)
     if len(shift) != 2:
@@ -268,18 +270,12 @@ def _run_bicrossed(args, config):
     fwd = semidirect.canonical_pair(shift[0], shift[1])
     omega = sorted({fwd, semidirect.canonical_pair(-shift[0], -shift[1])})
     verdict = semidirect.bicrossed_amenability_test(bounds, omega, tol=tol, seed=seed)
-    pairs = semidirect.pair_lattice(bounds[-1])
-    op = semidirect.pair_window_operator(pairs, omega)
-    rep = spectral_radius(op, seed=seed)
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": {"bound": bounds, "shift": list(shift),
-                         "window": [list(s) for s in omega],
-                         "tol": tol, "seed": seed},
-              "operator": fingerprint(op), "spectral": rep.to_dict(),
-              "verdict": verdict.to_dict()}
-    csv = ("index,eigenvalue",
-           [(i, v) for i, v in enumerate(rep.top_eigenvalues)])
-    return report, csv
+    # a sweep verdict carries no operator: rebuild the largest box to report on
+    op = semidirect.pair_window_operator(semidirect.pair_lattice(bounds[-1]), omega)
+    return _verdict_report(cmd, {"bound": bounds, "shift": list(shift),
+                                 "window": [list(s) for s in omega],
+                                 "tol": tol, "seed": seed},
+                           op, verdict, seed)
 
 
 def _run_validate(args, config):

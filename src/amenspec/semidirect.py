@@ -149,7 +149,10 @@ def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
                            witness_ms: Sequence[float] = (2.0, 4.0, 8.0),
                            tol: float = 5e-2, seed: int = DEFAULT_SEED,
                            max_iter: int = 300) -> AmenabilityVerdict:
-    """Membership test for the interval mass, with banded witnesses."""
+    """Membership test for the interval mass, with banded witnesses.
+
+    The verdict carries the interval operator it tested.
+    """
     op = interval_operator(grid, a, b)
     target = op.meta["target"]
     witnesses = []
@@ -164,7 +167,8 @@ def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
              "grid": {"h": grid.h, "max_r": grid.max_r, "cells": grid.n},
              "witness_residuals": per}
     return AmenabilityVerdict(cert.target, cert.tolerance, cert.best_residual,
-                              cert.certified, cert.witness_id, cert.gap_hint, notes)
+                              cert.certified, cert.witness_id, cert.gap_hint, notes,
+                              operator=op)
 
 
 # -- integer pair classes ----------------------------------------------------
@@ -205,10 +209,11 @@ def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
     """Class-shift operator for one shift pair (r, r') with r != r'.
 
     Each class {g, g'} feeds its two shifted classes; degenerate targets
-    (equal coordinates) are dropped, as is anything leaving the box. The
-    modular prefactor is identically 1 for this family but kept in the
-    arithmetic. Transposing gives the operator of the negated shift, so a
-    single shift is symmetric only when {r, r'} = {-r, -r'}.
+    (equal coordinates) are dropped, as is anything leaving the box. Every
+    entry is 1: the family is unimodular, so the modular prefactor of the
+    exponent p is identically 1, and p is only validated and recorded in
+    meta. Transposing gives the operator of the negated shift, so a single
+    shift is symmetric only when {r, r'} = {-r, -r'}.
     """
     r, rp = shift
     if not (isinstance(r, int) and isinstance(rp, int)):
@@ -217,8 +222,7 @@ def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
         raise InputError("shift coordinates must be distinct")
     if not (isinstance(p, (int, float)) and np.isfinite(p) and p >= 1):
         raise InputError("exponent p must be a number >= 1")
-    c = 1.0 ** ((1.0 - p) / 2.0)      # modular term, unimodular family
-    rows, cols, vals = [], [], []
+    rows, cols = [], []
     dropped = 0
     for i, (g, gp) in enumerate(pairs.classes):
         for t in (canonical_pair(g - r, gp - rp), canonical_pair(g - rp, gp - r)):
@@ -231,9 +235,9 @@ def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
             else:
                 rows.append(i)
                 cols.append(j)
-                vals.append(c)
     symmetric = {r, rp} == {-r, -rp}
-    return LinOp.from_entries(pairs.domain, rows, cols, vals, symmetric=symmetric,
+    return LinOp.from_entries(pairs.domain, rows, cols, np.ones(len(rows)),
+                              symmetric=symmetric,
                               meta={"shift": (r, rp), "bound": pairs.bound,
                                     "p": float(p), "dropped": dropped})
 

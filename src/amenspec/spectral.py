@@ -124,6 +124,7 @@ class LinOp:
         self.symmetric = bool(symmetric)
         self.boundary_policy = boundary_policy
         self.meta = dict(meta or {})
+        self._kept_lanczos = None      # see _lanczos_once
         if self.symmetric:
             defect = self.symmetry_defect()
             if defect > symmetry_tol:
@@ -220,6 +221,9 @@ class MembershipCertificate:
 
 @dataclass
 class AmenabilityVerdict:
+    """Verdict of a membership test. operator is the LinOp it tested, when
+    the test hands it back for reporting; to_dict leaves it out."""
+
     target: float
     tolerance: float
     best_residual: float
@@ -227,6 +231,7 @@ class AmenabilityVerdict:
     witness_id: str | None
     gap_hint: float
     notes: dict = field(default_factory=dict)
+    operator: LinOp | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -370,6 +375,21 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     return result
 
 
+def _lanczos_once(op: LinOp, tol: float, max_iter: int, seed: int,
+                  keep: bool) -> _LanczosResult:
+    """_lanczos, reusing the run an earlier call kept on op with the same arguments.
+
+    A kept run is taken off op either way, so it never outlives the next
+    solve on op; keep=True puts this run back for the call after it.
+    """
+    args = (tol, max_iter, seed)
+    kept, op._kept_lanczos = op._kept_lanczos, None
+    res = kept[1] if kept is not None and kept[0] == args else _lanczos(op, *args)
+    if keep:
+        op._kept_lanczos = (args, res)
+    return res
+
+
 def _power_on_squared(op: LinOp, tol: float, max_iter: int, seed: int):
     """Power iteration on A^2. Returns (estimate, lower_bound, iters, converged)."""
     A = op.matrix
@@ -406,13 +426,15 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
     estimate is within tol of the largest |eigenvalue| of the truncation
     once converged. radius_lower_bound is the best Rayleigh quotient found,
     recomputed in the original space, hence a rigorous lower bound. Falls
-    back to power iteration on A^2 when Lanczos stagnates.
+    back to power iteration on A^2 when Lanczos stagnates. Reuses the
+    Lanczos run of an earlier in_spectrum call on op with the same seed
+    and budget.
     """
     if tol <= 0:
         raise InputError("tol must be positive")
     if op.nnz == 0:
         return SpectralReport(0.0, 0.0, [0.0], 0, True)
-    res = _lanczos(op, tol, max_iter, seed)
+    res = _lanczos_once(op, tol, max_iter, seed, keep=False)
     thetas = res.all_thetas()
     method = "lanczos"
     iterations = res.iterations
@@ -476,7 +498,9 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     residual <= tol, which for a symmetric operator places a point of the
     truncated spectrum within that residual of target. Non-membership is
     never certified; gap_hint reports the distance from target to the
-    nearest truncated eigenvalue found.
+    nearest truncated eigenvalue found. The Lanczos run is kept on op for
+    the next in_spectrum or spectral_radius call with the same seed and
+    budget.
     """
     if not op.symmetric:
         raise InputError("membership certificates require a symmetric operator")
@@ -501,7 +525,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
 
     gap = np.inf
     try:
-        res = _lanczos(op, EIGEN_TOL, max_iter, seed)
+        res = _lanczos_once(op, EIGEN_TOL, max_iter, seed, keep=True)
         thetas = res.all_thetas()
         if thetas.size:
             gap = float(np.abs(thetas - target).min())
@@ -510,7 +534,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
             r = residual(op, target, u)
             if r < best_res:
                 best_res, best_id = r, "lanczos-ritz"
-    except Exception:
+    except scipy.linalg.LinAlgError:
         pass  # no Ritz route: the certificate rests on supplied witnesses alone
 
     if best_res > tol and op.nnz:
@@ -529,7 +553,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 gap = min(gap, r)
                 if r < best_res:
                     best_res, best_id = r, "shifted-lanczos"
-        except Exception:
+        except (scipy.linalg.LinAlgError, InputError):
             pass
 
     certified = bool(best_res <= tol)

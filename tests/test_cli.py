@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from amenspec import AmenabilityVerdict, __version__, walks
+from amenspec import AmenabilityVerdict, __version__, fusion, semidirect, spectral, walks
 from amenspec.cli import CONFIG_ENV, main
 
 
@@ -129,6 +129,38 @@ def test_output_flag_writes_file_and_silences_stdout(capsys, tmp_path):
     assert rep["schema"] == 1 and rep["command"] == "walk"
 
 
+def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch):
+    solves, builds = [], []
+    lanczos = spectral._lanczos
+
+    def counting_lanczos(op, tol, max_iter, seed):
+        solves.append((op, tol, max_iter, seed))
+        return lanczos(op, tol, max_iter, seed)
+
+    def counting(name, build):
+        def wrapped(*args, **kwargs):
+            builds.append(name)
+            return build(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "_lanczos", counting_lanczos)
+    monkeypatch.setattr(fusion, "window_operator",
+                        counting("window", fusion.window_operator))
+    monkeypatch.setattr(semidirect, "interval_operator",
+                        counting("interval", semidirect.interval_operator))
+    for argv, built in ((("fusion", "--ring", "free-su2", "--N", "3", "--trunc", "64",
+                          "--omega", "a1"), ["window"]),
+                        (("semidirect", "--interval", "0:1", "--grid", "0.25:16"),
+                         ["interval"])):
+        solves.clear()
+        builds.clear()
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["spectral"]["iterations"] > 0
+        assert builds == built, argv
+        keys = [(id(op), tol, max_iter, seed) for op, tol, max_iter, seed in solves]
+        assert len(keys) == len(set(keys)), argv
+
+
 # -- determinism --------------------------------------------------------------
 
 
@@ -186,6 +218,13 @@ def test_config_errors(capsys, tmp_path, monkeypatch):
     code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "2")
     assert code == 2
 
+    seed = tmp_path / "seed.json"
+    seed.write_text(json.dumps({"seed": -3}))
+    monkeypatch.setenv(CONFIG_ENV, str(seed))
+    code, rep = run(capsys, "semidirect", "--interval", "0:1", "--grid", "0.25:8")
+    assert code == 2
+    assert rep["error"]["type"] == "input" and "seed" in rep["error"]["message"]
+
 
 # -- failure modes ------------------------------------------------------------
 
@@ -209,12 +248,22 @@ def test_bad_values_exit_2(capsys, tmp_path):
         ("semidirect", "--interval", "0:1:2", "--grid", "0.25:8"),
         ("semidirect", "--interval", "1:0", "--grid", "0.25:8"),
         ("bicrossed", "--bound", "5", "--shift", "1,0,2"),
+        ("bicrossed", "--bound", "5", "--shift", "0,1", "--seed", "-1"),
         ("fusion", "--ring", "free-su2", "--trunc", "32", "--omega", "a1"),
     ]
     for argv in cases:
         code, rep = run(capsys, *argv)
         assert code == 2, argv
         assert rep["error"]["type"] == "input", argv
+
+
+def test_rule_parameter_must_be_finite(capsys):
+    for n in ("inf", "nan"):
+        code, rep = run(capsys, "fusion", "--ring", "free-su2", "--N", n,
+                        "--omega", "a1", "--trunc", "32")
+        assert code == 2
+        assert rep["error"]["type"] == "input"
+        assert "finite numeric N" in rep["error"]["message"]
 
 
 def test_table_rings_smaller_than_min_truncation(capsys, tmp_path):

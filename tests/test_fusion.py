@@ -246,6 +246,9 @@ def test_parse_rejects_malformed_descriptors():
         parse_descriptor(cyclic3_descriptor(fusion=fus))
     with pytest.raises(InputError):
         parse_descriptor({"kind": "rule", "rule": "free-su2", "N": 1.5, "level": 4})
+    for N in (math.nan, math.inf, 10 ** 400):
+        with pytest.raises(InputError):
+            parse_descriptor({"kind": "rule", "rule": "free-su2", "N": N, "level": 4})
     with pytest.raises(InputError):
         parse_descriptor({"kind": "rule", "rule": "free-su2", "N": 2, "level": -1})
     with pytest.raises(InputError):
@@ -309,6 +312,16 @@ def test_validate_flags_missing_unit():
                        "detail": "no label acts as a two-sided unit"}
 
 
+def test_validate_rule_descriptor_reports_fixed_rows():
+    names = ["dimension positivity", "unit element", "conjugation involution",
+             "dimension homomorphism", "frobenius reciprocity", "associativity"]
+    for N, level in ((2, 0), (2.5, 40), (3, 2000), (50, 7)):
+        rows = validate_descriptor(parse_descriptor(
+            {"kind": "rule", "rule": "free-su2", "N": N, "level": level}))
+        assert [r["axiom"] for r in rows] == names
+        assert all(r["passed"] and r["detail"] for r in rows)
+
+
 def test_validate_large_rule_ring_probes_quickly():
     rows = validate_descriptor(parse_descriptor(
         {"kind": "rule", "rule": "free-su2", "N": 2, "level": 500}))
@@ -326,6 +339,62 @@ def test_rule_decomposition_matches_direct_statement(i, j):
     want = {k: 1 for k in range(61) if rule_mult(i, j, k)}
     want.update({k: 1 for k in range(abs(i - j), i + j + 1, 2) if k > 60})
     assert got == want
+
+
+def rule_product(*factors):
+    """Multiplicities of a product of labels under the unclipped rule_mult."""
+    out = {factors[0]: 1}
+    for f in factors[1:]:
+        nxt = {}
+        for p, m in out.items():
+            for k in range(abs(p - f), p + f + 1):
+                if rule_mult(p, f, k):
+                    nxt[k] = nxt.get(k, 0) + m
+        out = nxt
+    return out
+
+
+def unclipped_product(ring, left, right):
+    """Multiplicities of (sum of left) (x) (sum of right) via decompose_indices."""
+    out = {}
+    for i, mi in left.items():
+        for j, mj in right.items():
+            for k, m in ring.decompose_indices(i, j, clip=False):
+                out[k] = out.get(k, 0) + mi * mj * m
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
+def test_rule_is_associative(i, j, k):
+    ring = free_su2_ring(3, 10)
+    left = unclipped_product(ring, unclipped_product(ring, {i: 1}, {j: 1}), {k: 1})
+    right = unclipped_product(ring, {i: 1}, unclipped_product(ring, {j: 1}, {k: 1}))
+    assert left == right == rule_product(i, j, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 30), st.integers(0, 30), st.integers(0, 30))
+def test_rule_unit_and_frobenius_reciprocity(i, j, k):
+    ring = free_su2_ring(2, 10)
+    assert ring.decompose_indices(0, j, clip=False) == [(j, 1)]
+    mult = dict(ring.decompose_indices(i, j, clip=False)).get(k, 0)
+    dual = dict(ring.decompose_indices(i, k, clip=False)).get(j, 0)
+    assert mult == dual == rule_mult(i, j, k)
+
+
+@pytest.mark.parametrize("N", [2, 3, 2.5, 7.3])
+def test_rule_dimension_homomorphism_and_positivity(N):
+    ring = free_su2_ring(N, 60)
+    for i in range(31):
+        assert ring.dim_exact(f"a{i}") >= i + 1
+        for j in range(31):
+            lhs = ring.dim_exact(f"a{i}") * ring.dim_exact(f"a{j}")
+            rhs = sum(ring.dim_exact(f"a{k}") for k in range(61) if rule_mult(i, j, k))
+            if ring.integral_dims:
+                assert lhs == rhs
+            else:
+                assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,12 +9,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenspec import (CERT_TOL, DISCRETE_LABELS, UNIFORM_GRID, InputError, LinOp,
                       SpectrumDomain, fingerprint, in_spectrum, residual,
-                      spectral_radius, truncation_sweep)
+                      spectral, spectral_radius, truncation_sweep)
 
 
 def make_domain(n):
@@ -266,6 +267,47 @@ def test_in_spectrum_input_errors():
         in_spectrum(op, 1.0, witnesses=[np.ones(3)])
     with pytest.raises(InputError):
         in_spectrum(op, 1.0, tol=-1.0)
+
+
+def test_in_spectrum_lets_unrelated_solver_errors_out(monkeypatch):
+    def broken(op, tol, max_iter, seed):
+        raise TypeError("solver bug")
+
+    monkeypatch.setattr(spectral, "_lanczos", broken)
+    with pytest.raises(TypeError):
+        in_spectrum(path_operator(20), 1.0)
+
+
+def test_in_spectrum_falls_back_to_witnesses_on_eigensolver_failure(monkeypatch):
+    def failing(op, tol, max_iter, seed):
+        raise scipy.linalg.LinAlgError("tridiagonal solve did not converge")
+
+    monkeypatch.setattr(spectral, "_lanczos", failing)
+    k = np.arange(1, 51)
+    cert = in_spectrum(path_operator(50), 2.0, witnesses=[("sine", np.sin(math.pi * k / 51.0))])
+    assert cert.witness_id == "sine" and cert.certified
+    assert cert.gap_hint == math.inf
+
+
+def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
+    solved = []
+    orig = spectral._lanczos
+
+    def counting(op, tol, max_iter, seed):
+        solved.append((op, seed))
+        return orig(op, tol, max_iter, seed)
+
+    monkeypatch.setattr(spectral, "_lanczos", counting)
+    op = path_operator(400)
+    in_spectrum(op, 3.0)
+    in_spectrum(op, 1.0)
+    rep = spectral_radius(op)
+    assert [s for o, s in solved if o is op] == [7]
+    assert rep.to_dict() == spectral_radius(path_operator(400)).to_dict()
+    # the radius call used up the kept run; other seeds never saw it
+    spectral_radius(op)
+    in_spectrum(op, 3.0, seed=8)
+    assert [s for o, s in solved if o is op] == [7, 7, 8]
 
 
 def test_membership_certificate_soundness_against_dense():
