@@ -203,9 +203,14 @@ def _run_sweep(args, config):
     sizes = _get(args, config, cmd, "sizes", required=True, cast=_as_int_list)
     omega = _get(args, config, cmd, "omega", required=True, cast=_as_str_list)
     ring, ring_echo = _build_ring(args, config, cmd, max(sizes) - 1)
-    rep = truncation_sweep(lambda s: fusion.window_operator(ring, omega, s),
-                           sizes, tol=tol, seed=seed)
-    op = fusion.window_operator(ring, omega, sizes[-1])
+    built = {}
+
+    def build(size):
+        built["op"] = fusion.window_operator(ring, omega, size)
+        return built["op"]
+
+    rep = truncation_sweep(build, sizes, tol=tol, seed=seed)
+    op = built["op"]             # the sweep builds the largest size last
     report = {"schema": 1, "version": __version__, "command": cmd,
               "config": {"ring": ring_echo, "omega": omega, "sizes": sizes,
                          "tol": tol, "seed": seed},

@@ -63,7 +63,8 @@ class SpectrumDomain:
         pts = tuple(self.points)
         if not pts:
             raise InputError("domain needs at least one point")
-        if len(set(pts)) != len(pts):
+        index = {p: i for i, p in enumerate(pts)}
+        if len(index) != len(pts):
             raise InputError("domain points must be unique")
         dw = np.array(self.dim_weight, dtype=float)
         qw = np.array(self.quad_weight, dtype=float)
@@ -84,7 +85,7 @@ class SpectrumDomain:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "dim_weight", dw)
         object.__setattr__(self, "quad_weight", qw)
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(pts)})
+        object.__setattr__(self, "_index", index)
 
     @property
     def truncation_size(self) -> int:

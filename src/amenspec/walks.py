@@ -12,7 +12,7 @@ for a free group it stays pinned near the tree bound.
 from __future__ import annotations
 
 import string
-from collections import deque
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -114,16 +114,31 @@ def parse_group(text: str):
     raise InputError(f"unknown group spec {text!r}; use 'Z^d:<d>' or 'F:<k>'")
 
 
+@dataclass(eq=False, repr=False)
 class BallTruncation:
-    """Word-metric ball enumerated breadth first; order is deterministic."""
+    """Word-metric ball enumerated breadth first; order is deterministic.
 
-    def __init__(self, group, radius: int, elements: tuple):
-        self.group = group
-        self.radius = radius
-        self.elements = elements
-        self.index = {x: i for i, x in enumerate(elements)}
-        n = len(elements)
-        self.domain = SpectrumDomain(DISCRETE_LABELS, elements, np.ones(n), np.ones(n))
+    The ball is built once, at its radius, and every smaller ball is a
+    prefix of it: the ball of radius r is elements[:sphere_ends[r]], so an
+    operator on it is the leading principal block of the operator on this
+    ball. right[i, c] is the index of elements[i] times the generator named
+    group.generator_names[c], or -1 when that product lies outside the ball;
+    parent[i] and step[i] give the element and the generator column through
+    which the search first reached elements[i] (-1 for the identity).
+    """
+
+    group: object
+    radius: int
+    elements: tuple
+    index: dict
+    sphere_ends: tuple
+    right: np.ndarray
+    parent: np.ndarray
+    step: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.elements)
+        self.domain = SpectrumDomain(DISCRETE_LABELS, self.elements, np.ones(n), np.ones(n))
 
     @property
     def size(self) -> int:
@@ -134,28 +149,40 @@ def build_ball(group, radius: int) -> BallTruncation:
     if not isinstance(radius, int) or radius < 0:
         raise InputError("radius must be a nonnegative integer")
     order = [group.identity]
-    seen = {group.identity: 0}
-    queue = deque(order)
-    gens = [group.generators[nm] for nm in group.generator_names]
-    while queue:
-        x = queue.popleft()
-        d = seen[x]
-        if d == radius:
-            continue
-        for g in gens:
-            y = group.mul(x, g)
-            if y not in seen:
-                seen[y] = d + 1
-                order.append(y)
-                queue.append(y)
-    return BallTruncation(group, radius, tuple(order))
+    index = {group.identity: 0}
+    parent, step, right, ends = [-1], [-1], [], []
+    gens = list(enumerate(group.generators[nm] for nm in group.generator_names))
+    mul, lookup = group.mul, index.get
+    start = 0
+    for d in range(radius + 1):
+        end = len(order)
+        ends.append(end)
+        for i in range(start, end):
+            x = order[i]
+            for c, g in gens:
+                y = mul(x, g)
+                j = lookup(y)
+                if j is None and d < radius:
+                    j = index[y] = len(order)
+                    order.append(y)
+                    parent.append(i)
+                    step.append(c)
+                right.append(-1 if j is None else j)
+        start = end
+    n = len(order)
+    return BallTruncation(group, radius, tuple(order), index, tuple(ends),
+                          np.array(right, dtype=np.int64).reshape(n, len(gens)),
+                          np.array(parent, dtype=np.int64), np.array(step, dtype=np.int64))
 
 
 def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
     """Weighted left-convolution walk compressed to the ball.
 
     (A f)(x) = sum_s w(s) f(s^{-1} x). Exactly symmetric when the weight
-    function is symmetric under inversion of the generator set.
+    function is symmetric under inversion of the generator set. The left
+    neighbours come from the ball's right-neighbour table through the BFS
+    parents: s^{-1} (p g) = (s^{-1} p) g, and s^{-1} p always lies in the
+    ball because p lies strictly inside it.
     """
     if not weights:
         raise InputError("weights must be nonempty")
@@ -166,21 +193,30 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
             raise InputError(f"weight for {nm!r} must be a positive number")
     symmetric = all(weights.get(group.inverse_name(nm)) == w
                     for nm, w in weights.items())
-    rows, cols, vals = [], [], []
-    dropped = 0
-    inv_elems = {nm: group.generators[group.inverse_name(nm)] for nm in weights}
-    for i, x in enumerate(ball.elements):
-        for nm, w in weights.items():
-            j = ball.index.get(group.mul(inv_elems[nm], x))
-            if j is None:
-                dropped += 1
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(float(w))
-    return LinOp.from_entries(ball.domain, rows, cols, vals, symmetric=symmetric,
+    column = {nm: c for c, nm in enumerate(group.generator_names)}
+    left = np.empty((ball.size, len(weights)), dtype=np.int64)
+    left[0] = ball.right[0, [column[group.inverse_name(nm)] for nm in weights]]
+    for lo, hi in zip(ball.sphere_ends, ball.sphere_ends[1:]):
+        left[lo:hi] = ball.right[left[ball.parent[lo:hi]], ball.step[lo:hi, None]]
+    kept = left.ravel() >= 0
+    rows = np.repeat(np.arange(ball.size), len(weights))[kept]
+    vals = np.tile(np.array([float(w) for w in weights.values()]), ball.size)[kept]
+    return LinOp.from_entries(ball.domain, rows, left.ravel()[kept], vals,
+                              symmetric=symmetric,
                               meta={"group": group.describe(), "radius": ball.radius,
-                                    "weights": dict(weights), "dropped": dropped})
+                                    "weights": dict(weights),
+                                    "dropped": int(kept.size - kept.sum())})
+
+
+def _leading_block(op: LinOp, n: int, radius: int) -> LinOp:
+    """The walk operator on the ball of the first n elements, sliced out of op."""
+    if radius == op.meta["radius"]:
+        return op
+    block = op.matrix[:n, :n]
+    domain = SpectrumDomain(DISCRETE_LABELS, op.domain.points[:n], np.ones(n), np.ones(n))
+    dropped = n * len(op.meta["weights"]) - block.nnz
+    return LinOp(domain, block, symmetric=op.symmetric,
+                 meta={**op.meta, "radius": radius, "dropped": dropped})
 
 
 def modular_weight_operator(group, p: float, density: dict,
@@ -227,11 +263,13 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     """Growth test: does the compressed walk radius reach the total weight.
 
     radii may be a single radius (swept from 1) or an increasing sequence.
-    With unit weights the target is |omega|; an explicit symmetric weight
-    map shifts the target to its total mass. The verdict certifies when
-    some ball's rigorous lower bound comes within tol of the target. notes
-    carries the per-radius trace and a curvature-corrected limit estimate
-    from the last two radii.
+    The ball is built once, at the largest radius; breadth-first order makes
+    each smaller ball a prefix of it, so each smaller radius is solved on a
+    leading principal block of that one operator. With unit weights the
+    target is |omega|; an explicit symmetric weight map shifts the target to
+    its total mass. The verdict certifies when some ball's rigorous lower
+    bound comes within tol of the target. notes carries the per-radius trace
+    and a curvature-corrected limit estimate from the last two radii.
     """
     if isinstance(radii, int):
         radii = list(range(1, radii + 1))
@@ -281,12 +319,14 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
 
     target = float(sum(weights.values()))
     sizes, estimates, lowers, solved = [], [], [], []
-    op = rep = None
+    ball = build_ball(group, radii[-1])
+    full = cayley_operator(group, weights, ball)
+    ends = ball.sphere_ends
+    del ball            # the search tables are not needed by the eigensolves
     for r in radii:
-        ball = build_ball(group, r)
-        op = cayley_operator(group, weights, ball)
+        op = _leading_block(full, ends[r], r)
         rep = spectral_radius(op, tol=EIGEN_TOL, max_iter=max_iter, seed=seed)
-        sizes.append(ball.size)
+        sizes.append(op.n)
         estimates.append(rep.radius_estimate)
         lowers.append(rep.radius_lower_bound)
         solved.append(rep.converged)

@@ -95,6 +95,21 @@ def test_sweep_command_csv_matches_closed_form(capsys, tmp_path):
     assert rep["spectral"]["method"] == "sweep"
 
 
+def test_sweep_builds_each_truncation_once(capsys, monkeypatch):
+    built = []
+    window_operator = fusion.window_operator
+
+    def recording(ring, omega, trunc):
+        built.append(trunc)
+        return window_operator(ring, omega, trunc)
+
+    monkeypatch.setattr(fusion, "window_operator", recording)
+    code, rep = run(capsys, "sweep", "--ring", "free-su2", "--N", "3",
+                    "--omega", "a1", "--sizes", "50,100,200,400")
+    assert code == 0 and rep["operator"]["size"] == 400
+    assert built == [50, 100, 200, 400]
+
+
 def test_validate_command_pass_and_fail(capsys, tmp_path):
     good = tmp_path / "good.json"
     good.write_text(json.dumps(cyclic3_obj()))

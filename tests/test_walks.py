@@ -5,12 +5,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenspec import (FreeGroup, InputError, ZLattice, build_ball,
                       cayley_operator, kesten_test, modular_weight_operator,
-                      parse_group)
+                      parse_group, walks)
+
+SMALL_GROUPS = [ZLattice(d) for d in (1, 2, 3)] + [FreeGroup(k) for k in (1, 2, 3)]
 
 
 # -- groups and balls ---------------------------------------------------------
@@ -72,6 +75,24 @@ def test_ball_enumeration_is_deterministic():
     assert a.elements[0] == (0, 0)
     with pytest.raises(InputError):
         build_ball(ZLattice(2), -1)
+
+
+def test_ball_is_prefix_of_larger_ball():
+    for g in SMALL_GROUPS:
+        big = build_ball(g, 5)
+        for r in range(5):
+            small = build_ball(g, r)
+            assert small.elements == big.elements[:small.size]
+            assert big.sphere_ends[r] == small.size
+
+
+def test_ball_right_neighbour_table():
+    for g in SMALL_GROUPS:
+        ball = build_ball(g, 3)
+        for i, x in enumerate(ball.elements):
+            for c, nm in enumerate(g.generator_names):
+                want = ball.index.get(g.mul(x, g.generators[nm]), -1)
+                assert ball.right[i, c] == want
 
 
 # -- walk operators -----------------------------------------------------------
@@ -250,6 +271,97 @@ def test_growth_input_validation():
         kesten_test(g, [2], omega=["x1", "X1"], weights={"x2": 1.0, "X2": 1.0})
     with pytest.raises(InputError):
         kesten_test(g, [2], omega=[])
+
+
+def reference_walk(group, weights, radius):
+    """The walk on a fresh ball, one group.mul per entry: BFS, then s^-1 x."""
+    elements, index, frontier = [group.identity], {group.identity: 0}, [group.identity]
+    for _ in range(radius):
+        grown = []
+        for x in frontier:
+            for nm in group.generator_names:
+                y = group.mul(x, group.generators[nm])
+                if y not in index:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    grown.append(y)
+        frontier = grown
+    rows, cols, vals, dropped = [], [], [], 0
+    for i, x in enumerate(elements):
+        for nm, w in weights.items():
+            j = index.get(group.mul(group.inv(group.generators[nm]), x))
+            if j is None:
+                dropped += 1
+            else:
+                rows.append(i)
+                cols.append(j)
+                vals.append(float(w))
+    n = len(elements)
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix.sum_duplicates()
+    return tuple(elements), matrix, dropped
+
+
+@st.composite
+def walk_inputs(draw):
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    radii = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
+    pairs = [nm for nm in group.generator_names if nm.islower()]
+    window = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    window = [s for nm in window for s in (nm, nm.upper())]
+    mode = draw(st.sampled_from(["all", "omega", "weights"]))
+    if mode == "all":
+        return group, radii, None, None
+    if mode == "omega":
+        return group, radii, window, None
+    mass = draw(st.lists(st.sampled_from([0.25, 0.5, 1.5, 3.0]),
+                         min_size=len(window) // 2, max_size=len(window) // 2))
+    weights = {s: m for nm, m in zip(window[::2], mass) for s in (nm, nm.upper())}
+    return group, radii, None, weights
+
+
+@settings(max_examples=25, deadline=None)
+@given(walk_inputs())
+def test_kesten_operators_match_fresh_builds(inputs):
+    group, radii, omega, weights = inputs
+    solved = []
+    spectral_radius = walks.spectral_radius
+
+    def recording(op, **kw):
+        solved.append(op)
+        return spectral_radius(op, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "spectral_radius", recording)
+        kesten_test(group, radii, omega=omega, weights=weights)
+    if weights is None:
+        weights = dict.fromkeys(omega or group.generator_names, 1.0)
+    assert [op.meta["radius"] for op in solved] == radii
+    for r, op in zip(radii, solved):
+        elements, want, dropped = reference_walk(group, weights, r)
+        assert op.domain.points == elements
+        for name in ("indptr", "indices", "data"):
+            got, ref = getattr(op.matrix, name), getattr(want, name)
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+        assert op.meta["dropped"] == dropped
+
+
+def test_kesten_builds_one_ball_and_one_operator(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("build_ball", "cayley_operator", "spectral_radius"):
+        monkeypatch.setattr(walks, name, counting(name, getattr(walks, name)))
+    verdict = kesten_test(FreeGroup(2), 6)
+    assert verdict.notes["ball_sizes"] == [2 * 3 ** r - 1 for r in range(1, 7)]
+    assert calls.count("build_ball") == 1
+    assert calls.count("cayley_operator") == 1
+    assert calls.count("spectral_radius") == 6
 
 
 # -- group laws ---------------------------------------------------------------
