@@ -282,6 +282,9 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     A closed Krylov subspace (breakdown) gives exact Ritz values on that
     subspace; up to two fresh start vectors orthogonal to everything already
     captured guard against a start vector that misses the extremal space.
+    Each step reads only the two extreme Ritz values, by bisection; a stall
+    of both is confirmed by a full tridiagonal solve and the rigorous bound
+    beta * |last Ritz component| before the run stops.
     """
     n = op.n
     A = op.matrix
@@ -332,8 +335,9 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
             if m == 1:
                 lo = hi = alphas[0]
             else:
-                th = scipy.linalg.eigvalsh_tridiagonal(alphas, betas)
-                lo, hi = float(th[0]), float(th[-1])
+                lo, hi = (float(scipy.linalg.eigvalsh_tridiagonal(
+                    alphas, betas, select="i", select_range=(i, i))[0])
+                    for i in (0, m - 1))
             scale = max(1.0, abs(lo), abs(hi))
             result.iterations += 1
             k += 1
@@ -494,14 +498,19 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 max_iter: int = 300) -> MembershipCertificate:
     """Residual-based membership certificate for target in the spectrum.
 
-    Residuals are evaluated over the supplied witness family and over the
-    Lanczos Ritz vector nearest to target. certified means some witness has
-    residual <= tol, which for a symmetric operator places a point of the
-    truncated spectrum within that residual of target. Non-membership is
-    never certified; gap_hint reports the distance from target to the
-    nearest truncated eigenvalue found. The Lanczos run is kept on op for
-    the next in_spectrum or spectral_radius call with the same seed and
-    budget.
+    Residuals are evaluated over three routes, in order: the supplied
+    witness family, the Lanczos Ritz vector nearest to target
+    ("lanczos-ritz"), and, when neither is within tol, four steps of
+    inverse iteration with one sparse LU factor of A - shift, shift just
+    off target ("shift-invert"). certified means some witness has residual
+    <= tol, which for a symmetric operator places a point of the truncated
+    spectrum within that residual of target; best_residual is always
+    measured against op itself, so it is rigorous whichever route found
+    it. Non-membership is never certified. gap_hint is only a hint: the
+    distance from target to the nearest Ritz value found, the Rayleigh
+    quotient of the shift-invert vector counting as one. The Lanczos run
+    is kept on op for the next in_spectrum or spectral_radius call with
+    the same seed and budget.
     """
     if not op.symmetric:
         raise InputError("membership certificates require a symmetric operator")
@@ -539,23 +548,25 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         pass  # no Ritz route: the certificate rests on supplied witnesses alone
 
     if best_res > tol and op.nnz:
-        # interior targets: extremal Ritz pairs miss them, but the bottom of
-        # (A - target)^2 is extremal and its Rayleigh quotient is exactly the
-        # squared residual, so minimize that instead
+        # interior targets: extremal Ritz pairs miss them, inverse iteration
+        # does not. The shift sits 1e-7 (relative) off target so that a target
+        # that is an exact eigenvalue does not give an exactly singular factor.
+        from scipy.sparse.linalg import splu  # late: 0.1 s at every start
+        shift = target + 1e-7 * max(1.0, abs(target))
         try:
-            shifted = (op.matrix - target * sp.eye(op.n, format="csr")).tocsr()
-            squared = LinOp(op.domain, shifted @ shifted, symmetric=True,
-                            symmetry_tol=1e-9 * max(1.0, abs(target)) ** 2)
-            res2 = _lanczos(squared, EIGEN_TOL, max_iter, seed + 3)
-            if res2.runs:
-                run, idx = res2.locate(lambda th: th)
-                u = res2.ritz_vector(run, idx)
+            lu = splu((op.matrix - shift * sp.eye(op.n, format="csr")).tocsc())
+        except RuntimeError:
+            pass  # exactly singular: the witness and Ritz routes stand
+        else:
+            u = np.random.default_rng(seed + 3).standard_normal(op.n)
+            for _ in range(4):
+                u = lu.solve(u / np.linalg.norm(u))
+            u /= np.linalg.norm(u)
+            if np.all(np.isfinite(u)):
+                gap = min(gap, abs(float(u @ op.apply(u)) - target))
                 r = residual(op, target, u)
-                gap = min(gap, r)
                 if r < best_res:
-                    best_res, best_id = r, "shifted-lanczos"
-        except (scipy.linalg.LinAlgError, InputError):
-            pass
+                    best_res, best_id = r, "shift-invert"
 
     certified = bool(best_res <= tol)
     return MembershipCertificate(float(target), float(tol),
@@ -568,7 +579,8 @@ def truncation_sweep(builder: Callable[[int], LinOp], sizes: Sequence[int],
     """Rebuild the operator at each size and record the radius estimates.
 
     sizes must be strictly increasing. The returned report is the one for
-    the largest size, with truncation_trace filled and converged set to the
+    the largest size, with truncation_trace filled. converged requires the
+    solve at every size to have converged and, given two sizes or more, the
     Cauchy-style flag (the last two estimates differ by less than tol).
     """
     sizes = [int(s) for s in sizes]
@@ -576,6 +588,7 @@ def truncation_sweep(builder: Callable[[int], LinOp], sizes: Sequence[int],
         raise InputError("sizes must be strictly increasing and nonempty")
     trace = []
     report = None
+    solved = True
     for s in sizes:
         try:
             op = builder(s)
@@ -583,8 +596,9 @@ def truncation_sweep(builder: Callable[[int], LinOp], sizes: Sequence[int],
             raise InputError(f"builder failed at size {s}: {e}") from e
         report = spectral_radius(op, tol=min(tol, EIGEN_TOL), max_iter=max_iter, seed=seed)
         trace.append((s, report.radius_estimate))
+        solved = solved and report.converged
     report.truncation_trace = trace
     report.method = "sweep"
     if len(trace) >= 2:
-        report.converged = bool(abs(trace[-1][1] - trace[-2][1]) < tol)
+        report.converged = solved and bool(abs(trace[-1][1] - trace[-2][1]) < tol)
     return report

@@ -2,9 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import amenspec
 from amenspec import AmenabilityVerdict, __version__, fusion, semidirect, spectral, walks
 from amenspec.cli import CONFIG_ENV, main
 
@@ -337,3 +342,17 @@ def test_convergence_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert rep["error"]["type"] == "convergence"
     assert "radius" in rep["error"]["message"]
+
+
+def test_cli_import_leaves_sparse_linalg_unloaded():
+    # scipy.sparse.linalg adds about 0.1 s to every start; only the
+    # shift-invert certificate route needs it, and imports it when it runs
+    src = Path(amenspec.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys, amenspec.cli; "
+            "print(amenspec.cli.__file__, 'scipy.sparse.linalg' in sys.modules)")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    where, loaded = done.stdout.split()
+    assert Path(where).resolve().is_relative_to(src)
+    assert loaded == "False"

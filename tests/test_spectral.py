@@ -10,6 +10,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -220,7 +222,7 @@ def test_in_spectrum_certifies_path50_top():
     want = 2.0 - path_top(50)
     assert cert.certified
     assert cert.best_residual <= want + 1e-9
-    assert cert.witness_id in ("sine", "lanczos-ritz", "shifted-lanczos")
+    assert cert.witness_id in ("sine", "lanczos-ritz", "shift-invert")
 
 
 def test_in_spectrum_reports_gap_for_outside_target():
@@ -242,19 +244,26 @@ def test_in_spectrum_interior_target_small_operator():
 
 def test_in_spectrum_interior_target_large_operator():
     # extremal Ritz pairs miss interior targets once the iteration budget is
-    # below the size; the squared-shift route still certifies
+    # below the size; inverse iteration at the exact eigenvalue still certifies
     op = path_operator(1000)
     target = 2.0 * math.cos(500 * math.pi / 1001.0)
     cert = in_spectrum(op, target, tol=5e-2)
     assert cert.certified
-    assert cert.witness_id == "shifted-lanczos"
-    assert cert.best_residual < 2e-2
+    assert cert.witness_id == "shift-invert"
+    assert cert.best_residual < 1e-12
+
+
+def test_in_spectrum_certifies_exactly_representable_eigenvalue():
+    # 0 is an eigenvalue of the odd path and A itself is exactly singular in
+    # floating point; the shift just off target keeps the factor usable
+    cert = in_spectrum(path_operator(201), 0.0, tol=1e-6, max_iter=20)
+    assert cert.certified and cert.witness_id == "shift-invert"
 
 
 def test_in_spectrum_skips_zero_and_unnamed_witnesses():
     op = path_operator(8)
     cert = in_spectrum(op, 1.0, witnesses=[np.zeros(8), np.ones(8)])
-    assert cert.witness_id in ("witness-1", "lanczos-ritz", "shifted-lanczos")
+    assert cert.witness_id in ("witness-1", "lanczos-ritz", "shift-invert")
 
 
 def test_in_spectrum_input_errors():
@@ -287,6 +296,40 @@ def test_in_spectrum_falls_back_to_witnesses_on_eigensolver_failure(monkeypatch)
     cert = in_spectrum(path_operator(50), 2.0, witnesses=[("sine", np.sin(math.pi * k / 51.0))])
     assert cert.witness_id == "sine" and cert.certified
     assert cert.gap_hint == math.inf
+
+
+def _interior_miss():
+    """An interior target that a 30-step Lanczos and a flat witness both miss."""
+    op = path_operator(400)
+    return op, 2.0 * math.cos(200 * math.pi / 401.0), ("flat", np.ones(400))
+
+
+def test_in_spectrum_keeps_other_routes_on_singular_factor(monkeypatch):
+    op, target, flat = _interior_miss()
+    assert in_spectrum(op, target, witnesses=[flat], max_iter=30).witness_id == "shift-invert"
+    factored = []
+
+    def singular(matrix):
+        factored.append(matrix.shape)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    cert = in_spectrum(op, target, witnesses=[flat], max_iter=30)
+    assert factored == [(400, 400)]
+    assert cert.witness_id in ("flat", "lanczos-ritz")
+    assert not cert.certified
+    assert cert.best_residual <= residual(op, target, flat[1])
+    assert math.isfinite(cert.gap_hint)
+
+
+def test_in_spectrum_lets_factorisation_bugs_out(monkeypatch):
+    def broken(matrix):
+        raise TypeError("factorisation bug")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", broken)
+    op, target, flat = _interior_miss()
+    with pytest.raises(TypeError):
+        in_spectrum(op, target, witnesses=[flat], max_iter=30)
 
 
 def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
@@ -347,6 +390,15 @@ def test_truncation_sweep_convergence_flag():
     assert not rep.converged
 
 
+def test_truncation_sweep_needs_every_solve_converged():
+    # the Cauchy test passes, but 12 steps cannot converge at size 30
+    rep = truncation_sweep(path_operator, [20, 30], tol=1.0, max_iter=12)
+    assert abs(rep.truncation_trace[1][1] - rep.truncation_trace[0][1]) < 1.0
+    assert not rep.converged
+    assert truncation_sweep(path_operator, [20, 30], tol=1.0).converged
+    assert not truncation_sweep(path_operator, [30], max_iter=12).converged
+
+
 def test_truncation_sweep_validates_sizes_and_builder():
     with pytest.raises(InputError):
         truncation_sweep(path_operator, [10, 10])
@@ -388,3 +440,33 @@ def test_residual_scale_invariance(n, seed):
     r1 = residual(op, 0.7, v)
     r2 = residual(op, 0.7, 3.5 * v)
     assert abs(r1 - r2) < 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.floats(0.05, 0.6), st.integers(0, 10 ** 6),
+       st.sampled_from(["eigenvalue", "between", "outside"]), st.integers(0, 59),
+       st.floats(1e-3, 5.0), st.data())
+def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pick,
+                                                     offset, data):
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr")
+    m = (half + half.T).toarray()
+    op = LinOp(make_domain(n), m, symmetric=True, symmetry_tol=1e-12)
+    evs = np.linalg.eigvalsh(m)
+    i = pick % n
+    if kind == "eigenvalue":
+        target = float(evs[i])
+    elif kind == "between":
+        j = i % (n - 1)
+        target = float(evs[j] + evs[j + 1]) / 2
+    else:
+        target = float(evs.max() + offset if i % 2 else evs.min() - offset)
+    max_iter = data.draw(st.integers(1, n - 1), label="max_iter")
+    cert = in_spectrum(op, target, tol=1e-6, seed=seed % 100, max_iter=max_iter)
+    dist = np.abs(evs - target)
+    assert cert.best_residual >= dist.min() - 1e-12
+    if kind == "outside":
+        # Ritz values and Rayleigh quotients lie inside [min spec, max spec]
+        assert cert.gap_hint >= dist.min() - 1e-12
+    if kind == "eigenvalue" and np.sort(dist)[1] >= 1e-3:
+        assert cert.certified
