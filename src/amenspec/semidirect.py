@@ -312,7 +312,8 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
             sec = in_spectrum(op, float(len(omega)), tol=tol, seed=seed,
                               max_iter=max_iter)
             secondary = {"target": sec.target, "best_residual": sec.best_residual,
-                         "certified": sec.certified, "gap_hint": sec.gap_hint}
+                         "certified": sec.certified, "witness_id": sec.witness_id,
+                         "gap_hint": sec.gap_hint}
     notes = {"bounds": bounds, "best_bound": best_bound, "trace": trace,
              "window": [list(s) for s in omega], "secondary": secondary}
     return AmenabilityVerdict(cert.target, cert.tolerance, cert.best_residual,

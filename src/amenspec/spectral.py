@@ -246,138 +246,89 @@ class AmenabilityVerdict:
         }
 
 
+@dataclass
 class _LanczosResult:
-    """Ritz data from one or more full-reorthogonalization Lanczos runs."""
+    """Ritz data from one full-reorthogonalization Lanczos run."""
 
-    def __init__(self):
-        self.runs = []          # (V, thetas, S) per run
-        self.iterations = 0
-        self.converged = False
+    V: np.ndarray           # orthonormal Krylov basis, one column per step
+    thetas: np.ndarray      # Ritz values, ascending
+    S: np.ndarray           # eigenvectors of the tridiagonal, one per column
+    iterations: int
+    converged: bool
 
-    def all_thetas(self) -> np.ndarray:
-        if not self.runs:
-            return np.array([])
-        return np.concatenate([t for _, t, _ in self.runs])
-
-    def ritz_vector(self, run: int, which: int) -> np.ndarray:
-        V, _, S = self.runs[run]
-        u = V @ S[:, which]
+    def ritz_vector(self, which: int) -> np.ndarray:
+        u = self.V @ self.S[:, which]
         nrm = np.linalg.norm(u)
         return u / nrm if nrm > 0 else u
 
-    def locate(self, key) -> tuple[int, int]:
-        """(run, index) minimizing key(theta) over all Ritz values."""
-        best = None
-        for r, (_, thetas, _) in enumerate(self.runs):
-            for i, th in enumerate(thetas):
-                k = key(float(th))
-                if best is None or k < best[0]:
-                    best = (k, r, i)
-        return best[1], best[2]
-
 
 def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
-    """Lanczos with full reorthogonalization, restarting on subspace closure.
+    """Lanczos with full reorthogonalization, at most min(max_iter, n) steps.
 
-    A closed Krylov subspace (breakdown) gives exact Ritz values on that
-    subspace; up to two fresh start vectors orthogonal to everything already
-    captured guard against a start vector that misses the extremal space.
-    Each step reads only the two extreme Ritz values, by bisection; a stall
-    of both is confirmed by a full tridiagonal solve and the rigorous bound
-    beta * |last Ritz component| before the run stops.
+    The seeded Gaussian start vector has a component along every
+    eigenspace, so a closed Krylov subspace (breakdown, or dimension n)
+    holds every distinct eigenvalue exactly. Each step reads only the two
+    extreme Ritz values, by bisection; a stall of both is confirmed by a
+    full tridiagonal solve and the rigorous bound beta * |last Ritz
+    component| before the run stops. converged means the subspace closed
+    or that bound held; otherwise the budget ran out.
     """
     n = op.n
     A = op.matrix
-    rng = np.random.default_rng(seed)
-    result = _LanczosResult()
-    prior = []          # orthonormal bases of earlier runs
-    total_dim = 0
-
-    for _attempt in range(3):
-        if total_dim >= n or result.iterations >= max_iter:
-            break
-        v = rng.standard_normal(n)
-        for P in prior:
-            v -= P @ (P.T @ v)
-        nrm = np.linalg.norm(v)
-        if nrm < _BREAKDOWN:
-            break
-        budget = min(max_iter - result.iterations, n - total_dim)
-        if budget <= 0:
-            break
-        V = np.empty((n, min(budget, 48) + 1))
-        V[:, 0] = v / nrm
-        alphas: list[float] = []
-        betas: list[float] = []
-        converged = False
-        closed = False
-        stall = 0
-        k = 0
-        while k < budget:
-            if k + 1 >= V.shape[1]:
-                grown = np.empty((n, min(budget, 2 * V.shape[1]) + 1))
-                grown[:, :V.shape[1]] = V
-                V = grown
-            w = A @ V[:, k]
-            a = float(V[:, k] @ w)
-            alphas.append(a)
-            w -= a * V[:, k]
-            if betas:
-                w -= betas[-1] * V[:, k - 1]
-            # full reorthogonalization, twice, against this and prior runs
-            B = V[:, :k + 1]
-            w -= B @ (B.T @ w)
-            w -= B @ (B.T @ w)
-            for P in prior:
-                w -= P @ (P.T @ w)
-            b = float(np.linalg.norm(w))
-            m = len(alphas)
-            if m == 1:
-                lo = hi = alphas[0]
-            else:
-                lo, hi = (float(scipy.linalg.eigvalsh_tridiagonal(
-                    alphas, betas, select="i", select_range=(i, i))[0])
-                    for i in (0, m - 1))
-            scale = max(1.0, abs(lo), abs(hi))
-            result.iterations += 1
-            k += 1
-            if b <= _BREAKDOWN * scale:
-                closed = True
-                converged = True
-                break
-            if m > 1:
-                stall = stall + 1 if abs(lo - prev_lo) + abs(hi - prev_hi) <= 0.01 * tol * scale else 0
-                if stall >= 2:
-                    # confirm with the rigorous bound beta * |last Ritz component|
-                    thv, Sv = scipy.linalg.eigh_tridiagonal(alphas, betas)
-                    res_ext = b * max(abs(Sv[-1, 0]), abs(Sv[-1, -1]))
-                    if res_ext <= 0.5 * tol * scale:
-                        converged = True
-                        break
-                    stall = 0
-            prev_lo, prev_hi = lo, hi
-            betas.append(b)
-            V[:, k] = w / b
-        m = len(alphas)
-        if m == 0:
-            break
-        B = V[:, :m]
-        if m == 1:
-            thetas = np.array([alphas[0]])
-            S = np.ones((1, 1))
+    budget = min(max_iter, n)
+    v = np.random.default_rng(seed).standard_normal(n)
+    V = np.empty((n, min(budget, 48) + 1))
+    V[:, 0] = v / np.linalg.norm(v)
+    alphas: list[float] = []
+    betas: list[float] = []
+    converged = False
+    stall = 0
+    k = 0
+    while k < budget:
+        if k + 1 >= V.shape[1]:
+            grown = np.empty((n, min(budget, 2 * V.shape[1]) + 1))
+            grown[:, :V.shape[1]] = V
+            V = grown
+        w = A @ V[:, k]
+        a = float(V[:, k] @ w)
+        alphas.append(a)
+        w -= a * V[:, k]
+        if betas:
+            w -= betas[-1] * V[:, k - 1]
+        # full reorthogonalization, twice
+        B = V[:, :k + 1]
+        w -= B @ (B.T @ w)
+        w -= B @ (B.T @ w)
+        b = float(np.linalg.norm(w))
+        k += 1
+        if k == 1:
+            lo = hi = alphas[0]
         else:
-            thetas, S = scipy.linalg.eigh_tridiagonal(alphas, betas[:m - 1])
-        result.runs.append((B, thetas, S))
-        result.converged = result.converged or converged
-        total_dim += m
-        prior.append(B)
-        if converged and not closed:
+            lo, hi = (float(scipy.linalg.eigvalsh_tridiagonal(
+                alphas, betas, select="i", select_range=(i, i))[0])
+                for i in (0, k - 1))
+        scale = max(1.0, abs(lo), abs(hi))
+        if b <= _BREAKDOWN * scale or k == n:
+            converged = True
             break
-        if not converged:
-            break  # budget exhausted: caller decides on the fallback
-    if total_dim >= n:
-        result.converged = True
-    return result
+        if k > 1:
+            stall = stall + 1 if abs(lo - prev_lo) + abs(hi - prev_hi) <= 0.01 * tol * scale else 0
+            if stall >= 2:
+                # confirm with the rigorous bound beta * |last Ritz component|
+                _, Sv = scipy.linalg.eigh_tridiagonal(alphas, betas)
+                res_ext = b * max(abs(Sv[-1, 0]), abs(Sv[-1, -1]))
+                if res_ext <= 0.5 * tol * scale:
+                    converged = True
+                    break
+                stall = 0
+        prev_lo, prev_hi = lo, hi
+        betas.append(b)
+        V[:, k] = w / b
+    if k == 1:
+        thetas, S = np.array(alphas), np.ones((1, 1))
+    else:
+        thetas, S = scipy.linalg.eigh_tridiagonal(alphas, betas[:k - 1])
+    return _LanczosResult(V[:, :k], thetas, S, k, converged)
 
 
 def _lanczos_once(op: LinOp, tol: float, max_iter: int, seed: int,
@@ -395,32 +346,11 @@ def _lanczos_once(op: LinOp, tol: float, max_iter: int, seed: int,
     return res
 
 
-def _power_on_squared(op: LinOp, tol: float, max_iter: int, seed: int):
-    """Power iteration on A^2. Returns (estimate, lower_bound, iters, converged)."""
-    A = op.matrix
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal(op.n)
-    x /= np.linalg.norm(x)
-    est_prev = None
-    best = 0.0
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        y = A @ x
-        ny = float(np.linalg.norm(y))
-        best = max(best, ny)      # ||A x|| <= spectral radius for unit x
-        if ny < _BREAKDOWN:
-            return 0.0, 0.0, it, True
-        z = A @ y
-        nz = float(np.linalg.norm(z))
-        est = float(np.sqrt(nz)) if nz > 0 else ny
-        if est_prev is not None and abs(est - est_prev) <= tol * max(1.0, est):
-            converged = True
-            est_prev = est
-            break
-        est_prev = est
-        x = z / nz if nz > 0 else y / ny
-    return float(max(est_prev or 0.0, best)), float(best), it, converged
+def _check_solver_args(tol: float, max_iter: int) -> None:
+    if tol <= 0:
+        raise InputError("tol must be positive")
+    if max_iter < 1:
+        raise InputError("max_iter must be at least 1")
 
 
 def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
@@ -429,52 +359,31 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
 
     Lanczos with full reorthogonalization; for a symmetric operator the
     estimate is within tol of the largest |eigenvalue| of the truncation
-    once converged. radius_lower_bound is the best Rayleigh quotient found,
-    recomputed in the original space, hence a rigorous lower bound. Falls
-    back to power iteration on A^2 when Lanczos stagnates. Reuses the
-    Lanczos run of an earlier in_spectrum call on op with the same seed
-    and budget.
+    once converged, and converged: false means the budget of max_iter
+    steps ran out. radius_lower_bound is the Rayleigh quotient of the
+    extreme Ritz vector, recomputed in the original space, hence a
+    rigorous lower bound. Reuses the Lanczos run of an earlier in_spectrum
+    call on op with the same seed and budget.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_solver_args(tol, max_iter)
     if op.nnz == 0:
         return SpectralReport(0.0, 0.0, [0.0], 0, True)
     res = _lanczos_once(op, tol, max_iter, seed, keep=False)
-    thetas = res.all_thetas()
-    method = "lanczos"
-    iterations = res.iterations
-    converged = res.converged
+    thetas = res.thetas
+    u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
+    lower = abs(float(u @ op.apply(u)))
+    estimate = max(float(np.abs(thetas).max()), lower)
 
-    estimate = float(np.abs(thetas).max()) if thetas.size else 0.0
-    lower = 0.0
-    if thetas.size:
-        run, idx = res.locate(lambda th: -abs(th))
-        u = res.ritz_vector(run, idx)
-        rq = float(u @ op.apply(u))
-        lower = abs(rq)
-        estimate = max(estimate, lower)
-
-    if not converged:
-        p_est, p_low, p_it, p_conv = _power_on_squared(op, tol, max_iter, seed)
-        method = "lanczos+power"
-        iterations += p_it
-        estimate = max(estimate, p_est)
-        lower = max(lower, p_low)
-        converged = p_conv
-
-    if thetas.size:
-        order = np.argsort(thetas)
-        sel = list(thetas[order[::-1][:4]]) + list(thetas[order[:4]])
-        seen, tops = set(), []
-        for t in sel:
-            key = round(float(t), 14)
-            if key not in seen:
-                seen.add(key)
-                tops.append(float(t))
-    else:
-        tops = [estimate]
-    return SpectralReport(float(estimate), float(min(lower, estimate)), tops,
-                          iterations, bool(converged), method=method)
+    order = np.argsort(thetas)
+    sel = list(thetas[order[::-1][:4]]) + list(thetas[order[:4]])
+    seen, tops = set(), []
+    for t in sel:
+        key = round(float(t), 14)
+        if key not in seen:
+            seen.add(key)
+            tops.append(float(t))
+    return SpectralReport(estimate, min(lower, estimate), tops,
+                          res.iterations, res.converged)
 
 
 def fingerprint(op: LinOp) -> dict:
@@ -514,8 +423,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     """
     if not op.symmetric:
         raise InputError("membership certificates require a symmetric operator")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_solver_args(tol, max_iter)
 
     best_res = np.inf
     best_id = None
@@ -536,14 +444,11 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     gap = np.inf
     try:
         res = _lanczos_once(op, EIGEN_TOL, max_iter, seed, keep=True)
-        thetas = res.all_thetas()
-        if thetas.size:
-            gap = float(np.abs(thetas - target).min())
-            run, idx = res.locate(lambda th: abs(th - target))
-            u = res.ritz_vector(run, idx)
-            r = residual(op, target, u)
-            if r < best_res:
-                best_res, best_id = r, "lanczos-ritz"
+        dist = np.abs(res.thetas - target)
+        gap = float(dist.min())
+        r = residual(op, target, res.ritz_vector(int(np.argmin(dist))))
+        if r < best_res:
+            best_res, best_id = r, "lanczos-ritz"
     except scipy.linalg.LinAlgError:
         pass  # no Ritz route: the certificate rests on supplied witnesses alone
 
@@ -583,6 +488,7 @@ def truncation_sweep(builder: Callable[[int], LinOp], sizes: Sequence[int],
     solve at every size to have converged and, given two sizes or more, the
     Cauchy-style flag (the last two estimates differ by less than tol).
     """
+    _check_solver_args(tol, max_iter)
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("sizes must be strictly increasing and nonempty")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from amenspec import (InputError, bicrossed_amenability_test, canonical_pair,
-                      conj_pair, half_line_grid, interval_operator,
+                      conj_pair, half_line_grid, in_spectrum, interval_operator,
                       interval_spectrum_test, interval_witness, pair_lattice,
                       pair_shift_operator, pair_window_operator, shift_operator)
 
@@ -297,6 +297,14 @@ def test_bicrossed_sweep_structure():
     sec = verdict.notes["secondary"]
     assert sec["target"] == 2.0
     assert not verdict.certified          # boxes this small stay short of tol
+
+
+def test_bicrossed_secondary_names_its_route():
+    omega = [(0, 1), (-1, 0)]
+    sec = bicrossed_amenability_test([3, 6], omega).notes["secondary"]
+    direct = in_spectrum(pair_window_operator(pair_lattice(6), omega), 2.0, tol=5e-2)
+    assert sec["witness_id"] == direct.witness_id == "shift-invert"
+    assert sec["best_residual"] == direct.best_residual
 
 
 def test_bicrossed_accepts_single_bound():

@@ -16,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenspec import (CERT_TOL, DISCRETE_LABELS, UNIFORM_GRID, InputError, LinOp,
-                      SpectrumDomain, fingerprint, in_spectrum, residual,
-                      spectral, spectral_radius, truncation_sweep)
+                      SpectrumDomain, ZLattice, build_ball, cayley_operator,
+                      fingerprint, in_spectrum, residual, spectral,
+                      spectral_radius, truncation_sweep)
 
 
 def make_domain(n):
@@ -183,15 +184,46 @@ def test_rayleigh_quotients_never_beat_radius():
         assert rq <= rep.radius_estimate + 1e-9
 
 
-def test_power_fallback_engages_when_budget_is_tiny():
-    rep = spectral_radius(path_operator(400), max_iter=12)
-    assert rep.method == "lanczos+power"
+def test_spent_budget_reports_unconverged_lanczos():
+    op = path_operator(400)
+    rep = spectral_radius(op, max_iter=12)
+    assert rep.method == "lanczos"
+    assert rep.iterations == 12
+    assert rep.converged is False
     assert rep.radius_estimate <= 2.0 + 1e-9
+    # converged promises an estimate within tol, even for a loose tol
+    loose = spectral_radius(op, max_iter=12, tol=1e-3)
+    err = abs(loose.radius_estimate - path_top(400))
+    assert not loose.converged or err <= 1e-3 * path_top(400)
+
+
+def test_closure_takes_one_run_on_repeated_eigenvalues():
+    group = ZLattice(2)
+    op = cayley_operator(group, {g: 1.0 for g in group.generator_names},
+                         build_ball(group, 2))
+    dense = np.linalg.eigvalsh(op.to_dense())
+    distinct = np.unique(np.round(dense, 10))
+    assert op.n == 13 and distinct.size == 7
+    rep = spectral_radius(op)
+    assert rep.converged
+    assert rep.iterations == distinct.size
+    assert abs(rep.radius_estimate - np.abs(dense).max()) < 1e-12
 
 
 def test_radius_rejects_bad_tol():
     with pytest.raises(InputError):
         spectral_radius(path_operator(3), tol=0.0)
+
+
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_solvers_reject_empty_budget(max_iter):
+    op = path_operator(50)
+    with pytest.raises(InputError, match="max_iter"):
+        spectral_radius(op, max_iter=max_iter)
+    with pytest.raises(InputError, match="max_iter"):
+        in_spectrum(op, 1.0, max_iter=max_iter)
+    with pytest.raises(InputError, match="max_iter"):
+        truncation_sweep(path_operator, [10, 20], max_iter=max_iter)
 
 
 def test_radius_deterministic_for_fixed_seed():
