@@ -28,6 +28,7 @@ DEFAULT_SEED = 7
 EIGEN_TOL = 1e-8
 CERT_TOL = 1e-2
 _BREAKDOWN = 1e-13
+_BLOCK = 32          # Krylov vectors per basis block in _lanczos
 
 
 class InputError(ValueError):
@@ -49,13 +50,16 @@ class SpectrumDomain:
 
     points carry per-point dimension weights (the function dim) and
     quadrature weights (the measure of the atom or cell). Order is stable:
-    identical construction input gives an identical point list.
+    identical construction input gives an identical point list. _index takes
+    a {point: position} dict the builder already holds instead of hashing
+    the points again; it may map points past the end, so prefixes share it.
     """
 
     kind: str
     points: tuple
     dim_weight: np.ndarray
     quad_weight: np.ndarray
+    _index: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.kind not in (DISCRETE_LABELS, UNIFORM_GRID):
@@ -63,8 +67,8 @@ class SpectrumDomain:
         pts = tuple(self.points)
         if not pts:
             raise InputError("domain needs at least one point")
-        index = {p: i for i, p in enumerate(pts)}
-        if len(index) != len(pts):
+        index = {p: i for i, p in enumerate(pts)} if self._index is None else self._index
+        if len(index) < len(pts):
             raise InputError("domain points must be unique")
         dw = np.array(self.dim_weight, dtype=float)
         qw = np.array(self.quad_weight, dtype=float)
@@ -92,10 +96,10 @@ class SpectrumDomain:
         return len(self.points)
 
     def index(self, point) -> int:
-        try:
-            return self._index[point]
-        except KeyError:
-            raise InputError(f"point {point!r} not in domain") from None
+        i = self._index.get(point, len(self.points))
+        if i >= len(self.points):
+            raise InputError(f"point {point!r} not in domain")
+        return i
 
 
 class LinOp:
@@ -208,6 +212,7 @@ class MembershipCertificate:
     witness_id: str | None
     certified: bool
     gap_hint: float
+    errors: list = field(default_factory=list)   # "route: message", one per failed route
 
     def to_dict(self) -> dict:
         return {
@@ -217,6 +222,7 @@ class MembershipCertificate:
             "witness_id": self.witness_id,
             "certified": self.certified,
             "gap_hint": self.gap_hint,
+            "errors": list(self.errors),
         }
 
 
@@ -250,14 +256,15 @@ class AmenabilityVerdict:
 class _LanczosResult:
     """Ritz data from one full-reorthogonalization Lanczos run."""
 
-    V: np.ndarray           # orthonormal Krylov basis, one column per step
+    blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
     S: np.ndarray           # eigenvectors of the tridiagonal, one per column
     iterations: int
     converged: bool
 
     def ritz_vector(self, which: int) -> np.ndarray:
-        u = self.V @ self.S[:, which]
+        s = self.S[:, which]
+        u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, len(s), _BLOCK), self.blocks))
         nrm = np.linalg.norm(u)
         return u / nrm if nrm > 0 else u
 
@@ -272,33 +279,37 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     full tridiagonal solve and the rigorous bound beta * |last Ritz
     component| before the run stops. converged means the subspace closed
     or that bound held; otherwise the budget ran out.
+
+    Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
+    new block is allocated when the last one fills, so k steps hold about
+    8 * n * (k rounded up to _BLOCK) bytes and no row is ever copied.
     """
     n = op.n
     A = op.matrix
     budget = min(max_iter, n)
     v = np.random.default_rng(seed).standard_normal(n)
-    V = np.empty((n, min(budget, 48) + 1))
-    V[:, 0] = v / np.linalg.norm(v)
+    blocks = [np.empty((min(_BLOCK, budget + 1), n))]
+    np.divide(v, np.linalg.norm(v), out=blocks[0][0])
     alphas: list[float] = []
     betas: list[float] = []
     converged = False
     stall = 0
     k = 0
     while k < budget:
-        if k + 1 >= V.shape[1]:
-            grown = np.empty((n, min(budget, 2 * V.shape[1]) + 1))
-            grown[:, :V.shape[1]] = V
-            V = grown
-        w = A @ V[:, k]
-        a = float(V[:, k] @ w)
+        q = blocks[-1][k % _BLOCK]
+        w = A @ q
+        a = float(q @ w)
         alphas.append(a)
-        w -= a * V[:, k]
+        w -= a * q
         if betas:
-            w -= betas[-1] * V[:, k - 1]
-        # full reorthogonalization, twice
-        B = V[:, :k + 1]
-        w -= B @ (B.T @ w)
-        w -= B @ (B.T @ w)
+            w -= betas[-1] * blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
+        # full reorthogonalization: two classical Gram-Schmidt passes, each
+        # taking every block's coefficients before subtracting any
+        basis = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
+        for _ in range(2):
+            coeffs = [B @ w for B in basis]
+            for B, c in zip(basis, coeffs):
+                w -= c @ B
         b = float(np.linalg.norm(w))
         k += 1
         if k == 1:
@@ -323,12 +334,16 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
                 stall = 0
         prev_lo, prev_hi = lo, hi
         betas.append(b)
-        V[:, k] = w / b
+        if k % _BLOCK == 0:
+            blocks.append(np.empty((min(_BLOCK, budget + 1 - k), n)))
+        np.divide(w, b, out=blocks[-1][k % _BLOCK])
     if k == 1:
         thetas, S = np.array(alphas), np.ones((1, 1))
     else:
         thetas, S = scipy.linalg.eigh_tridiagonal(alphas, betas[:k - 1])
-    return _LanczosResult(V[:, :k], thetas, S, k, converged)
+    if k % _BLOCK:
+        blocks[-1] = blocks[-1][:k % _BLOCK]
+    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, converged)
 
 
 def _lanczos_once(op: LinOp, tol: float, max_iter: int, seed: int,
@@ -417,8 +432,10 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     measured against op itself, so it is rigorous whichever route found
     it. Non-membership is never certified. gap_hint is only a hint: the
     distance from target to the nearest Ritz value found, the Rayleigh
-    quotient of the shift-invert vector counting as one. The Lanczos run
-    is kept on op for the next in_spectrum or spectral_radius call with
+    quotient of the shift-invert vector counting as one. errors lists, as
+    "route: message", each route that produced no vector: a LinAlgError
+    from the eigensolver, an exactly singular factor. The Lanczos run is
+    kept on op for the next in_spectrum or spectral_radius call with
     the same seed and budget.
     """
     if not op.symmetric:
@@ -442,6 +459,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
             best_res, best_id = r, wid
 
     gap = np.inf
+    errors = []
     try:
         res = _lanczos_once(op, EIGEN_TOL, max_iter, seed, keep=True)
         dist = np.abs(res.thetas - target)
@@ -449,8 +467,8 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         r = residual(op, target, res.ritz_vector(int(np.argmin(dist))))
         if r < best_res:
             best_res, best_id = r, "lanczos-ritz"
-    except scipy.linalg.LinAlgError:
-        pass  # no Ritz route: the certificate rests on supplied witnesses alone
+    except scipy.linalg.LinAlgError as e:
+        errors.append(f"lanczos-ritz: {e}")  # the certificate rests on the witnesses
 
     if best_res > tol and op.nnz:
         # interior targets: extremal Ritz pairs miss them, inverse iteration
@@ -460,8 +478,8 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         shift = target + 1e-7 * max(1.0, abs(target))
         try:
             lu = splu((op.matrix - shift * sp.eye(op.n, format="csr")).tocsc())
-        except RuntimeError:
-            pass  # exactly singular: the witness and Ritz routes stand
+        except RuntimeError as e:
+            errors.append(f"shift-invert: {e}")  # the witness and Ritz routes stand
         else:
             u = np.random.default_rng(seed + 3).standard_normal(op.n)
             for _ in range(4):
@@ -474,8 +492,8 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                     best_res, best_id = r, "shift-invert"
 
     certified = bool(best_res <= tol)
-    return MembershipCertificate(float(target), float(tol),
-                                 float(best_res), best_id, certified, float(gap))
+    return MembershipCertificate(float(target), float(tol), float(best_res),
+                                 best_id, certified, float(gap), errors)
 
 
 def truncation_sweep(builder: Callable[[int], LinOp], sizes: Sequence[int],

@@ -138,7 +138,8 @@ class BallTruncation:
 
     def __post_init__(self):
         n = len(self.elements)
-        self.domain = SpectrumDomain(DISCRETE_LABELS, self.elements, np.ones(n), np.ones(n))
+        self.domain = SpectrumDomain(DISCRETE_LABELS, self.elements, np.ones(n), np.ones(n),
+                                     _index=self.index)
 
     @property
     def size(self) -> int:
@@ -213,7 +214,8 @@ def _leading_block(op: LinOp, n: int, radius: int) -> LinOp:
     if radius == op.meta["radius"]:
         return op
     block = op.matrix[:n, :n]
-    domain = SpectrumDomain(DISCRETE_LABELS, op.domain.points[:n], np.ones(n), np.ones(n))
+    domain = SpectrumDomain(DISCRETE_LABELS, op.domain.points[:n], np.ones(n), np.ones(n),
+                            _index=op.domain._index)
     dropped = n * len(op.meta["weights"]) - block.nnz
     return LinOp(domain, block, symmetric=op.symmetric,
                  meta={**op.meta, "radius": radius, "dropped": dropped})

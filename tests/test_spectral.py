@@ -6,6 +6,7 @@ eigensolve via numpy on the same matrix.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,17 @@ def test_domain_rejects_bad_input():
         SpectrumDomain(DISCRETE_LABELS, (0, 1), np.ones(3), np.ones(2))
     with pytest.raises(InputError):
         SpectrumDomain(UNIFORM_GRID, (0.5, 1.5), np.ones(2), np.array([1.0, np.inf]))
+
+
+def test_domain_adopts_a_given_index():
+    index = {"a": 0, "b": 1, "c": 2}
+    d = SpectrumDomain(DISCRETE_LABELS, ("a", "b"), np.ones(2), np.ones(2), _index=index)
+    assert d._index is index
+    assert d.index("b") == 1
+    with pytest.raises(InputError, match="not in domain"):
+        d.index("c")            # mapped by the shared index, but past this prefix
+    with pytest.raises(InputError, match="unique"):
+        SpectrumDomain(DISCRETE_LABELS, ("a", "a"), np.ones(2), np.ones(2), _index={"a": 0})
 
 
 def test_domain_allows_overflowed_dim_weights():
@@ -210,6 +222,23 @@ def test_closure_takes_one_run_on_repeated_eigenvalues():
     assert abs(rep.radius_estimate - np.abs(dense).max()) < 1e-12
 
 
+def test_lanczos_basis_grows_by_blocks_without_copies():
+    # each step adds one row to a block of spectral._BLOCK rows; the basis is
+    # never copied, so the peak is the rows allocated plus a few work vectors
+    n = 50_000
+    op = path_operator(n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = spectral._lanczos(op, spectral.EIGEN_TOL, 60, 7)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    k = res.iterations
+    assert k == 60 and not res.converged
+    assert peak <= (math.ceil((k + 1) / 32) * 32 + 4) * n * 8
+
+
 def test_radius_rejects_bad_tol():
     with pytest.raises(InputError):
         spectral_radius(path_operator(3), tol=0.0)
@@ -328,6 +357,7 @@ def test_in_spectrum_falls_back_to_witnesses_on_eigensolver_failure(monkeypatch)
     cert = in_spectrum(path_operator(50), 2.0, witnesses=[("sine", np.sin(math.pi * k / 51.0))])
     assert cert.witness_id == "sine" and cert.certified
     assert cert.gap_hint == math.inf
+    assert cert.errors == ["lanczos-ritz: tridiagonal solve did not converge"]
 
 
 def _interior_miss():
@@ -352,6 +382,20 @@ def test_in_spectrum_keeps_other_routes_on_singular_factor(monkeypatch):
     assert not cert.certified
     assert cert.best_residual <= residual(op, target, flat[1])
     assert math.isfinite(cert.gap_hint)
+
+
+def test_certificate_records_a_singular_factor(monkeypatch):
+    op, target, flat = _interior_miss()
+    clean = in_spectrum(op, target, witnesses=[flat], max_iter=30)
+    assert clean.errors == [] and clean.to_dict()["errors"] == []
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    cert = in_spectrum(op, target, witnesses=[flat], max_iter=30)
+    assert cert.errors == ["shift-invert: Factor is exactly singular"]
+    assert cert.to_dict()["errors"] == cert.errors
 
 
 def test_in_spectrum_lets_factorisation_bugs_out(monkeypatch):
@@ -502,3 +546,28 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
         assert cert.gap_hint >= dist.min() - 1e-12
     if kind == "eigenvalue" and np.sort(dist)[1] >= 1e-3:
         assert cert.certified
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 120), st.floats(0.005, 0.3), st.integers(0, 10 ** 6),
+       st.sampled_from([1, 31, 32, 33, 63, 64, 65, None]))
+def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
+    # max_iter None means n; 32 and 64 end a run on the first row of a new block
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr")
+    m = (half + half.T).toarray()
+    budget = n if max_iter is None else max_iter
+    res = spectral._lanczos(LinOp(make_domain(n), m, symmetric=True), 1e-10, budget, seed % 100)
+    evs = np.linalg.eigvalsh(m)
+    scale = max(1.0, float(np.abs(evs).max()))
+    k = res.iterations
+    assert 1 <= k <= min(budget, n)
+    basis = np.vstack(res.blocks)
+    assert basis.shape == (k, n)
+    assert np.abs(basis @ basis.T - np.eye(k)).max() <= 1e-10
+    if res.converged:
+        assert abs(res.thetas[0] - evs[0]) <= 1e-10 * scale
+        assert abs(res.thetas[-1] - evs[-1]) <= 1e-10 * scale
+    for i in range(k):
+        u = res.ritz_vector(i)
+        assert u @ m @ u <= evs[-1] + 1e-12

@@ -364,6 +364,31 @@ def test_kesten_builds_one_ball_and_one_operator(monkeypatch):
     assert calls.count("spectral_radius") == 6
 
 
+def test_ball_domains_share_the_search_index(monkeypatch):
+    solved = []
+    spectral_radius = walks.spectral_radius
+
+    def recording(op, **kw):
+        solved.append(op)
+        return spectral_radius(op, **kw)
+
+    monkeypatch.setattr(walks, "spectral_radius", recording)
+    kesten_test(FreeGroup(2), 4)
+    full = solved[-1].domain
+    outside = full.points[-1]
+    for op in solved:
+        assert op.domain._index is full._index
+        pts = op.domain.points
+        assert [op.domain.index(p) for p in pts] == list(range(len(pts)))
+        if op is not solved[-1]:
+            with pytest.raises(InputError, match="not in domain"):
+                op.domain.index(outside)
+        with pytest.raises(InputError, match="not in domain"):
+            op.domain.index((1, 1, 1, 1, 1))
+    ball = build_ball(FreeGroup(2), 3)
+    assert ball.domain._index is ball.index
+
+
 # -- group laws ---------------------------------------------------------------
 
 
