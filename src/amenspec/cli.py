@@ -10,7 +10,7 @@ objects on stdout so pipelines can parse both outcomes the same way.
 A JSON config file named by the environment variable AMENSPEC_CONFIG
 supplies defaults: top-level keys apply to every command, per-command
 sections override them, explicit flags override both. Keys use the flag
-spelling with dashes turned into underscores.
+spelling with dashes turned into underscores; unknown keys are errors.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 import time
 
 from . import __version__, fusion, semidirect, walks
-from .spectral import (CERT_TOL, DEFAULT_SEED, InputError, ValidationError,
+from .spectral import (CERT_TOL, DEFAULT_SEED, InputError, SpectralReport, ValidationError,
                        fingerprint, spectral_radius, truncation_sweep)
 
 CONFIG_ENV = "AMENSPEC_CONFIG"
@@ -46,23 +46,6 @@ def _load_env_config() -> dict:
     if not isinstance(obj, dict):
         raise InputError("config file must hold a JSON object")
     return obj
-
-
-def _get(args, config: dict, command: str, key: str, default=None,
-         cast=None, required: bool = False):
-    v = getattr(args, key, None)
-    if v is None:
-        sec = config.get(command)
-        if isinstance(sec, dict) and key in sec:
-            v = sec[key]
-        elif key in config and not isinstance(config[key], dict):
-            v = config[key]
-    if v is None:
-        if required:
-            flag = "--" + key.replace("_", "-")
-            raise InputError(f"{command} requires {flag}")
-        return default
-    return cast(v, key) if cast else v
 
 
 # -- value casts shared by flags and config entries --------------------------
@@ -97,6 +80,10 @@ def _as_seed(v, what) -> int:
     return seed
 
 
+def _as_str(v, what) -> str:
+    return str(v)
+
+
 def _as_bool(v, what) -> bool:
     if isinstance(v, bool):
         return v
@@ -115,16 +102,9 @@ def _as_list(v, what) -> list:
     return items
 
 
-def _as_int_list(v, what) -> list:
-    return [_as_int(s, what) for s in _as_list(v, what)]
-
-
-def _as_float_list(v, what) -> list:
-    return [_as_float(s, what) for s in _as_list(v, what)]
-
-
-def _as_str_list(v, what) -> list:
-    return [str(s) for s in _as_list(v, what)]
+def _list_of(cast):
+    """Cast of a comma list that casts each item."""
+    return lambda v, what: [cast(s, what) for s in _as_list(v, what)]
 
 
 def _as_colon_pair(v, what) -> tuple:
@@ -134,9 +114,9 @@ def _as_colon_pair(v, what) -> tuple:
     return _as_float(parts[0], what), _as_float(parts[1], what)
 
 
-def _as_weights(v, what) -> dict:
+def _as_weights(v, what) -> dict | None:
     if isinstance(v, dict):
-        return {str(k): _as_float(w, what) for k, w in v.items()}
+        return {str(k): _as_float(w, what) for k, w in v.items()} or None
     out = {}
     for item in v:
         name, sep, val = str(item).partition("=")
@@ -145,213 +125,200 @@ def _as_weights(v, what) -> dict:
         if name in out:
             raise InputError(f"{what} repeats generator {name!r}")
         out[name] = _as_float(val, what)
-    return out
+    return out or None          # no weights: unit weights on omega
 
 
-# -- ring construction shared by fusion and sweep ----------------------------
+# -- command runners: each returns (config echo, operator, verdict or sweep report)
 
 
-def _build_ring(args, config, command: str, default_level: int):
-    spec = _get(args, config, command, "ring", required=True)
-    n_raw = _get(args, config, command, "N")
-    level_raw = _get(args, config, command, "level")
-    if spec == fusion.FREE_SU2:
-        if n_raw is None:
+def _build_ring(o: dict, default_level: int):
+    """The ring of --ring, --N and --level, and its config echo."""
+    if o["ring"] == fusion.FREE_SU2:
+        if o["N"] is None:
             raise InputError(f"--ring {fusion.FREE_SU2} requires --N")
-        n = _as_float(n_raw, "N")
-        level = _as_int(level_raw, "level") if level_raw is not None else default_level
-        ring = fusion.free_su2_ring(n, level)
-        echo = {"kind": "rule", "rule": fusion.FREE_SU2, "N": ring.N, "level": level}
-        return ring, echo
-    if n_raw is not None or level_raw is not None:
+        level = o["level"] if o["level"] is not None else default_level
+        ring = fusion.free_su2_ring(o["N"], level)
+        return ring, {"kind": "rule", "rule": fusion.FREE_SU2, "N": ring.N, "level": level}
+    if o["N"] is not None or o["level"] is not None:
         raise InputError("--N and --level apply only to --ring free-su2")
-    desc = fusion.load_descriptor_file(spec)
-    ring = fusion.load_ring(desc)
-    return ring, {"kind": desc.kind, "path": spec}
+    desc = fusion.load_descriptor_file(o["ring"])
+    return fusion.load_ring(desc), {"kind": desc.kind, "path": o["ring"]}
 
 
-# -- command handlers ---------------------------------------------------------
+def _run_fusion(o: dict):
+    ring, ring_echo = _build_ring(o, (o["trunc"] or 2000) - 1)
+    trunc = o["trunc"] if o["trunc"] is not None else min(2000, ring.size)
+    verdict = fusion.coamenability_test(ring, o["omega"], trunc=trunc, tol=o["tol"],
+                                        seed=o["seed"])
+    return {"ring": ring_echo, "omega": o["omega"], "trunc": trunc}, verdict.operator, verdict
 
 
-def _verdict_report(cmd: str, config: dict, op, verdict, seed: int):
-    """Report and CSV of a command that ends in a verdict on the operator op."""
-    rep = spectral_radius(op, seed=seed)
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": config, "operator": fingerprint(op),
-              "spectral": rep.to_dict(), "verdict": verdict.to_dict()}
-    return report, ("index,eigenvalue", list(enumerate(rep.top_eigenvalues)))
+def _run_sweep(o: dict):
+    # one operator at the largest size; every smaller size is a leading block of it
+    ring, ring_echo = _build_ring(o, max(o["sizes"]) - 1)
+    op = fusion.window_operator(ring, o["omega"], max(o["sizes"]))
+    rep = truncation_sweep(op, o["sizes"], tol=o["tol"], seed=o["seed"])
+    return {"ring": ring_echo, "omega": o["omega"], "sizes": o["sizes"]}, op, rep
 
 
-def _run_fusion(args, config):
-    cmd = "fusion"
-    tol = _get(args, config, cmd, "tol", CERT_TOL, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
-    trunc_opt = _get(args, config, cmd, "trunc", None, _as_int)
-    omega = _get(args, config, cmd, "omega", required=True, cast=_as_str_list)
-    ring, ring_echo = _build_ring(args, config, cmd, (trunc_opt or 2000) - 1)
-    trunc = trunc_opt if trunc_opt is not None else min(2000, ring.size)
-    verdict = fusion.coamenability_test(ring, omega, trunc=trunc, tol=tol, seed=seed)
-    return _verdict_report(cmd, {"ring": ring_echo, "omega": omega, "trunc": trunc,
-                                 "tol": tol, "seed": seed},
-                           verdict.operator, verdict, seed)
-
-
-def _run_sweep(args, config):
-    cmd = "sweep"
-    tol = _get(args, config, cmd, "tol", CERT_TOL, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
-    sizes = _get(args, config, cmd, "sizes", required=True, cast=_as_int_list)
-    omega = _get(args, config, cmd, "omega", required=True, cast=_as_str_list)
-    ring, ring_echo = _build_ring(args, config, cmd, max(sizes) - 1)
-    built = {}
-
-    def build(size):
-        built["op"] = fusion.window_operator(ring, omega, size)
-        return built["op"]
-
-    rep = truncation_sweep(build, sizes, tol=tol, seed=seed)
-    op = built["op"]             # the sweep builds the largest size last
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": {"ring": ring_echo, "omega": omega, "sizes": sizes,
-                         "tol": tol, "seed": seed},
-              "operator": fingerprint(op), "spectral": rep.to_dict()}
-    csv = ("size,radius_estimate", [(s, r) for s, r in rep.truncation_trace])
-    return report, csv
-
-
-def _run_walk(args, config):
-    cmd = "walk"
-    tol = _get(args, config, cmd, "tol", 5e-2, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
-    group = walks.parse_group(_get(args, config, cmd, "group", required=True))
-    radius = _get(args, config, cmd, "radius", required=True, cast=_as_int)
-    omega = _get(args, config, cmd, "omega", None, _as_str_list)
-    weights_raw = _get(args, config, cmd, "weight")
-    weights = _as_weights(weights_raw, "weight") if weights_raw else None
-    verdict = walks.kesten_test(group, radius, omega=omega, tol=tol, seed=seed,
-                                weights=weights)
-    vd = verdict.to_dict()
-    notes = vd["notes"]
-    spectral = notes.pop("final_spectral")
-    finger = notes.pop("final_operator")
+def _run_walk(o: dict):
+    group = walks.parse_group(o["group"])
+    verdict = walks.kesten_test(group, o["radius"], omega=o["omega"], tol=o["tol"],
+                                seed=o["seed"], weights=o["weight"])
+    notes = verdict.notes
     if not all(notes["eigensolver_converged"]):
-        bad = [r for r, ok in zip(notes["radii"], notes["eigensolver_converged"])
-               if not ok]
+        bad = [r for r, ok in zip(notes["radii"], notes["eigensolver_converged"]) if not ok]
         raise ConvergenceError(f"eigensolver did not converge at radius {bad}")
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": {"group": group.name, "radius": radius,
-                         "omega": omega, "weight": weights,
-                         "tol": tol, "seed": seed},
-              "operator": finger, "spectral": spectral, "verdict": vd}
-    csv = ("size,radius_estimate",
-           list(zip(notes["ball_sizes"], notes["radius_estimates"])))
-    return report, csv
+    return ({"group": group.name, "radius": o["radius"], "omega": o["omega"],
+             "weight": o["weight"]}, verdict.operator, verdict)
 
 
-def _run_semidirect(args, config):
-    cmd = "semidirect"
-    tol = _get(args, config, cmd, "tol", 5e-2, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
-    a, b = _as_colon_pair(_get(args, config, cmd, "interval", required=True),
-                          "interval")
-    h, max_r = _as_colon_pair(_get(args, config, cmd, "grid", required=True),
-                              "grid")
-    ms = _get(args, config, cmd, "witness_m", [2.0, 4.0, 8.0], _as_float_list)
+def _run_semidirect(o: dict):
+    (a, b), (h, max_r) = o["interval"], o["grid"]
     grid = semidirect.half_line_grid(h, max_r)
-    verdict = semidirect.interval_spectrum_test(grid, a, b, ms, tol=tol, seed=seed)
-    return _verdict_report(cmd, {"interval": [a, b], "grid": {"h": h, "max_r": max_r},
-                                 "witness_m": ms, "tol": tol, "seed": seed},
-                           verdict.operator, verdict, seed)
+    verdict = semidirect.interval_spectrum_test(grid, a, b, o["witness_m"], tol=o["tol"],
+                                                seed=o["seed"])
+    return ({"interval": [a, b], "grid": {"h": h, "max_r": max_r},
+             "witness_m": o["witness_m"]}, verdict.operator, verdict)
 
 
-def _run_bicrossed(args, config):
-    cmd = "bicrossed"
-    tol = _get(args, config, cmd, "tol", 5e-2, _as_float)
-    seed = _get(args, config, cmd, "seed", DEFAULT_SEED, _as_seed)
-    bounds = _get(args, config, cmd, "bound", required=True, cast=_as_int_list)
-    shift = _get(args, config, cmd, "shift", required=True, cast=_as_int_list)
+def _run_bicrossed(o: dict):
+    bounds, shift = o["bound"], o["shift"]
     if len(shift) != 2:
         raise InputError("shift must be a pair 'r,rp'")
     fwd = semidirect.canonical_pair(shift[0], shift[1])
     omega = sorted({fwd, semidirect.canonical_pair(-shift[0], -shift[1])})
-    verdict = semidirect.bicrossed_amenability_test(bounds, omega, tol=tol, seed=seed)
+    verdict = semidirect.bicrossed_amenability_test(bounds, omega, tol=o["tol"],
+                                                    seed=o["seed"])
     # a sweep verdict carries no operator: rebuild the largest box to report on
     op = semidirect.pair_window_operator(semidirect.pair_lattice(bounds[-1]), omega)
-    return _verdict_report(cmd, {"bound": bounds, "shift": list(shift),
-                                 "window": [list(s) for s in omega],
-                                 "tol": tol, "seed": seed},
-                           op, verdict, seed)
+    return ({"bound": bounds, "shift": list(shift), "window": [list(s) for s in omega]},
+            op, verdict)
 
 
-def _run_validate(args, config):
-    path = args.descriptor
-    desc = fusion.load_descriptor_file(path)
-    rows = fusion.validate_descriptor(desc)
-    report = {"schema": 1, "version": __version__, "command": "validate",
-              "descriptor": path, "axioms": rows,
-              "all_passed": all(r["passed"] for r in rows)}
-    return report, None
+def _run_validate(o: dict) -> dict:
+    rows = fusion.validate_descriptor(fusion.load_descriptor_file(o["descriptor"]))
+    return {"schema": 1, "version": __version__, "command": "validate",
+            "descriptor": o["descriptor"], "axioms": rows,
+            "all_passed": all(r["passed"] for r in rows)}
 
 
-_DISPATCH = {"fusion": _run_fusion, "walk": _run_walk,
-             "semidirect": _run_semidirect, "bicrossed": _run_bicrossed,
-             "sweep": _run_sweep, "validate": _run_validate}
+def _report(cmd: str, o: dict, echo: dict, op, result):
+    """Report and CSV of a command from its runner's (echo, operator, result)."""
+    report = {"schema": 1, "version": __version__, "command": cmd,
+              "config": {**echo, "tol": o["tol"], "seed": o["seed"]},
+              "operator": fingerprint(op)}
+    if isinstance(result, SpectralReport):       # a sweep reports no verdict
+        rep, trace = result, result.truncation_trace
+    else:
+        rep = result.spectral or spectral_radius(op, seed=o["seed"])
+        report["verdict"] = result.to_dict()
+        notes = result.notes                     # walk: one estimate per ball
+        trace = (list(zip(notes["ball_sizes"], notes["radius_estimates"]))
+                 if "ball_sizes" in notes else None)
+    report["spectral"] = rep.to_dict()
+    if trace is None:
+        return report, ("index,eigenvalue", list(enumerate(rep.top_eigenvalues)))
+    return report, ("size,radius_estimate", trace)
+
+
+# -- the command table ---------------------------------------------------------
+#
+# A flag is (spelling, help, cast, default); a default of _REQUIRED makes it
+# required. Its config key is the spelling without dashes, the rest turned
+# into underscores; positionals come from the command line only. A command is
+# (help, --tol default, runner, flags).
+
+_REQUIRED = object()
+_COMMON = (
+    ("--seed", "random seed for the eigensolvers", _as_seed, DEFAULT_SEED),
+    ("--output", "write the JSON report here instead of stdout", _as_str, None),
+    ("--csv", "also write a CSV summary to this path", _as_str, None),
+    ("--timings", "include wall time in the report (breaks byte determinism)", _as_bool, False),
+)
+_RING = (
+    ("--ring", "'free-su2' or a path to a ring descriptor JSON", _as_str, _REQUIRED),
+    ("--N", "rule parameter (free-su2 only)", _as_float, None),
+    ("--level", "closure level for rule rings (default: largest size - 1)", _as_int, None),
+    ("--omega", "comma list of window labels, e.g. a1", _list_of(_as_str), _REQUIRED),
+)
+_COMMANDS = {
+    "fusion": ("window-mass membership test on a fusion ring", CERT_TOL, _run_fusion, _RING + (
+        ("--trunc", "truncation size (default 2000, capped at ring size)", _as_int, None),)),
+    "walk": ("Cayley-walk growth test on Z^d or F_k", 5e-2, _run_walk, (
+        ("--group", "group spec: 'Z^d:<d>' or 'F:<k>'", _as_str, _REQUIRED),
+        ("--radius", "largest ball radius; swept from 1", _as_int, _REQUIRED),
+        ("--omega", "comma list of generator names (default all)", _list_of(_as_str), None),
+        ("--weight", "generator weight name=value; repeatable", _as_weights, None))),
+    "semidirect": ("interval-mass membership test on the half-line grid", 5e-2, _run_semidirect, (
+        ("--interval", "window 'a:b' on the half line", _as_colon_pair, _REQUIRED),
+        ("--grid", "grid spec 'h:max_r'", _as_colon_pair, _REQUIRED),
+        ("--witness-m", "comma list of witness band scales (default 2,4,8)",
+         _list_of(_as_float), [2.0, 4.0, 8.0]))),
+    "bicrossed": ("pair-class membership test over a box sweep", 5e-2, _run_bicrossed, (
+        ("--bound", "box bound B, or comma list for a sweep", _list_of(_as_int), _REQUIRED),
+        ("--shift", "shift pair 'r,rp'; its negation is added", _list_of(_as_int), _REQUIRED))),
+    "sweep": ("truncation sweep of a fusion window operator", CERT_TOL, _run_sweep, _RING + (
+        ("--sizes", "comma list of strictly increasing sizes", _list_of(_as_int), _REQUIRED),)),
+    "validate": ("check the ring axioms of a descriptor file", None, _run_validate, (
+        ("descriptor", "path to the ring descriptor JSON", _as_str, _REQUIRED),)),
+}
+
+
+def _flags(cmd: str) -> tuple:
+    _, tol, _, own = _COMMANDS[cmd]
+    return (("--tol", "certification tolerance", _as_float, tol),) + _COMMON + own
+
+
+def _key(spelling: str) -> str:
+    return spelling.lstrip("-").replace("-", "_")
+
+
+def _check_config(config: dict) -> None:
+    """Reject config keys that name no command or no flag of their command."""
+    keys = {cmd: {_key(f) for f, *_ in _flags(cmd) if f.startswith("--")}
+            for cmd in _COMMANDS}
+    for k, v in config.items():
+        if k in keys:
+            if not isinstance(v, dict):
+                raise InputError(f"config section {k!r} must be a JSON object")
+            unknown = sorted(set(v) - keys[k])
+            if unknown:
+                raise InputError(f"config section {k!r} has unknown key(s) {unknown}")
+        elif not any(k in ks for ks in keys.values()):
+            raise InputError(f"config key {k!r} names no command and no flag of one")
+
+
+def _options(cmd: str, args, config: dict) -> dict:
+    """Every flag of cmd: given on the command line, else in cmd's config
+    section, else at the config top level, else its default."""
+    _check_config(config)
+    section = config.get(cmd, {})
+    opts = {}
+    for spelling, _, cast, default in _flags(cmd):
+        key = _key(spelling)
+        v = getattr(args, key)
+        if v is None:
+            v = section[key] if key in section else config.get(key)
+        if v is None and default is _REQUIRED:
+            raise InputError(f"{cmd} requires {spelling}")
+        opts[key] = default if v is None else cast(v, key)
+    return opts
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", help="certification tolerance")
-    common.add_argument("--seed", help="random seed for the eigensolvers")
-    common.add_argument("--output", help="write the JSON report here instead of stdout")
-    common.add_argument("--csv", help="also write a CSV summary to this path")
-    common.add_argument("--timings", action="store_true", default=None,
-                        help="include wall time in the report (breaks byte determinism)")
-
     p = argparse.ArgumentParser(
         prog="amenspec",
         description="Spectral membership tests for fusion rings, group walks, "
                     "and half-line reflection families.")
     sub = p.add_subparsers(dest="command")
-
-    f = sub.add_parser("fusion", parents=[common],
-                       help="window-mass membership test on a fusion ring")
-    f.add_argument("--ring", help="'free-su2' or a path to a ring descriptor JSON")
-    f.add_argument("--N", dest="N", help="rule parameter (free-su2 only)")
-    f.add_argument("--level", help="closure level for rule rings (default trunc-1)")
-    f.add_argument("--omega", help="comma list of window labels, e.g. a1")
-    f.add_argument("--trunc", help="truncation size (default 2000, capped at ring size)")
-
-    w = sub.add_parser("walk", parents=[common],
-                       help="Cayley-walk growth test on Z^d or F_k")
-    w.add_argument("--group", help="group spec: 'Z^d:<d>' or 'F:<k>'")
-    w.add_argument("--radius", help="largest ball radius; swept from 1")
-    w.add_argument("--omega", help="comma list of generator names (default all)")
-    w.add_argument("--weight", action="append",
-                   help="generator weight name=value; repeatable")
-
-    s = sub.add_parser("semidirect", parents=[common],
-                       help="interval-mass membership test on the half-line grid")
-    s.add_argument("--interval", help="window 'a:b' on the half line")
-    s.add_argument("--grid", help="grid spec 'h:max_r'")
-    s.add_argument("--witness-m", dest="witness_m",
-                   help="comma list of witness band scales (default 2,4,8)")
-
-    b = sub.add_parser("bicrossed", parents=[common],
-                       help="pair-class membership test over a box sweep")
-    b.add_argument("--bound", help="box bound B, or comma list for a sweep")
-    b.add_argument("--shift", help="shift pair 'r,rp'; its negation is added")
-
-    sw = sub.add_parser("sweep", parents=[common],
-                        help="truncation sweep of a fusion window operator")
-    sw.add_argument("--ring", help="'free-su2' or a path to a ring descriptor JSON")
-    sw.add_argument("--N", dest="N", help="rule parameter (free-su2 only)")
-    sw.add_argument("--level", help="closure level (default max size - 1)")
-    sw.add_argument("--omega", help="comma list of window labels")
-    sw.add_argument("--sizes", help="comma list of strictly increasing truncations")
-
-    v = sub.add_parser("validate", parents=[common],
-                       help="check the ring axioms of a descriptor file")
-    v.add_argument("descriptor", help="path to the ring descriptor JSON")
+    for cmd, (text, *_) in _COMMANDS.items():
+        s = sub.add_parser(cmd, help=text)
+        for spelling, help_, cast, _ in _flags(cmd):
+            # flags default to None, so that the config file can fill them in
+            kw = ({"action": "store_true", "default": None} if cast is _as_bool
+                  else {"action": "append"} if cast is _as_weights else {})
+            s.add_argument(spelling, help=help_, **kw)
     return p
 
 
@@ -384,20 +351,20 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    cmd = args.command
     try:
-        config = _load_env_config()
+        o = _options(cmd, args, _load_env_config())
         started = time.monotonic()
-        report, csv_payload = _DISPATCH[args.command](args, config)
+        out = _COMMANDS[cmd][2](o)
+        report, csv_payload = (out, None) if cmd == "validate" else _report(cmd, o, *out)
         elapsed = time.monotonic() - started
-        if _get(args, config, args.command, "timings", False, _as_bool):
+        if o["timings"]:
             report["wall_time_s"] = round(elapsed, 6)
-        out_path = _get(args, config, args.command, "output")
-        csv_path = _get(args, config, args.command, "csv")
-        if csv_path is not None and csv_payload is None:
-            raise InputError(f"{args.command} emits no CSV")
-        _emit(report, out_path)
-        if csv_path is not None:
-            _emit_csv(csv_payload, csv_path)
+        if o["csv"] is not None and csv_payload is None:
+            raise InputError(f"{cmd} emits no CSV")
+        _emit(report, o["output"])
+        if o["csv"] is not None:
+            _emit_csv(csv_payload, o["csv"])
         return 0
     except ConvergenceError as e:
         _emit_error("convergence", str(e))

@@ -158,7 +158,6 @@ class FusionRing:
     """
 
     def __init__(self, desc: RingDescriptor):
-        self._desc = desc
         self.kind = desc.kind
         if desc.kind == "table":
             self.labels = tuple(desc.labels)
@@ -170,7 +169,6 @@ class FusionRing:
                 self._dims_exact = [int(d) for d in desc.dims]
             else:
                 self._dims_exact = [float(d) for d in desc.dims]
-            self._dims_float = [float(d) for d in desc.dims]
             self.unit_label = self.labels[_find_unit(self._fusion)]
             self.level = None
             self.N = None
@@ -183,7 +181,6 @@ class FusionRing:
             self._conj = None
             self._fusion = None
             self._dims_exact = [1, self.N] if self.level >= 1 else [1]
-            self._dims_float = None
             self.unit_label = "a0"
 
     # -- label plumbing ----------------------------------------------------
@@ -233,13 +230,8 @@ class FusionRing:
 
     def decompose(self, kappa: str, alpha: str) -> dict:
         """Multiplicities of the closed labels inside kappa (x) alpha."""
-        i = self.index(kappa)
-        j = self.index(alpha)
-        if self.kind == "table":
-            row = self._fusion[i, j]
-            return {self.labels[k]: int(m) for k, m in enumerate(row) if m}
-        lo, hi = abs(i - j), i + j
-        return {f"a{k}": 1 for k in range(lo, min(hi, self.level) + 1, 2)}
+        return {self.labels[k]: m
+                for k, m in self.decompose_indices(self.index(kappa), self.index(alpha))}
 
     def decompose_indices(self, i: int, j: int, clip: bool = True):
         """Index pairs (k, mult). With clip=False, rule rings extend past level."""
@@ -338,18 +330,8 @@ def validate_descriptor(desc: RingDescriptor) -> list:
         push("dimension homomorphism", hom_bad is None,
              "d(x) d(y) = sum of summand dims for all pairs" if hom_bad is None
              else f"fails at {hom_bad[0]!r} (x) {hom_bad[1]!r}: {hom_bad[2]} != {hom_bad[3]}")
-        frob_ok = True
-        for i in range(n):
-            ic = int(conj_idx[i])
-            for j in range(n):
-                for k in range(n):
-                    if F[i, j, k] != F[ic, k, j]:
-                        frob_ok = False
-                        break
-                if not frob_ok:
-                    break
-            if not frob_ok:
-                break
+        # F[i, j, k] == F[conj(i), k, j] for every triple
+        frob_ok = bool(np.array_equal(F, F[conj_idx].transpose(0, 2, 1)))
         push("frobenius reciprocity", frob_ok,
              "mult(b in k (x) a) = mult(a in conj(k) (x) b)" if frob_ok
              else "multiplicity table breaks duality symmetry")
@@ -398,33 +380,32 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
     when kappa is self-conjugate. Built entries are cross-checked against
     the dual decomposition through conj(kappa) on small truncations.
     """
-    ring.index(kappa)
+    ki = ring.index(kappa)
     dom = ring.domain(trunc)
     rows, cols, vals = [], [], []
     dropped = 0
     for j in range(trunc):
-        alpha = ring.labels[j]
-        for beta, m in ring.decompose(kappa, alpha).items():
-            i = ring.index(beta)
+        for i, m in ring.decompose_indices(ki, j):
             if i < trunc:
                 rows.append(i)
                 cols.append(j)
                 vals.append(m)
             else:
                 dropped += m
-        dropped += ring.clip_count(ring.index(kappa), j)
+        dropped += ring.clip_count(ki, j)
     symmetric = ring.conj(kappa) == kappa
     op = LinOp.from_entries(dom, rows, cols, vals, symmetric=symmetric,
                             meta={"kappa": kappa, "trunc": trunc,
                                   "dropped": dropped, "ring": ring.describe()})
     if trunc <= _CROSSCHECK_LIMIT:
-        kc = ring.conj(kappa)
-        for (bp, ap), v in op.entries():
-            dual = ring.decompose(kc, bp).get(ap, 0)
+        kc = ring.index(ring.conj(kappa))
+        coo = op.matrix.tocoo()
+        for i, j, v in zip(coo.row, coo.col, coo.data):
+            dual = dict(ring.decompose_indices(kc, int(i))).get(j, 0)
             if dual != int(v):
                 raise ValidationError(
-                    "fusion multiplicities",
-                    f"entry ({bp}, {ap}) = {v} disagrees with the dual route {dual}")
+                    "fusion multiplicities", f"entry ({ring.labels[i]}, {ring.labels[j]}) "
+                    f"= {float(v)} disagrees with the dual route {dual}")
     return op
 
 
@@ -501,6 +482,4 @@ def coamenability_test(ring: FusionRing, omega: Sequence[str], trunc: int = 2000
              "witness_ids": [w for w, _ in witnesses] + ["lanczos-ritz"],
              "multiplicities_dropped": op.meta["dropped"],
              "ring": ring.describe()}
-    return AmenabilityVerdict(cert.target, cert.tolerance, cert.best_residual,
-                              cert.certified, cert.witness_id, cert.gap_hint, notes,
-                              operator=op)
+    return AmenabilityVerdict.from_certificate(cert, notes, operator=op)

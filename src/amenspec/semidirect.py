@@ -166,9 +166,7 @@ def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
     notes = {"snapped": op.meta["snapped"], "nodes": op.meta["nodes"],
              "grid": {"h": grid.h, "max_r": grid.max_r, "cells": grid.n},
              "witness_residuals": per}
-    return AmenabilityVerdict(cert.target, cert.tolerance, cert.best_residual,
-                              cert.certified, cert.witness_id, cert.gap_hint, notes,
-                              operator=op)
+    return AmenabilityVerdict.from_certificate(cert, notes, operator=op)
 
 
 # -- integer pair classes ----------------------------------------------------
@@ -278,7 +276,8 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     (fiber dimension times window count). Witnesses are normalized box
     indicators at three scales plus the Ritz route. notes additionally
     reports the plain window count |omega| as a secondary membership check
-    at the final bound.
+    at the final bound. errors lists the route errors of every certificate,
+    each prefixed with its bound or with "secondary".
     """
     if isinstance(bounds, int):
         bounds = [bounds]
@@ -289,6 +288,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
 
     target = 2.0 * len(omega)
     trace = []
+    errors = []
     cert = None
     best_bound = None
     secondary = None
@@ -308,13 +308,14 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
         trace.append({"bound": b, "classes": pairs.size,
                       "best_residual": here.best_residual,
                       "witness_id": here.witness_id})
+        errors += [f"bound {b}: {e}" for e in here.errors]
         if b == bounds[-1]:
             sec = in_spectrum(op, float(len(omega)), tol=tol, seed=seed,
                               max_iter=max_iter)
             secondary = {"target": sec.target, "best_residual": sec.best_residual,
                          "certified": sec.certified, "witness_id": sec.witness_id,
                          "gap_hint": sec.gap_hint}
+            errors += [f"secondary: {e}" for e in sec.errors]
     notes = {"bounds": bounds, "best_bound": best_bound, "trace": trace,
              "window": [list(s) for s in omega], "secondary": secondary}
-    return AmenabilityVerdict(cert.target, cert.tolerance, cert.best_residual,
-                              cert.certified, cert.witness_id, cert.gap_hint, notes)
+    return AmenabilityVerdict.from_certificate(cert, notes, errors=errors)

@@ -14,7 +14,7 @@ certified, only hinted at via the gap to the nearest truncated eigenvalue.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -176,6 +176,19 @@ class LinOp:
         for i, j, v in zip(coo.row, coo.col, coo.data):
             yield (pts[i], pts[j]), float(v)
 
+    def leading_block(self, n: int) -> "LinOp":
+        """The compression to the first n points: the leading n x n block,
+        on a domain that shares this domain's index; self when n == self.n.
+        The block's meta is empty: a builder's entries describe its size."""
+        if not 1 <= n <= self.n:
+            raise InputError(f"block size must be in [1, {self.n}], got {n}")
+        if n == self.n:
+            return self
+        d = self.domain
+        domain = SpectrumDomain(d.kind, d.points[:n], d.dim_weight[:n], d.quad_weight[:n],
+                                _index=d._index)
+        return LinOp(domain, self.matrix[:n, :n], symmetric=self.symmetric)
+
     def to_dense(self, limit: int = 2000) -> np.ndarray:
         if self.n > limit:
             raise InputError(f"refusing to densify size {self.n} > {limit}")
@@ -228,8 +241,10 @@ class MembershipCertificate:
 
 @dataclass
 class AmenabilityVerdict:
-    """Verdict of a membership test. operator is the LinOp it tested, when
-    the test hands it back for reporting; to_dict leaves it out."""
+    """Verdict of a membership test. errors lists, as "route: message",
+    every route error of the certificates the test ran. operator is the
+    LinOp it tested and spectral its SpectralReport, when the test hands
+    them back for reporting; to_dict leaves both out."""
 
     target: float
     tolerance: float
@@ -238,7 +253,18 @@ class AmenabilityVerdict:
     witness_id: str | None
     gap_hint: float
     notes: dict = field(default_factory=dict)
+    errors: list = field(default_factory=list)
     operator: LinOp | None = field(default=None, repr=False, compare=False)
+    spectral: SpectralReport | None = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_certificate(cls, cert: MembershipCertificate, notes: dict,
+                         operator: LinOp | None = None,
+                         errors: list | None = None) -> "AmenabilityVerdict":
+        """The verdict of cert; errors defaults to the certificate's own."""
+        return cls(cert.target, cert.tolerance, cert.best_residual, cert.certified,
+                   cert.witness_id, cert.gap_hint, notes,
+                   list(cert.errors) if errors is None else errors, operator)
 
     def to_dict(self) -> dict:
         return {
@@ -249,6 +275,7 @@ class AmenabilityVerdict:
             "witness_id": self.witness_id,
             "gap_hint": self.gap_hint,
             "notes": self.notes,
+            "errors": list(self.errors),
         }
 
 
@@ -496,29 +523,27 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                                  best_id, certified, float(gap), errors)
 
 
-def truncation_sweep(builder: Callable[[int], LinOp], sizes: Sequence[int],
-                     tol: float = EIGEN_TOL, seed: int = DEFAULT_SEED,
-                     max_iter: int = 300) -> SpectralReport:
-    """Rebuild the operator at each size and record the radius estimates.
+def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
+                     seed: int = DEFAULT_SEED, max_iter: int = 300) -> SpectralReport:
+    """Solve the leading n x n block of op at each size n; record the estimates.
 
-    sizes must be strictly increasing. The returned report is the one for
-    the largest size, with truncation_trace filled. converged requires the
-    solve at every size to have converged and, given two sizes or more, the
-    Cauchy-style flag (the last two estimates differ by less than tol).
+    sizes must be strictly increasing and lie in [1, op.n]. The returned
+    report is the one for the largest size, with truncation_trace filled.
+    converged requires the solve at every size to have converged and, given
+    two sizes or more, the Cauchy-style flag (the last two estimates differ
+    by less than tol).
     """
     _check_solver_args(tol, max_iter)
     sizes = [int(s) for s in sizes]
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise InputError("sizes must be strictly increasing and nonempty")
+    if sizes[0] < 1 or sizes[-1] > op.n:
+        raise InputError(f"sizes must lie in [1, {op.n}]")
     trace = []
-    report = None
     solved = True
     for s in sizes:
-        try:
-            op = builder(s)
-        except Exception as e:
-            raise InputError(f"builder failed at size {s}: {e}") from e
-        report = spectral_radius(op, tol=min(tol, EIGEN_TOL), max_iter=max_iter, seed=seed)
+        report = spectral_radius(op.leading_block(s), tol=min(tol, EIGEN_TOL),
+                                 max_iter=max_iter, seed=seed)
         trace.append((s, report.radius_estimate))
         solved = solved and report.converged
     report.truncation_trace = trace

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .spectral import (DEFAULT_SEED, DISCRETE_LABELS, EIGEN_TOL, AmenabilityVerdict,
-                       InputError, LinOp, SpectrumDomain, fingerprint, spectral_radius)
+                       InputError, LinOp, SpectrumDomain, spectral_radius)
 
 
 class ZLattice:
@@ -209,18 +209,6 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
                                     "dropped": int(kept.size - kept.sum())})
 
 
-def _leading_block(op: LinOp, n: int, radius: int) -> LinOp:
-    """The walk operator on the ball of the first n elements, sliced out of op."""
-    if radius == op.meta["radius"]:
-        return op
-    block = op.matrix[:n, :n]
-    domain = SpectrumDomain(DISCRETE_LABELS, op.domain.points[:n], np.ones(n), np.ones(n),
-                            _index=op.domain._index)
-    dropped = n * len(op.meta["weights"]) - block.nnz
-    return LinOp(domain, block, symmetric=op.symmetric,
-                 meta={**op.meta, "radius": radius, "dropped": dropped})
-
-
 def modular_weight_operator(group, p: float, density: dict,
                             ball: BallTruncation) -> LinOp:
     """Right-shift operator with modular prefactor, for exponent p >= 1.
@@ -271,7 +259,8 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     target is |omega|; an explicit symmetric weight map shifts the target to
     its total mass. The verdict certifies when some ball's rigorous lower
     bound comes within tol of the target. notes carries the per-radius trace
-    and a curvature-corrected limit estimate from the last two radii.
+    and a curvature-corrected limit estimate from the last two radii; the
+    verdict carries the largest ball's operator and its SpectralReport.
     """
     if isinstance(radii, int):
         radii = list(range(1, radii + 1))
@@ -292,12 +281,11 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
                  "lower_bounds": [rep.radius_lower_bound],
                  "normalized": [rep.radius_estimate], "limit_estimate": 1.0,
                  "eigensolver_converged": [rep.converged],
-                 "convention": "trivial group walks over {identity}",
-                 "final_operator": fingerprint(op),
-                 "final_spectral": rep.to_dict()}
+                 "convention": "trivial group walks over {identity}"}
         return AmenabilityVerdict(1.0, tol, abs(1.0 - rep.radius_lower_bound),
                                   rep.radius_lower_bound >= 1.0 - tol, "ball-0",
-                                  max(0.0, 1.0 - rep.radius_estimate), notes)
+                                  max(0.0, 1.0 - rep.radius_estimate), notes,
+                                  operator=op, spectral=rep)
 
     if weights is not None:
         if omega is not None and set(omega) != set(weights):
@@ -326,7 +314,8 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     ends = ball.sphere_ends
     del ball            # the search tables are not needed by the eigensolves
     for r in radii:
-        op = _leading_block(full, ends[r], r)
+        op = full.leading_block(ends[r])
+        op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
         rep = spectral_radius(op, tol=EIGEN_TOL, max_iter=max_iter, seed=seed)
         sizes.append(op.n)
         estimates.append(rep.radius_estimate)
@@ -344,9 +333,9 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
         limit = normalized[-1]
     notes = {"radii": radii, "ball_sizes": sizes, "radius_estimates": estimates,
              "lower_bounds": lowers, "normalized": normalized,
-             "limit_estimate": float(limit), "eigensolver_converged": solved,
-             "final_operator": fingerprint(op), "final_spectral": rep.to_dict()}
+             "limit_estimate": float(limit), "eigensolver_converged": solved}
     certified = bool(best_lower >= target - tol)
     return AmenabilityVerdict(target, tol, float(max(0.0, target - best_lower)),
                               certified, f"ball-{radii[best]}",
-                              float(max(0.0, target - max(estimates))), notes)
+                              float(max(0.0, target - max(estimates))), notes,
+                              operator=op, spectral=rep)

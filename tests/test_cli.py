@@ -3,15 +3,17 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+import scipy.sparse.linalg
 
 import amenspec
 from amenspec import AmenabilityVerdict, __version__, fusion, semidirect, spectral, walks
-from amenspec.cli import CONFIG_ENV, main
+from amenspec.cli import _COMMANDS, CONFIG_ENV, _build_parser, _flags, main
 
 
 def run(capsys, *argv):
@@ -112,7 +114,7 @@ def test_sweep_builds_each_truncation_once(capsys, monkeypatch):
     code, rep = run(capsys, "sweep", "--ring", "free-su2", "--N", "3",
                     "--omega", "a1", "--sizes", "50,100,200,400")
     assert code == 0 and rep["operator"]["size"] == 400
-    assert built == [50, 100, 200, 400]
+    assert built == [400]
 
 
 def test_validate_command_pass_and_fail(capsys, tmp_path):
@@ -245,6 +247,26 @@ def test_config_errors(capsys, tmp_path, monkeypatch):
     assert code == 2
     assert rep["error"]["type"] == "input" and "seed" in rep["error"]["message"]
 
+    # typos are errors, not silently ignored keys
+    for obj, key in (({"walk": {"raduis": 12}}, "raduis"), ({"sede": 4}, "sede"),
+                     ({"wlak": {"radius": 12}}, "wlak"), ({"walk": 12}, "walk"),
+                     ({"fusion": {"radius": 3}}, "radius")):
+        typo = tmp_path / "typo.json"
+        typo.write_text(json.dumps(obj))
+        monkeypatch.setenv(CONFIG_ENV, str(typo))
+        code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "2")
+        assert code == 2, obj
+        assert rep["error"]["type"] == "input" and repr(key) in rep["error"]["message"], obj
+
+    # the common flags are valid in every section; a top-level key needs one
+    # command that declares it
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"radius": 2, "seed": 3,
+                                "validate": {"seed": 4, "timings": False}}))
+    monkeypatch.setenv(CONFIG_ENV, str(good))
+    code, rep = run(capsys, "walk", "--group", "Z^d:1")
+    assert code == 0 and rep["config"]["radius"] == 2 and rep["config"]["seed"] == 3
+
 
 # -- failure modes ------------------------------------------------------------
 
@@ -329,12 +351,30 @@ def test_unknown_subcommand_exits_2(capsys):
     assert e.value.code == 2
 
 
+def test_verdict_lists_route_errors(capsys, monkeypatch):
+    code, rep = run(capsys, "fusion", "--ring", "free-su2", "--N", "3", "--trunc", "64",
+                    "--omega", "a1")
+    assert code == 0 and rep["verdict"]["errors"] == []
+
+    def singular(matrix):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    code, rep = run(capsys, "fusion", "--ring", "free-su2", "--N", "3", "--trunc", "64",
+                    "--omega", "a1")
+    assert code == 0
+    assert rep["verdict"]["errors"] == ["shift-invert: Factor is exactly singular"]
+    code, rep = run(capsys, "bicrossed", "--bound", "3,5", "--shift", "0,1")
+    assert code == 0
+    assert rep["verdict"]["errors"] == [f"{where}: shift-invert: Factor is exactly singular"
+                                        for where in ("bound 3", "bound 5", "secondary")]
+
+
 def test_convergence_failure_exits_3(capsys, monkeypatch):
     def stuck(group, radius, omega=None, tol=0.05, seed=7, weights=None):
         notes = {"radii": [1], "ball_sizes": [3], "radius_estimates": [1.9],
                  "lower_bounds": [1.9], "normalized": [0.95],
-                 "limit_estimate": 0.95, "eigensolver_converged": [False],
-                 "final_operator": {"size": 3}, "final_spectral": {"m": 1}}
+                 "limit_estimate": 0.95, "eigensolver_converged": [False]}
         return AmenabilityVerdict(2.0, tol, 0.1, False, "ball-1", 0.1, notes)
 
     monkeypatch.setattr(walks, "kesten_test", stuck)
@@ -356,3 +396,19 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     where, loaded = done.stdout.split()
     assert Path(where).resolve().is_relative_to(src)
     assert loaded == "False"
+
+
+# -- documentation ------------------------------------------------------------
+
+
+def test_readme_commands_parse_and_name_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [l for l in readme.splitlines() if l.startswith("amenspec ")]
+    assert {shlex.split(l)[1] for l in lines} == set(_COMMANDS)
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+    for cmd in _COMMANDS:
+        for spelling, *_ in _flags(cmd):
+            if spelling.startswith("--"):
+                assert f"`{spelling}" in readme or f" {spelling} " in readme, spelling

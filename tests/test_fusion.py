@@ -304,6 +304,12 @@ def test_validate_flags_dimension_mismatch():
     assert failed == ["dimension homomorphism"]
 
 
+def test_validate_flags_broken_reciprocity():
+    # every label its own dual: g (x) g contains h, but g (x) h does not contain g
+    rows = validate_descriptor(parse_descriptor(cyclic3_descriptor(conj=["e", "g", "h"])))
+    assert [r["axiom"] for r in rows if not r["passed"]] == ["frobenius reciprocity"]
+
+
 def test_validate_flags_missing_unit():
     rows = validate_descriptor(parse_descriptor(
         {"kind": "table", "labels": ["x"], "dims": [1], "conj": ["x"],
@@ -411,3 +417,36 @@ def test_operator_column_fill_bounded_by_label_index(k, trunc):
     op = fusion_operator(ring, f"a{k}", trunc)
     fill = np.diff(op.matrix.tocsc().indptr)
     assert fill.max() <= k + 1
+
+
+_RINGS = {N: free_su2_ring(N, 30) for N in (2, 3, 2.5)}
+_RINGS["table"] = load_ring(parse_descriptor(cyclic3_descriptor()))
+_TABLE_WINDOWS = (["e"], ["g", "h"], ["e", "g", "h"])   # the conjugation-closed ones
+
+
+@st.composite
+def _window_and_sizes(draw):
+    key = draw(st.sampled_from(sorted(_RINGS, key=str)))
+    ring = _RINGS[key]
+    if key == "table":
+        omega = draw(st.sampled_from(_TABLE_WINDOWS))
+    else:       # every rule label is self-conjugate
+        omega = draw(st.lists(st.sampled_from(ring.labels), min_size=1, max_size=3,
+                              unique=True))
+    m = draw(st.integers(1, ring.size))
+    return ring, omega, m, draw(st.integers(1, m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window_and_sizes())
+def test_window_operator_leading_block_is_a_fresh_build(case):
+    # sweep solves leading blocks of one build: each must be the smaller build
+    ring, omega, m, n = case
+    block = window_operator(ring, omega, m).leading_block(n)
+    fresh = window_operator(ring, omega, n)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(block.matrix, name), getattr(fresh.matrix, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert block.domain.points == fresh.domain.points
+    assert np.array_equal(block.domain.dim_weight, fresh.domain.dim_weight)
+    assert block.symmetric == fresh.symmetric

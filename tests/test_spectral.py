@@ -252,7 +252,7 @@ def test_solvers_reject_empty_budget(max_iter):
     with pytest.raises(InputError, match="max_iter"):
         in_spectrum(op, 1.0, max_iter=max_iter)
     with pytest.raises(InputError, match="max_iter"):
-        truncation_sweep(path_operator, [10, 20], max_iter=max_iter)
+        truncation_sweep(path_operator(20), [10, 20], max_iter=max_iter)
 
 
 def test_radius_deterministic_for_fixed_seed():
@@ -449,7 +449,7 @@ def test_membership_certificate_soundness_against_dense():
 
 
 def test_truncation_sweep_monotone_path_family():
-    rep = truncation_sweep(path_operator, [10, 40, 160])
+    rep = truncation_sweep(path_operator(160), [10, 40, 160])
     trace = rep.truncation_trace
     assert [s for s, _ in trace] == [10, 40, 160]
     vals = [r for _, r in trace]
@@ -460,32 +460,43 @@ def test_truncation_sweep_monotone_path_family():
 
 
 def test_truncation_sweep_convergence_flag():
-    rep = truncation_sweep(path_operator, [100, 101], tol=1e-2)
+    rep = truncation_sweep(path_operator(101), [100, 101], tol=1e-2)
     assert rep.converged
-    rep = truncation_sweep(path_operator, [3, 30], tol=1e-6)
+    rep = truncation_sweep(path_operator(30), [3, 30], tol=1e-6)
     assert not rep.converged
 
 
 def test_truncation_sweep_needs_every_solve_converged():
     # the Cauchy test passes, but 12 steps cannot converge at size 30
-    rep = truncation_sweep(path_operator, [20, 30], tol=1.0, max_iter=12)
+    rep = truncation_sweep(path_operator(30), [20, 30], tol=1.0, max_iter=12)
     assert abs(rep.truncation_trace[1][1] - rep.truncation_trace[0][1]) < 1.0
     assert not rep.converged
-    assert truncation_sweep(path_operator, [20, 30], tol=1.0).converged
-    assert not truncation_sweep(path_operator, [30], max_iter=12).converged
+    assert truncation_sweep(path_operator(30), [20, 30], tol=1.0).converged
+    assert not truncation_sweep(path_operator(30), [30], max_iter=12).converged
 
 
-def test_truncation_sweep_validates_sizes_and_builder():
+def test_truncation_sweep_validates_sizes():
     with pytest.raises(InputError):
-        truncation_sweep(path_operator, [10, 10])
+        truncation_sweep(path_operator(10), [10, 10])
     with pytest.raises(InputError):
-        truncation_sweep(path_operator, [])
+        truncation_sweep(path_operator(10), [])
+    for sizes in ([0, 5], [4, 11]):
+        with pytest.raises(InputError, match="lie in"):
+            truncation_sweep(path_operator(10), sizes)
 
-    def broken(n):
-        raise RuntimeError("boom")
 
+def test_leading_block_is_the_compression_to_a_prefix():
+    op = path_operator(12)
+    assert op.leading_block(12) is op
+    block = op.leading_block(5)
+    assert np.array_equal(block.to_dense(), op.to_dense()[:5, :5])
+    assert block.domain.points == op.domain.points[:5]
+    assert block.domain._index is op.domain._index and block.domain.index(4) == 4
     with pytest.raises(InputError):
-        truncation_sweep(broken, [4, 5])
+        block.domain.index(5)
+    for n in (0, 13):
+        with pytest.raises(InputError, match="block size"):
+            op.leading_block(n)
 
 
 # -- property tests -----------------------------------------------------------
