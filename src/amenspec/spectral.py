@@ -13,11 +13,13 @@ certified, only hinted at via the gap to the nearest truncated eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse as sp
 
 DISCRETE_LABELS = "discrete-labels"
@@ -29,6 +31,7 @@ EIGEN_TOL = 1e-8
 CERT_TOL = 1e-2
 _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
+_DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
 
 
 class InputError(ValueError):
@@ -202,6 +205,7 @@ class SpectralReport:
     top_eigenvalues: list
     iterations: int
     converged: bool
+    stop: str                # why Lanczos stopped: closure, residual or budget
     truncation_trace: list = field(default_factory=list)
     method: str = "lanczos"
 
@@ -212,6 +216,7 @@ class SpectralReport:
             "top_eigenvalues": list(self.top_eigenvalues),
             "iterations": self.iterations,
             "converged": self.converged,
+            "stop": self.stop,
             "truncation_trace": [list(t) for t in self.truncation_trace],
             "method": self.method,
         }
@@ -287,13 +292,48 @@ class _LanczosResult:
     thetas: np.ndarray      # Ritz values, ascending
     S: np.ndarray           # eigenvectors of the tridiagonal, one per column
     iterations: int
-    converged: bool
+    stop: str               # "closure", "residual" or "budget"
+    second_passes: int      # steps that took the second Gram-Schmidt pass
+
+    @property
+    def converged(self) -> bool:
+        return self.stop != "budget"
 
     def ritz_vector(self, which: int) -> np.ndarray:
         s = self.S[:, which]
         u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, len(s), _BLOCK), self.blocks))
         nrm = np.linalg.norm(u)
         return u / nrm if nrm > 0 else u
+
+
+def _extreme_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
+    """Smallest and largest eigenvalue of the tridiagonal (alphas, betas).
+
+    The LAPACK bisection eigvalsh_tridiagonal(select='i') runs, called
+    directly: range 2 (by index), il = iu = 1 and il = iu = k, abstol 0,
+    order 'E', so the values are bit-identical, without the wrapper's
+    per-call validation. The caller checks that the entries are finite.
+    """
+    k = len(alphas)
+    if k == 1:
+        return float(alphas[0]), float(alphas[0])
+    out = []
+    for i in (1, k):
+        _, w, _, _, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
+                                                      i, i, 0.0, "E")
+        if info != 0:
+            raise scipy.linalg.LinAlgError(
+                f"dstebz (extreme Ritz values) failed with info={info}")
+        out.append(float(w[0]))
+    return out[0], out[1]
+
+
+def _gram_schmidt(basis: list, w: np.ndarray) -> None:
+    """One classical Gram-Schmidt pass of w against the row blocks of basis,
+    in place, taking every block's coefficients before subtracting any."""
+    coeffs = [B @ w for B in basis]
+    for B, c in zip(basis, coeffs):
+        w -= c @ B
 
 
 def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
@@ -304,8 +344,18 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     holds every distinct eigenvalue exactly. Each step reads only the two
     extreme Ritz values, by bisection; a stall of both is confirmed by a
     full tridiagonal solve and the rigorous bound beta * |last Ritz
-    component| before the run stops. converged means the subspace closed
-    or that bound held; otherwise the budget ran out.
+    component| before the run stops. stop says why the run ended: the
+    subspace closed ("closure"), that bound held ("residual"), or the
+    budget ran out ("budget"); converged means one of the first two.
+
+    Reorthogonalization is one classical Gram-Schmidt pass against the
+    whole basis after the three-term recurrence, and a second pass only
+    when the first cut the vector's norm below _DGKS_ETA of what it was:
+    the test of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30 (1976),
+    which ARPACK's dsaitr applies with 0.717. A vector that keeps that much
+    of its norm is orthogonal to the basis to working precision after one
+    pass. A non-finite Lanczos coefficient, from a matrix-vector product
+    that overflowed, raises ValueError at the step where it appears.
 
     Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
     new block is allocated when the last one fills, so k steps hold about
@@ -317,60 +367,58 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     v = np.random.default_rng(seed).standard_normal(n)
     blocks = [np.empty((min(_BLOCK, budget + 1), n))]
     np.divide(v, np.linalg.norm(v), out=blocks[0][0])
-    alphas: list[float] = []
-    betas: list[float] = []
-    converged = False
+    alphas = np.empty(budget)
+    betas = np.empty(budget)
+    stop = "budget"
+    second_passes = 0
     stall = 0
     k = 0
     while k < budget:
         q = blocks[-1][k % _BLOCK]
         w = A @ q
         a = float(q @ w)
-        alphas.append(a)
+        alphas[k] = a
         w -= a * q
-        if betas:
-            w -= betas[-1] * blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
-        # full reorthogonalization: two classical Gram-Schmidt passes, each
-        # taking every block's coefficients before subtracting any
+        if k:
+            w -= betas[k - 1] * blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
         basis = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
-        for _ in range(2):
-            coeffs = [B @ w for B in basis]
-            for B, c in zip(basis, coeffs):
-                w -= c @ B
+        before = float(np.linalg.norm(w))
+        _gram_schmidt(basis, w)
         b = float(np.linalg.norm(w))
+        if b < _DGKS_ETA * before:
+            _gram_schmidt(basis, w)
+            b = float(np.linalg.norm(w))
+            second_passes += 1
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError("array must not contain infs or NaNs")
         k += 1
-        if k == 1:
-            lo = hi = alphas[0]
-        else:
-            lo, hi = (float(scipy.linalg.eigvalsh_tridiagonal(
-                alphas, betas, select="i", select_range=(i, i))[0])
-                for i in (0, k - 1))
+        lo, hi = _extreme_ritz(alphas[:k], betas[:k - 1])
         scale = max(1.0, abs(lo), abs(hi))
         if b <= _BREAKDOWN * scale or k == n:
-            converged = True
+            stop = "closure"
             break
         if k > 1:
             stall = stall + 1 if abs(lo - prev_lo) + abs(hi - prev_hi) <= 0.01 * tol * scale else 0
             if stall >= 2:
                 # confirm with the rigorous bound beta * |last Ritz component|
-                _, Sv = scipy.linalg.eigh_tridiagonal(alphas, betas)
+                _, Sv = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
                 res_ext = b * max(abs(Sv[-1, 0]), abs(Sv[-1, -1]))
                 if res_ext <= 0.5 * tol * scale:
-                    converged = True
+                    stop = "residual"
                     break
                 stall = 0
         prev_lo, prev_hi = lo, hi
-        betas.append(b)
+        betas[k - 1] = b
         if k % _BLOCK == 0:
             blocks.append(np.empty((min(_BLOCK, budget + 1 - k), n)))
         np.divide(w, b, out=blocks[-1][k % _BLOCK])
     if k == 1:
-        thetas, S = np.array(alphas), np.ones((1, 1))
+        thetas, S = alphas[:1].copy(), np.ones((1, 1))
     else:
-        thetas, S = scipy.linalg.eigh_tridiagonal(alphas, betas[:k - 1])
+        thetas, S = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
     if k % _BLOCK:
         blocks[-1] = blocks[-1][:k % _BLOCK]
-    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, converged)
+    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, stop, second_passes)
 
 
 def _lanczos_once(op: LinOp, tol: float, max_iter: int, seed: int,
@@ -399,17 +447,22 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
                     seed: int = DEFAULT_SEED) -> SpectralReport:
     """Spectral radius of the truncated operator.
 
-    Lanczos with full reorthogonalization; for a symmetric operator the
-    estimate is within tol of the largest |eigenvalue| of the truncation
-    once converged, and converged: false means the budget of max_iter
-    steps ran out. radius_lower_bound is the Rayleigh quotient of the
-    extreme Ritz vector, recomputed in the original space, hence a
-    rigorous lower bound. Reuses the Lanczos run of an earlier in_spectrum
-    call on op with the same seed and budget.
+    Lanczos with full reorthogonalization: one classical Gram-Schmidt pass
+    per step, and a second one when the first cut the vector's norm below
+    1/sqrt(2) of what it was (the DGKS test, see _lanczos). For a symmetric
+    operator the estimate is within tol of the largest |eigenvalue| of the
+    truncation once converged, and converged: false means the budget of
+    max_iter steps ran out. stop says why the solve ended: "closure" (the
+    Krylov subspace closed, or the operator is zero), "residual" (the
+    residual bound on the extreme Ritz values met tol) or "budget".
+    radius_lower_bound is the Rayleigh quotient of the extreme Ritz vector,
+    recomputed in the original space, hence a rigorous lower bound. Reuses
+    the Lanczos run of an earlier in_spectrum call on op with the same seed
+    and budget.
     """
     _check_solver_args(tol, max_iter)
     if op.nnz == 0:
-        return SpectralReport(0.0, 0.0, [0.0], 0, True)
+        return SpectralReport(0.0, 0.0, [0.0], 0, True, "closure")
     res = _lanczos_once(op, tol, max_iter, seed, keep=False)
     thetas = res.thetas
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
@@ -425,7 +478,7 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
             seen.add(key)
             tops.append(float(t))
     return SpectralReport(estimate, min(lower, estimate), tops,
-                          res.iterations, res.converged)
+                          res.iterations, res.converged, res.stop)
 
 
 def fingerprint(op: LinOp) -> dict:
@@ -528,7 +581,8 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
     """Solve the leading n x n block of op at each size n; record the estimates.
 
     sizes must be strictly increasing and lie in [1, op.n]. The returned
-    report is the one for the largest size, with truncation_trace filled.
+    report is the one for the largest size, with truncation_trace filled;
+    its stop is that of the largest size's solve.
     converged requires the solve at every size to have converged and, given
     two sizes or more, the Cauchy-style flag (the last two estimates differ
     by less than tol).

@@ -102,6 +102,22 @@ def test_sweep_command_csv_matches_closed_form(capsys, tmp_path):
     assert rep["spectral"]["method"] == "sweep"
 
 
+@pytest.mark.parametrize("argv, stop", [
+    (("fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--trunc", "2000"),
+     "budget"),
+    (("walk", "--group", "F:2", "--radius", "6"), "residual"),
+    (("walk", "--group", "F:2", "--radius", "3"), "closure"),
+    # the 50-label block closes; the report is that of the 400-label block
+    (("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--sizes", "50,400"),
+     "budget"),
+])
+def test_reports_say_why_the_solve_stopped(capsys, argv, stop):
+    code, rep = run(capsys, *argv)
+    assert code == 0
+    assert rep["spectral"]["stop"] == stop
+    assert rep["spectral"]["converged"] == (stop != "budget")
+
+
 def test_sweep_builds_each_truncation_once(capsys, monkeypatch):
     built = []
     window_operator = fusion.window_operator

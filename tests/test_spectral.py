@@ -239,6 +239,81 @@ def test_lanczos_basis_grows_by_blocks_without_copies():
     assert peak <= (math.ceil((k + 1) / 32) * 32 + 4) * n * 8
 
 
+def orthonormality_defect(res):
+    basis = np.vstack(res.blocks)
+    return float(np.abs(basis @ basis.T - np.eye(len(basis))).max())
+
+
+def test_one_gram_schmidt_pass_keeps_the_basis_orthonormal():
+    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300, 7)
+    assert res.iterations == 300 and res.stop == "budget"
+    assert res.second_passes == 0
+    assert orthonormality_defect(res) <= 1e-12
+
+
+def test_basis_stays_orthonormal_across_sixteen_decades():
+    # Ritz values converge at both ends at once, where plain Lanczos loses
+    # orthogonality first
+    n = 600
+    op = LinOp(make_domain(n), sp.diags(np.geomspace(1e-8, 1e8, n)), symmetric=True)
+    res = spectral._lanczos(op, spectral.EIGEN_TOL, n, 7)
+    assert orthonormality_defect(res) <= 1e-12
+
+
+def test_closure_takes_the_second_gram_schmidt_pass():
+    # at k = n the new vector lies in the span of the basis, so the first pass
+    # removes nearly all of its norm and the DGKS test asks for a second one
+    res = spectral._lanczos(path_operator(50), spectral.EIGEN_TOL, 50, 7)
+    assert res.stop == "closure" and res.iterations == 50
+    assert res.second_passes >= 1
+    assert orthonormality_defect(res) <= 1e-12
+
+
+def test_solves_say_why_they_stopped():
+    assert spectral_radius(path_operator(50), max_iter=50).stop == "closure"
+    assert spectral_radius(path_operator(400), max_iter=12).stop == "budget"
+    zero = LinOp.from_entries(make_domain(3), [], [], [], symmetric=True)
+    assert spectral_radius(zero).stop == "closure"
+    # the 20-point block closes, the 60-point one spends its budget of 30
+    rep = truncation_sweep(path_operator(60), [20, 60], max_iter=30)
+    assert rep.stop == "budget" and rep.to_dict()["stop"] == "budget"
+    assert truncation_sweep(path_operator(60), [20], max_iter=30).stop == "closure"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60), st.data())
+def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
+    k = len(diag)
+    off = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k - 1, max_size=k - 1))
+    d, e = np.array(diag), np.array(off)
+    want = tuple(float(scipy.linalg.eigvalsh_tridiagonal(
+        d, e, select="i", select_range=(i, i))[0]) for i in (0, k - 1))
+    assert spectral._extreme_ritz(d, e) == want
+
+
+class CountingMatrix:
+    """Stands in for a LinOp's matrix and counts matrix-vector products."""
+
+    def __init__(self, m):
+        self.m, self.nnz, self.products = m, m.nnz, 0
+
+    def __matmul__(self, v):
+        self.products += 1
+        return self.m @ v
+
+
+@pytest.mark.parametrize("solve", [spectral_radius, lambda op: in_spectrum(op, 1.0)])
+def test_overflowing_product_fails_at_its_first_step(solve):
+    # the first product overflows, so the first beta is inf: the solve stops
+    # there instead of running on NaNs until its budget is spent
+    op = LinOp(make_domain(4), np.full((4, 4), 1e308), symmetric=True)
+    op.matrix = CountingMatrix(op.matrix)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValueError, match="array must not contain infs or NaNs"):
+        solve(op)
+    assert op.matrix.products == 1
+
+
 def test_radius_rejects_bad_tol():
     with pytest.raises(InputError):
         spectral_radius(path_operator(3), tol=0.0)
