@@ -60,19 +60,11 @@ def half_line_grid(h: float, max_r: float) -> HalfLineGrid:
     return HalfLineGrid(h, max_r)
 
 
-def _reflection_bands(n: int, k: int):
-    """Index pairs of the three unit bands of the reflection shift by k cells."""
-    rows, cols = [], []
-    for j in range(k, n):
-        rows.append(j)
-        cols.append(j - k)
-    for j in range(0, n - k):
-        rows.append(j)
-        cols.append(j + k)
-    for j in range(0, min(k, n)):
-        rows.append(j)
-        cols.append(k - j - 1)
-    return rows, cols
+def _reflection_bands(n: int, k: int) -> np.ndarray:
+    """Rows and columns, as a 2 x m array, of the three unit bands of the
+    reflection shift by k cells: j -> j - k, j + k and k - j - 1, in j order."""
+    j, t = np.arange(max(n - k, 0)), np.arange(min(k, n))
+    return np.stack((np.concatenate((j + k, j, t)), np.concatenate((j, j + k, k - 1 - t))))
 
 
 def shift_operator(grid: HalfLineGrid, r: float) -> LinOp:
@@ -113,12 +105,9 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
                                         "nodes": 0, "target": 0.0})
     k_lo = int(math.floor(a / grid.h + 1e-9))
     k_hi = int(math.ceil(b / grid.h - 1e-9))
-    rows, cols, vals = [], [], []
-    for k in range(k_lo + 1, k_hi + 1):
-        r, c = _reflection_bands(grid.n, k)
-        rows.extend(r)
-        cols.extend(c)
-        vals.extend([w] * len(r))
+    rows, cols = np.hstack([_reflection_bands(grid.n, k) for k in range(k_lo + 1, k_hi + 1)]
+                           or [np.empty((2, 0), dtype=np.int64)])
+    vals = np.full(len(rows), w)
     a_s, b_s = k_lo * grid.h, k_hi * grid.h
     target = (b_s - a_s) / (2.0 * math.pi)
     return LinOp.from_entries(grid.domain, rows, cols, vals, symmetric=True,

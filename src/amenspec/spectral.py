@@ -54,12 +54,13 @@ class SpectrumDomain:
     points carry per-point dimension weights (the function dim) and
     quadrature weights (the measure of the atom or cell). Order is stable:
     identical construction input gives an identical point list. _index takes
-    a {point: position} dict the builder already holds instead of hashing
+    a {point: position} map the builder already holds instead of hashing
     the points again; it may map points past the end, so prefixes share it.
+    Points come with their _index as any read-only sequence, else as a tuple.
     """
 
     kind: str
-    points: tuple
+    points: Sequence
     dim_weight: np.ndarray
     quad_weight: np.ndarray
     _index: dict | None = field(default=None, repr=False)
@@ -67,7 +68,7 @@ class SpectrumDomain:
     def __post_init__(self):
         if self.kind not in (DISCRETE_LABELS, UNIFORM_GRID):
             raise InputError(f"unknown domain kind {self.kind!r}")
-        pts = tuple(self.points)
+        pts = tuple(self.points) if self._index is None else self.points
         if not pts:
             raise InputError("domain needs at least one point")
         index = {p: i for i, p in enumerate(pts)} if self._index is None else self._index
@@ -355,7 +356,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     which ARPACK's dsaitr applies with 0.717. A vector that keeps that much
     of its norm is orthogonal to the basis to working precision after one
     pass. A non-finite Lanczos coefficient, from a matrix-vector product
-    that overflowed, raises ValueError at the step where it appears.
+    that overflowed, raises InputError at the step where it appears.
 
     Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
     new block is allocated when the last one fills, so k steps hold about
@@ -390,7 +391,8 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
             b = float(np.linalg.norm(w))
             second_passes += 1
         if not (math.isfinite(a) and math.isfinite(b)):
-            raise ValueError("array must not contain infs or NaNs")
+            raise InputError(f"Lanczos step {k + 1}: a coefficient is not finite; "
+                             "the operator overflows floating point")
         k += 1
         lo, hi = _extreme_ritz(alphas[:k], betas[:k - 1])
         scale = max(1.0, abs(lo), abs(hi))

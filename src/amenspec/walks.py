@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -114,6 +114,47 @@ def parse_group(text: str):
     raise InputError(f"unknown group spec {text!r}; use 'Z^d:<d>' or 'F:<k>'")
 
 
+class _BallWords(Sequence):
+    """A free ball's words, none stored: words[i] follows parent/step back
+    to the identity, get(word) walks right out from it one letter at a time
+    and only away from it, so a word that is not reduced is not found, and
+    words[:n] is a view of the first n words."""
+
+    def __init__(self, letters, parent, step, right, n):
+        self._letters, self._parent, self._step, self._right, self._n = (
+            letters, parent, step, right, n)
+        self._column = {s: c for c, s in enumerate(letters)}
+
+    def __len__(self):
+        return self._n
+
+    def __getitem__(self, key):
+        i = range(self._n)[key]
+        if isinstance(i, range):
+            if i.start or i.step != 1:
+                return tuple(self[j] for j in i)
+            return _BallWords(self._letters, self._parent, self._step, self._right, len(i))
+        word = []
+        while i > 0:
+            word.append(self._letters[self._step.item(i)])
+            i = self._parent.item(i)
+        return tuple(reversed(word))
+
+    def get(self, word, default=None):
+        if not isinstance(word, tuple):
+            return default
+        i = 0
+        for s in word:
+            j = self._right.item(i, self._column[s]) if s in self._column else -1
+            if j < 0 or self._parent.item(j) != i:
+                return default
+            i = j
+        return i if i < self._n else default
+
+    def __contains__(self, word):
+        return self.get(word) is not None
+
+
 @dataclass(eq=False, repr=False)
 class BallTruncation:
     """Word-metric ball enumerated breadth first; order is deterministic.
@@ -125,12 +166,17 @@ class BallTruncation:
     group.generator_names[c], or -1 when that product lies outside the ball;
     parent[i] and step[i] give the element and the generator column through
     which the search first reached elements[i] (-1 for the identity).
+
+    A lattice ball is searched with group multiplication and keeps a tuple
+    of elements and an {element: position} dict. A free ball is closed-form,
+    the Cayley graph of F_k being a tree, and its elements and index are one
+    read-only sequence that decodes words on demand.
     """
 
     group: object
     radius: int
-    elements: tuple
-    index: dict
+    elements: Sequence
+    index: object
     sphere_ends: tuple
     right: np.ndarray
     parent: np.ndarray
@@ -146,9 +192,34 @@ class BallTruncation:
         return len(self.elements)
 
 
+def _free_ball(group: FreeGroup, radius: int) -> BallTruncation:
+    """Ball of F_k in breadth-first order, one numpy pass per sphere: a
+    word's children are the columns other than the inverse of its last step,
+    in order. Column c ^ 1 is the inverse of column c; the identity's step
+    -1 excludes none."""
+    columns = np.arange(len(group.generator_names))
+    parent, step, ends = [np.array([-1])], [np.array([-1])], [0, 1]
+    for _ in range(radius):
+        rows, cols = np.nonzero(columns != (step[-1][:, None] ^ 1))
+        parent.append(rows + ends[-2])
+        step.append(cols)
+        ends.append(ends[-1] + len(cols))
+    parent, step = np.concatenate(parent), np.concatenate(step)
+    n = ends[-1]
+    right = np.full((n, len(columns)), -1, dtype=np.int64)
+    inner = np.arange(1, n)
+    right[parent[1:], step[1:]] = inner
+    right[inner, step[1:] ^ 1] = parent[1:]
+    words = _BallWords(tuple(group.generators[nm][0] for nm in group.generator_names),
+                       parent, step, right, n)
+    return BallTruncation(group, radius, words, words, tuple(ends[1:]), right, parent, step)
+
+
 def build_ball(group, radius: int) -> BallTruncation:
     if not isinstance(radius, int) or radius < 0:
         raise InputError("radius must be a nonnegative integer")
+    if isinstance(group, FreeGroup):
+        return _free_ball(group, radius)
     order = [group.identity]
     index = {group.identity: 0}
     parent, step, right, ends = [-1], [-1], [], []
@@ -311,10 +382,8 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     sizes, estimates, lowers, solved = [], [], [], []
     ball = build_ball(group, radii[-1])
     full = cayley_operator(group, weights, ball)
-    ends = ball.sphere_ends
-    del ball            # the search tables are not needed by the eigensolves
     for r in radii:
-        op = full.leading_block(ends[r])
+        op = full.leading_block(ball.sphere_ends[r])
         op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
         rep = spectral_radius(op, tol=EIGEN_TOL, max_iter=max_iter, seed=seed)
         sizes.append(op.n)

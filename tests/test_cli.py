@@ -324,6 +324,15 @@ def test_rule_parameter_must_be_finite(capsys):
         assert "finite numeric N" in rep["error"]["message"]
 
 
+def test_overflowing_walk_is_an_input_error(capsys):
+    code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "3",
+                    "--weight", "x1=1e308", "--weight", "X1=1e308")
+    assert code == 2
+    assert rep["error"]["type"] == "input"
+    assert "step 1" in rep["error"]["message"]
+    assert "operator overflows" in rep["error"]["message"]
+
+
 def test_table_rings_smaller_than_min_truncation(capsys, tmp_path):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(cyclic3_obj()))

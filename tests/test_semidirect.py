@@ -10,8 +10,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from amenspec import (InputError, bicrossed_amenability_test, canonical_pair,
+from amenspec import semidirect
+from amenspec import (InputError, LinOp, bicrossed_amenability_test, canonical_pair,
                       conj_pair, half_line_grid, in_spectrum, interval_operator,
                       interval_spectrum_test, interval_witness, pair_lattice,
                       pair_shift_operator, pair_window_operator, shift_operator)
@@ -119,6 +121,59 @@ def test_interval_operator_matches_direct_bands():
     assert op.symmetry_defect() == 0.0
 
 
+def loop_reflection_bands(n, k):
+    """The three unit bands of the shift by k, appended entry by entry."""
+    rows, cols = [], []
+    for j in range(k, n):
+        rows.append(j)
+        cols.append(j - k)
+    for j in range(0, n - k):
+        rows.append(j)
+        cols.append(j + k)
+    for j in range(0, min(k, n)):
+        rows.append(j)
+        cols.append(k - j - 1)
+    return rows, cols
+
+
+def assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("n, k", [(2, 0), (2, 1), (5, 0), (5, 2), (5, 4), (8, 3), (9, 8)])
+def test_reflection_bands_match_the_entry_loop(n, k):
+    rows, cols = loop_reflection_bands(n, k)
+    bands = semidirect._reflection_bands(n, k)
+    assert bands.dtype == np.int64 and np.array_equal(bands, [rows, cols])
+    domain = half_line_grid(1.0, float(n)).domain
+    got = LinOp.from_entries(domain, *bands, np.ones(bands.shape[1]), symmetric=True)
+    want = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    want.sum_duplicates()
+    assert_same_csr(got.matrix, want)
+
+
+def test_readme_interval_operator_matches_the_entry_loop():
+    # amenspec semidirect --grid 0.015625:64 --interval 0:1
+    g = half_line_grid(0.015625, 64.0)
+    op = interval_operator(g, 0.0, 1.0)
+    rows, cols, vals = [], [], []
+    for k in range(1, 65):
+        r, c = loop_reflection_bands(g.n, k)
+        rows += r
+        cols += c
+        vals += [g.h * QUAD] * len(r)
+    want = sp.coo_matrix((vals, (rows, cols)), shape=(g.n, g.n)).tocsr()
+    want.sum_duplicates()
+    assert_same_csr(op.matrix, want)
+    for k in (1, 32, 64):
+        rows, cols = loop_reflection_bands(g.n, k)
+        want = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n)).tocsr()
+        want.sum_duplicates()
+        assert_same_csr(shift_operator(g, k * g.h).matrix, want)
+
+
 def test_interval_endpoints_snap_outward():
     g = half_line_grid(0.25, 2.0)
     inner = interval_operator(g, 0.1, 0.9)
@@ -132,6 +187,9 @@ def test_empty_interval_gives_zero_operator():
     assert op.nnz == 0
     assert op.meta["target"] == 0.0
     assert op.meta["nodes"] == 0
+    # a < b inside the snapping slack: no band at all
+    op = interval_operator(half_line_grid(0.5, 4.0), 1.5000000001, 1.5000000002)
+    assert op.nnz == 0 and op.meta["nodes"] == 0
 
 
 def test_interval_validation():

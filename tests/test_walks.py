@@ -1,6 +1,7 @@
 """Group balls, walk operators, and the growth criterion."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -82,7 +83,7 @@ def test_ball_is_prefix_of_larger_ball():
         big = build_ball(g, 5)
         for r in range(5):
             small = build_ball(g, r)
-            assert small.elements == big.elements[:small.size]
+            assert tuple(small.elements) == tuple(big.elements[:small.size])
             assert big.sphere_ends[r] == small.size
 
 
@@ -93,6 +94,79 @@ def test_ball_right_neighbour_table():
             for c, nm in enumerate(g.generator_names):
                 want = ball.index.get(g.mul(x, g.generators[nm]), -1)
                 assert ball.right[i, c] == want
+
+
+def reference_ball(group, radius):
+    """Plain breadth-first search with group.mul: elements, parent, step,
+    right and sphere ends, in the order build_ball promises."""
+    names = group.generator_names
+    elements, index = [group.identity], {group.identity: 0}
+    parent, step, right, ends = [-1], [-1], [], [1]
+    for d in range(radius + 1):
+        for i in range(ends[d - 1] if d else 0, ends[d]):
+            for c, nm in enumerate(names):
+                y = group.mul(elements[i], group.generators[nm])
+                if y not in index and d < radius:
+                    index[y] = len(elements)
+                    elements.append(y)
+                    parent.append(i)
+                    step.append(c)
+                right.append(index.get(y, -1))
+        if d < radius:
+            ends.append(len(elements))
+    return (tuple(elements), np.array(parent), np.array(step),
+            np.array(right, dtype=np.int64).reshape(len(elements), len(names)), tuple(ends))
+
+
+@pytest.mark.parametrize("k, radii", [(0, range(4)), (1, range(9)), (2, range(9)),
+                                      (3, range(9))])
+def test_free_ball_is_the_breadth_first_search(k, radii):
+    group = FreeGroup(k)
+    for r in radii:
+        ball = build_ball(group, r)
+        elements, parent, step, right, ends = reference_ball(group, r)
+        for name, want in (("parent", parent), ("step", step), ("right", right)):
+            got = getattr(ball, name)
+            assert got.dtype == np.int64 and np.array_equal(got, want), (r, name)
+        assert ball.sphere_ends == ends
+        assert tuple(ball.elements) == elements
+    # the words were just shown equal to the domain's points
+    assert all(ball.domain.index(w) == i for i, w in enumerate(elements))
+
+
+def test_free_ball_finds_only_its_own_reduced_words():
+    ball = build_ball(FreeGroup(2), 3)
+    op = cayley_operator(ball.group, dict.fromkeys("aAbB", 1.0), ball)
+    inner = op.leading_block(ball.sphere_ends[2])
+    past_prefix = ball.elements[ball.sphere_ends[2]]
+    assert inner.domain.points[-1] == ball.elements[ball.sphere_ends[2] - 1]
+    assert past_prefix not in inner.domain.points
+    assert past_prefix in ball.index
+    with pytest.raises(InputError, match="not in domain"):
+        inner.domain.index(past_prefix)
+    for word in [(1, 1, 1, 1),          # outside the ball
+                 (1, -1), (2, 1, -1),   # not reduced
+                 (3,), (0,), ("a",),    # unknown letters
+                 [1], "a", 1, None]:    # not tuples
+        assert word not in ball.index and ball.index.get(word, -1) == -1
+        with pytest.raises(InputError, match="not in domain"):
+            ball.domain.index(word)
+    assert ball.domain.index(()) == 0 and ball.domain.index((-2, 1)) == 14
+    assert ball.elements[-1] == ball.elements[ball.size - 1]
+    assert ball.elements[2:5] == ((-1,), (2,), (-2,))
+    with pytest.raises(IndexError):
+        ball.elements[ball.size]
+
+
+def test_free_ball_keeps_no_words():
+    tracemalloc.start()
+    try:
+        ball = build_ball(FreeGroup(2), 10)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert ball.size == 118_097
+    assert live <= 12e6
 
 
 # -- walk operators -----------------------------------------------------------
@@ -339,7 +413,7 @@ def test_kesten_operators_match_fresh_builds(inputs):
     assert [op.meta["radius"] for op in solved] == radii
     for r, op in zip(radii, solved):
         elements, want, dropped = reference_walk(group, weights, r)
-        assert op.domain.points == elements
+        assert tuple(op.domain.points) == elements
         for name in ("indptr", "indices", "data"):
             got, ref = getattr(op.matrix, name), getattr(want, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name
