@@ -21,6 +21,8 @@ import os
 import sys
 import time
 
+from scipy.linalg import LinAlgError
+
 from . import __version__, fusion, semidirect, walks
 from .spectral import (CERT_TOL, DEFAULT_SEED, InputError, SpectralReport, ValidationError,
                        fingerprint, spectral_radius, truncation_sweep)
@@ -366,7 +368,7 @@ def main(argv=None) -> int:
         if o["csv"] is not None:
             _emit_csv(csv_payload, o["csv"])
         return 0
-    except ConvergenceError as e:
+    except (ConvergenceError, LinAlgError) as e:     # LAPACK non-convergence included
         _emit_error("convergence", str(e))
         return 3
     except ValidationError as e:

@@ -178,7 +178,6 @@ class PairLattice:
         self.bound = bound
         rng = range(-bound, bound + 1)
         self.classes = tuple((a, b) for a in rng for b in rng if a < b)
-        self.index = {c: i for i, c in enumerate(self.classes)}
         n = len(self.classes)
         self.domain = SpectrumDomain(DISCRETE_LABELS, self.classes,
                                      np.full(n, 2.0), np.ones(n))
@@ -190,6 +189,12 @@ class PairLattice:
 
 def pair_lattice(bound: int) -> PairLattice:
     return PairLattice(bound)
+
+
+def _class_coords(bound: int) -> tuple:
+    """Coordinates g < g' of every class of the box [-bound, bound], in class order."""
+    g, gp = np.triu_indices(2 * bound + 1, 1)
+    return g - bound, gp - bound
 
 
 def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
@@ -209,19 +214,16 @@ def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
         raise InputError("shift coordinates must be distinct")
     if not (isinstance(p, (int, float)) and np.isfinite(p) and p >= 1):
         raise InputError("exponent p must be a number >= 1")
-    rows, cols = [], []
-    dropped = 0
-    for i, (g, gp) in enumerate(pairs.classes):
-        for t in (canonical_pair(g - r, gp - rp), canonical_pair(g - rp, gp - r)):
-            if t[0] == t[1]:
-                dropped += 1
-                continue
-            j = pairs.index.get(t)
-            if j is None:
-                dropped += 1
-            else:
-                rows.append(i)
-                cols.append(j)
+    B, m = pairs.bound, 2 * pairs.bound + 1
+    g, gp = _class_coords(B)
+    cr, crp = (min(max(c, -m), m) for c in (r, rp))   # |c| >= m leaves the box; fits int64
+    # both targets of each class in turn, as (i, j) box coordinates with i <= j
+    x, y = np.stack((g - cr, g - crp), axis=1) + B, np.stack((gp - crp, gp - cr), axis=1) + B
+    i, j = np.minimum(x, y).ravel(), np.maximum(x, y).ravel()
+    keep = (i != j) & (i >= 0) & (j < m)
+    rows = np.repeat(np.arange(len(g)), 2)[keep]
+    cols = (i * m - i * (i + 1) // 2 + j - i - 1)[keep]     # the index of class (i, j)
+    dropped = int(np.count_nonzero(~keep))
     symmetric = {r, rp} == {-r, -rp}
     return LinOp.from_entries(pairs.domain, rows, cols, np.ones(len(rows)),
                               symmetric=symmetric,
@@ -250,7 +252,8 @@ def pair_window_operator(pairs: PairLattice, omega: Sequence, p: float = 1.0) ->
 
 
 def _box_witness(pairs: PairLattice, m: int) -> np.ndarray:
-    flags = np.array([max(abs(a), abs(b)) <= m for a, b in pairs.classes], dtype=float)
+    g, gp = _class_coords(pairs.bound)
+    flags = ((-g <= m) & (gp <= m)).astype(float)      # g < g', so max |.| is max(-g, g')
     total = flags.sum()
     return flags / math.sqrt(total) if total else flags
 

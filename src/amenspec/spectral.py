@@ -308,7 +308,8 @@ class _LanczosResult:
 
 
 def _extreme_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
-    """Smallest and largest eigenvalue of the tridiagonal (alphas, betas).
+    """Smallest and largest eigenvalue of the tridiagonal (alphas, betas),
+    and the dstebz output (w, iblock, isplit) of each, for _last_components.
 
     The LAPACK bisection eigvalsh_tridiagonal(select='i') runs, called
     directly: range 2 (by index), il = iu = 1 and il = iu = k, abstol 0,
@@ -317,16 +318,30 @@ def _extreme_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
     """
     k = len(alphas)
     if k == 1:
-        return float(alphas[0]), float(alphas[0])
-    out = []
+        return float(alphas[0]), float(alphas[0]), ()
+    found = []
     for i in (1, k):
-        _, w, _, _, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
-                                                      i, i, 0.0, "E")
+        _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
+                                                                i, i, 0.0, "E")
         if info != 0:
             raise scipy.linalg.LinAlgError(
                 f"dstebz (extreme Ritz values) failed with info={info}")
-        out.append(float(w[0]))
-    return out[0], out[1]
+        found.append((w[:1], iblock, isplit))
+    return float(found[0][0][0]), float(found[1][0][0]), found
+
+
+def _last_components(alphas: np.ndarray, betas: np.ndarray, found) -> tuple:
+    """|Last component| of the tridiagonal's unit eigenvectors for the values
+    _extreme_ritz found, by inverse iteration (LAPACK dstein), O(k) each. One
+    call per value (m = 1) keeps its block right when the tridiagonal splits."""
+    out = []
+    for w, iblock, isplit in found:
+        z, info = scipy.linalg.lapack.dstein(alphas, betas, w, iblock, isplit)
+        if info != 0:
+            raise scipy.linalg.LinAlgError(
+                f"dstein (extreme Ritz vectors) failed with info={info}")
+        out.append(abs(float(z[-1, 0])))
+    return tuple(out)
 
 
 def _gram_schmidt(basis: list, w: np.ndarray) -> None:
@@ -343,11 +358,12 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     The seeded Gaussian start vector has a component along every
     eigenspace, so a closed Krylov subspace (breakdown, or dimension n)
     holds every distinct eigenvalue exactly. Each step reads only the two
-    extreme Ritz values, by bisection; a stall of both is confirmed by a
-    full tridiagonal solve and the rigorous bound beta * |last Ritz
-    component| before the run stops. stop says why the run ended: the
-    subspace closed ("closure"), that bound held ("residual"), or the
-    budget ran out ("budget"); converged means one of the first two.
+    extreme Ritz values, by bisection; a stall of both is confirmed by the
+    rigorous bound beta * |last Ritz component|, those two components from
+    inverse iteration on the tridiagonal (_last_components), before the run
+    stops. stop says why the run ended: the subspace closed ("closure"),
+    that bound held ("residual"), or the budget ran out ("budget");
+    converged means one of the first two.
 
     Reorthogonalization is one classical Gram-Schmidt pass against the
     whole basis after the three-term recurrence, and a second pass only
@@ -394,7 +410,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
             raise InputError(f"Lanczos step {k + 1}: a coefficient is not finite; "
                              "the operator overflows floating point")
         k += 1
-        lo, hi = _extreme_ritz(alphas[:k], betas[:k - 1])
+        lo, hi, found = _extreme_ritz(alphas[:k], betas[:k - 1])
         scale = max(1.0, abs(lo), abs(hi))
         if b <= _BREAKDOWN * scale or k == n:
             stop = "closure"
@@ -403,8 +419,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
             stall = stall + 1 if abs(lo - prev_lo) + abs(hi - prev_hi) <= 0.01 * tol * scale else 0
             if stall >= 2:
                 # confirm with the rigorous bound beta * |last Ritz component|
-                _, Sv = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
-                res_ext = b * max(abs(Sv[-1, 0]), abs(Sv[-1, -1]))
+                res_ext = b * max(_last_components(alphas[:k], betas[:k - 1], found))
                 if res_ext <= 0.5 * tol * scale:
                     stop = "residual"
                     break

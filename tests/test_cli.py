@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg
 
 import amenspec
@@ -331,6 +332,17 @@ def test_overflowing_walk_is_an_input_error(capsys):
     assert rep["error"]["type"] == "input"
     assert "step 1" in rep["error"]["message"]
     assert "operator overflows" in rep["error"]["message"]
+
+
+def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
+    def failing(op, tol, max_iter, seed):
+        raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
+
+    monkeypatch.setattr(spectral, "_lanczos", failing)
+    code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "3")
+    assert code == 3
+    assert rep["error"] == {"type": "convergence",
+                            "message": "dstein (extreme Ritz vectors) failed with info=1"}
 
 
 def test_table_rings_smaller_than_min_truncation(capsys, tmp_path):

@@ -311,6 +311,39 @@ def test_pair_shift_validation():
         pair_shift_operator(pairs, (1, 0), p=0.5)
 
 
+def loop_pair_shift(pairs, r, rp):
+    """Rows, columns and dropped count of the class shift, appended entry by entry."""
+    index = {c: i for i, c in enumerate(pairs.classes)}
+    rows, cols, dropped = [], [], 0
+    for i, (g, gp) in enumerate(pairs.classes):
+        for t in (canonical_pair(g - r, gp - rp), canonical_pair(g - rp, gp - r)):
+            j = None if t[0] == t[1] else index.get(t)
+            if j is None:
+                dropped += 1
+            else:
+                rows.append(i)
+                cols.append(j)
+    return rows, cols, dropped
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 7, 10])
+@pytest.mark.parametrize("shift", [(0, 1), (1, 0), (-1, 0), (2, -3), (5, 9), (2 ** 70, -1)])
+def test_pair_shift_matches_the_entry_loop(bound, shift):
+    # (5, 9) leaves the small boxes entirely; 2**70 does not fit in int64
+    pairs = pair_lattice(bound)
+    rows, cols, dropped = loop_pair_shift(pairs, *shift)
+    op = pair_shift_operator(pairs, shift)
+    n = pairs.size
+    want = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    want.sum_duplicates()
+    assert_same_csr(op.matrix, want)
+    assert op.meta["dropped"] == dropped
+    for m in range(1, bound + 2):
+        flags = np.array([max(abs(a), abs(b)) <= m for a, b in pairs.classes], dtype=float)
+        total = flags.sum()
+        assert np.array_equal(semidirect._box_witness(pairs, m), flags / math.sqrt(total))
+
+
 def test_pair_window_is_upper_triangle_adjacency():
     # window {(0,1), (-1,0)}: each class meets its four lattice neighbors
     # inside the strict upper triangle; compare to plain geometry

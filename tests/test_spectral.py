@@ -13,13 +13,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from amenspec import (CERT_TOL, DISCRETE_LABELS, UNIFORM_GRID, InputError, LinOp,
                       SpectrumDomain, ZLattice, build_ball, cayley_operator,
-                      fingerprint, in_spectrum, residual, spectral,
-                      spectral_radius, truncation_sweep)
+                      fingerprint, in_spectrum, pair_lattice, pair_window_operator,
+                      residual, spectral, spectral_radius, truncation_sweep)
 
 
 def make_domain(n):
@@ -288,7 +288,48 @@ def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
     d, e = np.array(diag), np.array(off)
     want = tuple(float(scipy.linalg.eigvalsh_tridiagonal(
         d, e, select="i", select_range=(i, i))[0]) for i in (0, k - 1))
-    assert spectral._extreme_ritz(d, e) == want
+    assert spectral._extreme_ritz(d, e)[:2] == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 300), st.integers(0, 2 ** 32 - 1), st.booleans(), st.booleans(),
+       st.data())
+def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, constant, split,
+                                                                 data):
+    rng = np.random.default_rng(seed)
+    d = np.full(k, rng.standard_normal()) if constant else rng.standard_normal(k)
+    e = rng.standard_normal(k - 1)
+    if split:
+        e[data.draw(st.integers(0, k - 2))] = 0.0
+    w, S = scipy.linalg.eigh_tridiagonal(d, e)
+    # an extreme eigenvalue that is (nearly) repeated has no one eigenvector
+    scale = max(1.0, float(np.abs(w).max()))
+    assume(min(w[1] - w[0], w[-1] - w[-2]) >= 1e-3 * scale)
+    got = spectral._last_components(d, e, spectral._extreme_ritz(d, e)[2])
+    assert np.allclose(got, (abs(S[-1, 0]), abs(S[-1, -1])), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
+    lambda: cayley_operator(ZLattice(2), {g: 1.0 for g in ZLattice(2).generator_names},
+                            build_ball(ZLattice(2), 20))])
+def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeypatch):
+    op = build()
+    fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300, 7)
+    calls = []
+
+    def full_solve(alphas, betas, found):
+        """The stall test's last components from every eigenvector of the tridiagonal."""
+        calls.append(len(alphas))
+        _, S = scipy.linalg.eigh_tridiagonal(alphas, betas)
+        return abs(S[-1, 0]), abs(S[-1, -1])
+
+    monkeypatch.setattr(spectral, "_last_components", full_solve)
+    slow = spectral._lanczos(op, spectral.EIGEN_TOL, 300, 7)
+    assert calls and slow.stop == "residual"       # the stall test did run
+    assert (fast.iterations, fast.stop, fast.second_passes) == \
+        (slow.iterations, slow.stop, slow.second_passes)
+    assert np.array_equal(fast.thetas, slow.thetas)
 
 
 class CountingMatrix:
