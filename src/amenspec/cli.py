@@ -192,8 +192,9 @@ def _run_bicrossed(o: dict):
     omega = sorted({fwd, semidirect.canonical_pair(-shift[0], -shift[1])})
     verdict = semidirect.bicrossed_amenability_test(bounds, omega, tol=o["tol"],
                                                     seed=o["seed"])
-    # a sweep verdict carries no operator: rebuild the largest box to report on
+    # a sweep verdict carries no operator: rebuild the largest box, solve it, report on it
     op = semidirect.pair_window_operator(semidirect.pair_lattice(bounds[-1]), omega)
+    verdict.spectral = spectral_radius(op, seed=o["seed"])
     return ({"bound": bounds, "shift": list(shift), "window": [list(s) for s in omega]},
             op, verdict)
 
@@ -213,7 +214,9 @@ def _report(cmd: str, o: dict, echo: dict, op, result):
     if isinstance(result, SpectralReport):       # a sweep reports no verdict
         rep, trace = result, result.truncation_trace
     else:
-        rep = result.spectral or spectral_radius(op, seed=o["seed"])
+        rep = result.spectral
+        if rep is None:                          # the certificate's Lanczos run failed
+            raise ConvergenceError("; ".join(result.errors))
         report["verdict"] = result.to_dict()
         notes = result.notes                     # walk: one estimate per ball
         trace = (list(zip(notes["ball_sizes"], notes["radius_estimates"]))

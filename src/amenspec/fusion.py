@@ -7,8 +7,8 @@ same rule with N = 2 gives the classical SU(2) ring (d_k = k + 1) and with
 integer N >= 3 the free orthogonal family, whose dimensions grow
 geometrically. Dimension arithmetic that has to be exact (bookkeeping,
 table axiom checks) runs over Python integers whenever the dimensions are
-integral; the float copies stored on the domain are allowed to overflow
-for deep truncations.
+integral; their float values (FusionRing.dim) overflow to inf for deep
+truncations.
 
 Operators act on the span of the first `trunc` labels: the entry at
 (beta, alpha) is the multiplicity of beta inside kappa (x) alpha, and
@@ -217,15 +217,6 @@ class FusionRing:
         except OverflowError:
             return float("inf")
 
-    def dim_vector(self, trunc: int) -> np.ndarray:
-        out = np.empty(trunc)
-        for k in range(trunc):
-            try:
-                out[k] = float(self._dim_at(k))
-            except OverflowError:
-                out[k] = np.inf
-        return out
-
     # -- decomposition -------------------------------------------------------
 
     def decompose(self, kappa: str, alpha: str) -> dict:
@@ -253,8 +244,7 @@ class FusionRing:
     def domain(self, trunc: int) -> SpectrumDomain:
         if not 1 <= trunc <= self.size:
             raise InputError(f"trunc must be in [1, {self.size}], got {trunc}")
-        return SpectrumDomain(DISCRETE_LABELS, self.labels[:trunc],
-                              self.dim_vector(trunc), np.ones(trunc))
+        return SpectrumDomain(DISCRETE_LABELS, self.labels[:trunc], np.ones(trunc))
 
     def describe(self) -> dict:
         if self.kind == "table":

@@ -46,8 +46,7 @@ class HalfLineGrid:
         self.max_r = float(max_r)
         self.n = n
         pts = tuple((j + 0.5) * self.h for j in range(n))
-        self.domain = SpectrumDomain(UNIFORM_GRID, pts,
-                                     np.full(n, 2.0), np.full(n, self.h * _QUAD_DENSITY))
+        self.domain = SpectrumDomain(UNIFORM_GRID, pts, np.full(n, self.h * _QUAD_DENSITY))
 
     def snap(self, r: float) -> int:
         """Nearest positive multiple of h, in cell units, rounding half up."""
@@ -179,8 +178,7 @@ class PairLattice:
         rng = range(-bound, bound + 1)
         self.classes = tuple((a, b) for a in rng for b in rng if a < b)
         n = len(self.classes)
-        self.domain = SpectrumDomain(DISCRETE_LABELS, self.classes,
-                                     np.full(n, 2.0), np.ones(n))
+        self.domain = SpectrumDomain(DISCRETE_LABELS, self.classes, np.ones(n))
 
     @property
     def size(self) -> int:
@@ -268,8 +266,9 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     (fiber dimension times window count). Witnesses are normalized box
     indicators at three scales plus the Ritz route. notes additionally
     reports the plain window count |omega| as a secondary membership check
-    at the final bound. errors lists the route errors of every certificate,
-    each prefixed with its bound or with "secondary".
+    at the final bound, on that bound's Lanczos run. errors lists the route
+    errors of every certificate, each prefixed with its bound or with
+    "secondary".
     """
     if isinstance(bounds, int):
         bounds = [bounds]
@@ -303,7 +302,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
         errors += [f"bound {b}: {e}" for e in here.errors]
         if b == bounds[-1]:
             sec = in_spectrum(op, float(len(omega)), tol=tol, seed=seed,
-                              max_iter=max_iter)
+                              max_iter=max_iter, reuse=here)
             secondary = {"target": sec.target, "best_residual": sec.best_residual,
                          "certified": sec.certified, "witness_id": sec.witness_id,
                          "gap_hint": sec.gap_hint}

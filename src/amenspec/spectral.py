@@ -51,17 +51,17 @@ class ValidationError(ValueError):
 class SpectrumDomain:
     """Truncated, discretized model of a representation spectrum with measure.
 
-    points carry per-point dimension weights (the function dim) and
-    quadrature weights (the measure of the atom or cell). Order is stable:
-    identical construction input gives an identical point list. _index takes
-    a {point: position} map the builder already holds instead of hashing
-    the points again; it may map points past the end, so prefixes share it.
-    Points come with their _index as any read-only sequence, else as a tuple.
+    points carry quadrature weights (the measure of the atom or cell);
+    dimensions stay with the builder, exact ones with the fusion ring.
+    Order is stable: identical construction input gives an identical point
+    list. _index takes a {point: position} map the builder already holds
+    instead of hashing the points again; it may map points past the end, so
+    prefixes share it. Points come with their _index as any read-only
+    sequence, else as a tuple.
     """
 
     kind: str
     points: Sequence
-    dim_weight: np.ndarray
     quad_weight: np.ndarray
     _index: dict | None = field(default=None, repr=False)
 
@@ -74,24 +74,15 @@ class SpectrumDomain:
         index = {p: i for i, p in enumerate(pts)} if self._index is None else self._index
         if len(index) < len(pts):
             raise InputError("domain points must be unique")
-        dw = np.array(self.dim_weight, dtype=float)
         qw = np.array(self.quad_weight, dtype=float)
-        if dw.shape != (len(pts),) or qw.shape != (len(pts),):
-            raise InputError("weight vectors must match the point list")
-        if np.any(np.isnan(dw)) or not np.all(np.isfinite(qw)):
-            # dim weights may overflow to +inf for deep fusion truncations;
-            # exact arithmetic lives with the ring, not the domain vector
-            raise InputError("weights must be well defined and quadrature finite")
+        if qw.shape != (len(pts),):
+            raise InputError("quadrature weights must match the point list")
+        if not np.all(np.isfinite(qw)):
+            raise InputError("quadrature weights must be finite")
         if np.any(qw <= 0):
             raise InputError("quadrature weights must be positive")
-        if self.kind == DISCRETE_LABELS and np.any(dw < 1):
-            raise InputError("dimension weights must be >= 1 on discrete domains")
-        if np.any(dw <= 0):
-            raise InputError("dimension weights must be positive")
-        dw.setflags(write=False)
         qw.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "dim_weight", dw)
         object.__setattr__(self, "quad_weight", qw)
         object.__setattr__(self, "_index", index)
 
@@ -133,7 +124,6 @@ class LinOp:
         self.symmetric = bool(symmetric)
         self.boundary_policy = boundary_policy
         self.meta = dict(meta or {})
-        self._kept_lanczos = None      # see _lanczos_once
         if self.symmetric:
             defect = self.symmetry_defect()
             if defect > symmetry_tol:
@@ -189,8 +179,7 @@ class LinOp:
         if n == self.n:
             return self
         d = self.domain
-        domain = SpectrumDomain(d.kind, d.points[:n], d.dim_weight[:n], d.quad_weight[:n],
-                                _index=d._index)
+        domain = SpectrumDomain(d.kind, d.points[:n], d.quad_weight[:n], _index=d._index)
         return LinOp(domain, self.matrix[:n, :n], symmetric=self.symmetric)
 
     def to_dense(self, limit: int = 2000) -> np.ndarray:
@@ -225,6 +214,11 @@ class SpectralReport:
 
 @dataclass
 class MembershipCertificate:
+    """Result of in_spectrum. spectral is the SpectralReport of its Lanczos
+    run, None when that run failed; to_dict leaves it out. _run keeps the
+    run, as (op, seed, max_iter, run or route error), for in_spectrum's
+    reuse=."""
+
     target: float
     tolerance: float
     best_residual: float
@@ -232,6 +226,8 @@ class MembershipCertificate:
     certified: bool
     gap_hint: float
     errors: list = field(default_factory=list)   # "route: message", one per failed route
+    spectral: SpectralReport | None = field(default=None, repr=False, compare=False)
+    _run: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -249,8 +245,10 @@ class MembershipCertificate:
 class AmenabilityVerdict:
     """Verdict of a membership test. errors lists, as "route: message",
     every route error of the certificates the test ran. operator is the
-    LinOp it tested and spectral its SpectralReport, when the test hands
-    them back for reporting; to_dict leaves both out."""
+    LinOp it tested and spectral the SpectralReport of the one solve of
+    operator, when the test hands them back for reporting; a bicrossed
+    sweep tests several operators and leaves both None. to_dict leaves
+    both out."""
 
     target: float
     tolerance: float
@@ -267,10 +265,12 @@ class AmenabilityVerdict:
     def from_certificate(cls, cert: MembershipCertificate, notes: dict,
                          operator: LinOp | None = None,
                          errors: list | None = None) -> "AmenabilityVerdict":
-        """The verdict of cert; errors defaults to the certificate's own."""
+        """The verdict of cert; errors defaults to the certificate's own.
+        Handed the operator cert tested, it also takes cert's SpectralReport."""
         return cls(cert.target, cert.tolerance, cert.best_residual, cert.certified,
                    cert.witness_id, cert.gap_hint, notes,
-                   list(cert.errors) if errors is None else errors, operator)
+                   list(cert.errors) if errors is None else errors, operator,
+                   None if operator is None else cert.spectral)
 
     def to_dict(self) -> dict:
         return {
@@ -438,24 +438,9 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, stop, second_passes)
 
 
-def _lanczos_once(op: LinOp, tol: float, max_iter: int, seed: int,
-                  keep: bool) -> _LanczosResult:
-    """_lanczos, reusing the run an earlier call kept on op with the same arguments.
-
-    A kept run is taken off op either way, so it never outlives the next
-    solve on op; keep=True puts this run back for the call after it.
-    """
-    args = (tol, max_iter, seed)
-    kept, op._kept_lanczos = op._kept_lanczos, None
-    res = kept[1] if kept is not None and kept[0] == args else _lanczos(op, *args)
-    if keep:
-        op._kept_lanczos = (args, res)
-    return res
-
-
 def _check_solver_args(tol: float, max_iter: int) -> None:
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise InputError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
         raise InputError("max_iter must be at least 1")
 
@@ -473,14 +458,17 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
     Krylov subspace closed, or the operator is zero), "residual" (the
     residual bound on the extreme Ritz values met tol) or "budget".
     radius_lower_bound is the Rayleigh quotient of the extreme Ritz vector,
-    recomputed in the original space, hence a rigorous lower bound. Reuses
-    the Lanczos run of an earlier in_spectrum call on op with the same seed
-    and budget.
+    recomputed in the original space, hence a rigorous lower bound.
     """
     _check_solver_args(tol, max_iter)
+    return _radius_report(op, _lanczos(op, tol, max_iter, seed) if op.nnz else None)
+
+
+def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
+    """The SpectralReport of the Lanczos run res on op. The zero operator
+    has a fixed one, whatever run was made on it, if any."""
     if op.nnz == 0:
         return SpectralReport(0.0, 0.0, [0.0], 0, True, "closure")
-    res = _lanczos_once(op, tol, max_iter, seed, keep=False)
     thetas = res.thetas
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
     lower = abs(float(u @ op.apply(u)))
@@ -516,7 +504,8 @@ def residual(op: LinOp, target: float, v) -> float:
 
 def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 witnesses: Iterable | None = None, seed: int = DEFAULT_SEED,
-                max_iter: int = 300) -> MembershipCertificate:
+                max_iter: int = 300,
+                reuse: MembershipCertificate | None = None) -> MembershipCertificate:
     """Residual-based membership certificate for target in the spectrum.
 
     Residuals are evaluated over three routes, in order: the supplied
@@ -531,13 +520,19 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     distance from target to the nearest Ritz value found, the Rayleigh
     quotient of the shift-invert vector counting as one. errors lists, as
     "route: message", each route that produced no vector: a LinAlgError
-    from the eigensolver, an exactly singular factor. The Lanczos run is
-    kept on op for the next in_spectrum or spectral_radius call with
-    the same seed and budget.
+    from the eigensolver, an exactly singular factor.
+
+    The certificate's spectral is the SpectralReport of its Lanczos run,
+    equal to spectral_radius(op, seed=seed, max_iter=max_iter). reuse, an
+    earlier certificate on op with the same seed and max_iter, supplies
+    that run (or its failure) instead of a new solve; a certificate on
+    another operator, seed or budget is an InputError.
     """
     if not op.symmetric:
         raise InputError("membership certificates require a symmetric operator")
     _check_solver_args(tol, max_iter)
+    if reuse is not None and reuse._run[:3] != (op, seed, max_iter):
+        raise InputError("reuse needs a certificate on the same operator, seed and max_iter")
 
     best_res = np.inf
     best_id = None
@@ -557,15 +552,23 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
 
     gap = np.inf
     errors = []
-    try:
-        res = _lanczos_once(op, EIGEN_TOL, max_iter, seed, keep=True)
-        dist = np.abs(res.thetas - target)
+    spectral = None
+    if reuse is not None:
+        run = reuse._run[3]
+    else:
+        try:
+            run = _lanczos(op, EIGEN_TOL, max_iter, seed)
+        except scipy.linalg.LinAlgError as e:
+            run = f"lanczos-ritz: {e}"   # the certificate rests on the witnesses
+    if isinstance(run, str):
+        errors.append(run)
+    else:
+        spectral = _radius_report(op, run)
+        dist = np.abs(run.thetas - target)
         gap = float(dist.min())
-        r = residual(op, target, res.ritz_vector(int(np.argmin(dist))))
+        r = residual(op, target, run.ritz_vector(int(np.argmin(dist))))
         if r < best_res:
             best_res, best_id = r, "lanczos-ritz"
-    except scipy.linalg.LinAlgError as e:
-        errors.append(f"lanczos-ritz: {e}")  # the certificate rests on the witnesses
 
     if best_res > tol and op.nnz:
         # interior targets: extremal Ritz pairs miss them, inverse iteration
@@ -590,7 +593,8 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
 
     certified = bool(best_res <= tol)
     return MembershipCertificate(float(target), float(tol), float(best_res),
-                                 best_id, certified, float(gap), errors)
+                                 best_id, certified, float(gap), errors, spectral,
+                                 (op, seed, max_iter, run))
 
 
 def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,

@@ -19,7 +19,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .spectral import (DEFAULT_SEED, DISCRETE_LABELS, EIGEN_TOL, AmenabilityVerdict,
-                       InputError, LinOp, SpectrumDomain, spectral_radius)
+                       InputError, LinOp, SpectrumDomain, _check_solver_args,
+                       spectral_radius)
 
 
 class ZLattice:
@@ -184,7 +185,7 @@ class BallTruncation:
 
     def __post_init__(self):
         n = len(self.elements)
-        self.domain = SpectrumDomain(DISCRETE_LABELS, self.elements, np.ones(n), np.ones(n),
+        self.domain = SpectrumDomain(DISCRETE_LABELS, self.elements, np.ones(n),
                                      _index=self.index)
 
     @property
@@ -339,8 +340,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     if not radii or any(r <= 0 for r in radii) or any(
             b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be strictly increasing positive integers")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    _check_solver_args(tol, max_iter)
 
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}

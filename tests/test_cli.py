@@ -13,7 +13,8 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 import amenspec
-from amenspec import AmenabilityVerdict, __version__, fusion, semidirect, spectral, walks
+from amenspec import (AmenabilityVerdict, __version__, fingerprint, fusion, semidirect,
+                      spectral, spectral_radius, walks)
 from amenspec.cli import _COMMANDS, CONFIG_ENV, _build_parser, _flags, main
 
 
@@ -200,6 +201,39 @@ def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch
         assert len(keys) == len(set(keys)), argv
 
 
+def _rebuilt_operator(cmd, config):
+    """The operator a verdict command reports on, rebuilt from its config echo."""
+    if cmd == "fusion":
+        ring = config["ring"]
+        return fusion.window_operator(fusion.free_su2_ring(ring["N"], ring["level"]),
+                                      config["omega"], config["trunc"])
+    if cmd == "semidirect":
+        grid = semidirect.half_line_grid(config["grid"]["h"], config["grid"]["max_r"])
+        return semidirect.interval_operator(grid, *config["interval"])
+    if cmd == "walk":
+        name = config["group"]                     # "Z^d" or "F_k"
+        group = (walks.FreeGroup if name.startswith("F_") else walks.ZLattice)(int(name[2:]))
+        weights = config["weight"] or {nm: 1.0 for nm in group.generator_names}
+        return walks.cayley_operator(group, weights, walks.build_ball(group, config["radius"]))
+    pairs = semidirect.pair_lattice(config["bound"][-1])
+    return semidirect.pair_window_operator(pairs, [tuple(s) for s in config["window"]])
+
+
+@pytest.mark.parametrize("argv", [
+    ("fusion", "--ring", "free-su2", "--N", "3", "--trunc", "64", "--omega", "a1"),
+    ("semidirect", "--interval", "0:1", "--grid", "0.25:16"),
+    ("semidirect", "--interval", "0.5:0.5", "--grid", "0.25:16"),
+    ("walk", "--group", "F:2", "--radius", "3", "--weight", "a=1", "--weight", "A=1"),
+    ("bicrossed", "--bound", "3,5", "--shift", "0,1", "--seed", "11"),
+])
+def test_spectral_block_is_the_solve_of_the_reported_operator(capsys, argv):
+    code, rep = run(capsys, *argv)
+    assert code == 0
+    op = _rebuilt_operator(argv[0], rep["config"])
+    assert fingerprint(op) == rep["operator"]
+    assert rep["spectral"] == spectral_radius(op, seed=rep["config"]["seed"]).to_dict()
+
+
 # -- determinism --------------------------------------------------------------
 
 
@@ -343,6 +377,37 @@ def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
     assert code == 3
     assert rep["error"] == {"type": "convergence",
                             "message": "dstein (extreme Ritz vectors) failed with info=1"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("fusion", "--ring", "free-su2", "--N", "3", "--trunc", "64", "--omega", "a1"),
+    ("semidirect", "--interval", "0:1", "--grid", "0.25:16"),
+])
+def test_certificate_solver_failure_is_a_convergence_error(capsys, monkeypatch, argv):
+    # the certificate falls back to its witnesses, but the report has no solve
+    def failing(op, tol, max_iter, seed):
+        raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
+
+    monkeypatch.setattr(spectral, "_lanczos", failing)
+    code, rep = run(capsys, *argv)
+    assert code == 3
+    assert rep["error"]["type"] == "convergence"
+    assert "dstein (extreme Ritz vectors) failed with info=1" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("argv", [
+    ("fusion", "--ring", "free-su2", "--N", "3", "--trunc", "32", "--omega", "a1"),
+    ("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--sizes", "10,20"),
+    ("walk", "--group", "Z^d:1", "--radius", "3"),
+    ("semidirect", "--interval", "0:1", "--grid", "0.25:16"),
+    ("bicrossed", "--bound", "3", "--shift", "0,1"),
+])
+def test_non_finite_tol_is_an_input_error(capsys, argv, tol):
+    code, rep = run(capsys, *argv, "--tol", tol)
+    assert code == 2
+    assert rep["error"]["type"] == "input"
+    assert "tol must be positive and finite" in rep["error"]["message"]
 
 
 def test_table_rings_smaller_than_min_truncation(capsys, tmp_path):

@@ -41,7 +41,6 @@ def test_grid_layout():
     g = half_line_grid(1.0, 4.0)
     assert g.n == 4
     assert g.domain.points == (0.5, 1.5, 2.5, 3.5)
-    assert np.all(g.domain.dim_weight == 2.0)
     assert np.allclose(g.domain.quad_weight, QUAD)
 
 
@@ -263,7 +262,7 @@ def test_pair_lattice_enumeration():
     assert pairs.size == 10               # 5 choose 2
     assert all(a < b for a, b in pairs.classes)
     assert len(set(pairs.classes)) == 10
-    assert np.all(pairs.domain.dim_weight == 2.0)
+    assert np.all(pairs.domain.quad_weight == 1.0)
     with pytest.raises(InputError):
         pair_lattice(0)
     with pytest.raises(InputError):

@@ -23,7 +23,7 @@ from amenspec import (CERT_TOL, DISCRETE_LABELS, UNIFORM_GRID, InputError, LinOp
 
 
 def make_domain(n):
-    return SpectrumDomain(DISCRETE_LABELS, tuple(range(n)), np.ones(n), np.ones(n))
+    return SpectrumDomain(DISCRETE_LABELS, tuple(range(n)), np.ones(n))
 
 
 def path_operator(n):
@@ -51,37 +51,30 @@ def test_domain_basic():
 
 def test_domain_rejects_bad_input():
     with pytest.raises(InputError):
-        SpectrumDomain("nonsense", (0, 1), np.ones(2), np.ones(2))
+        SpectrumDomain("nonsense", (0, 1), np.ones(2))
     with pytest.raises(InputError):
-        SpectrumDomain(DISCRETE_LABELS, (0, 0), np.ones(2), np.ones(2))
+        SpectrumDomain(DISCRETE_LABELS, (0, 0), np.ones(2))
     with pytest.raises(InputError):
-        SpectrumDomain(DISCRETE_LABELS, (), np.empty(0), np.empty(0))
+        SpectrumDomain(DISCRETE_LABELS, (), np.empty(0))
     with pytest.raises(InputError):
-        SpectrumDomain(DISCRETE_LABELS, (0, 1), np.array([1.0, 0.5]), np.ones(2))
+        SpectrumDomain(DISCRETE_LABELS, (0, 1), np.array([1.0, 0.0]))
     with pytest.raises(InputError):
-        SpectrumDomain(DISCRETE_LABELS, (0, 1), np.ones(2), np.array([1.0, 0.0]))
+        SpectrumDomain(DISCRETE_LABELS, (0, 1), np.ones(3))
     with pytest.raises(InputError):
-        SpectrumDomain(DISCRETE_LABELS, (0, 1), np.ones(3), np.ones(2))
+        SpectrumDomain(UNIFORM_GRID, (0.5, 1.5), np.array([1.0, np.inf]))
     with pytest.raises(InputError):
-        SpectrumDomain(UNIFORM_GRID, (0.5, 1.5), np.ones(2), np.array([1.0, np.inf]))
+        SpectrumDomain(UNIFORM_GRID, (0.5, 1.5), np.array([1.0, np.nan]))
 
 
 def test_domain_adopts_a_given_index():
     index = {"a": 0, "b": 1, "c": 2}
-    d = SpectrumDomain(DISCRETE_LABELS, ("a", "b"), np.ones(2), np.ones(2), _index=index)
+    d = SpectrumDomain(DISCRETE_LABELS, ("a", "b"), np.ones(2), _index=index)
     assert d._index is index
     assert d.index("b") == 1
     with pytest.raises(InputError, match="not in domain"):
         d.index("c")            # mapped by the shared index, but past this prefix
     with pytest.raises(InputError, match="unique"):
-        SpectrumDomain(DISCRETE_LABELS, ("a", "a"), np.ones(2), np.ones(2), _index={"a": 0})
-
-
-def test_domain_allows_overflowed_dim_weights():
-    # deep fusion truncations overflow the float dims; the domain keeps going
-    d = SpectrumDomain(DISCRETE_LABELS, ("p", "q"), np.array([2.0, np.inf]),
-                       np.ones(2))
-    assert d.dim_weight[1] == np.inf
+        SpectrumDomain(DISCRETE_LABELS, ("a", "a"), np.ones(2), _index={"a": 0})
 
 
 # -- operator construction ----------------------------------------------------
@@ -360,6 +353,16 @@ def test_radius_rejects_bad_tol():
         spectral_radius(path_operator(3), tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf])
+def test_solvers_reject_non_finite_tol(tol):
+    with pytest.raises(InputError, match="finite"):
+        spectral_radius(path_operator(3), tol=tol)
+    with pytest.raises(InputError, match="finite"):
+        in_spectrum(path_operator(3), 1.0, tol=tol)
+    with pytest.raises(InputError, match="finite"):
+        truncation_sweep(path_operator(20), [10, 20], tol=tol)
+
+
 @pytest.mark.parametrize("max_iter", [0, -5])
 def test_solvers_reject_empty_budget(max_iter):
     op = path_operator(50)
@@ -529,20 +532,56 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
     orig = spectral._lanczos
 
     def counting(op, tol, max_iter, seed):
-        solved.append((op, seed))
+        solved.append(op)
         return orig(op, tol, max_iter, seed)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
+    zero = LinOp.from_entries(make_domain(5), [], [], [], symmetric=True)
+    for op, target in ((path_operator(400), 3.0), (path_operator(400), 1.0), (zero, 0.5)):
+        solved.clear()
+        cert = in_spectrum(op, target, max_iter=120)
+        assert solved == [op]
+        assert "spectral" not in cert.to_dict()
+        assert cert.spectral.to_dict() == spectral_radius(op, max_iter=120).to_dict()
+
+        # a reused run makes no solve and the same certificate
+        solved.clear()
+        again = in_spectrum(op, 2.0 * target, max_iter=120, reuse=cert)
+        assert solved == []
+        assert again.to_dict() == in_spectrum(op, 2.0 * target, max_iter=120).to_dict()
+        assert again.spectral.to_dict() == cert.spectral.to_dict()
+
+
+def test_reuse_needs_the_same_operator_seed_and_budget():
+    op = path_operator(60)
+    cert = in_spectrum(op, 1.0)
+    for other, kw in ((path_operator(60), {}), (op, {"seed": 8}), (op, {"max_iter": 299})):
+        with pytest.raises(InputError, match="reuse"):
+            in_spectrum(other, 1.0, reuse=cert, **kw)
+    with pytest.raises(InputError, match="reuse"):
+        in_spectrum(op, 1.0, reuse=spectral.MembershipCertificate(1.0, 0.1, 0.0, None, True, 0.0))
+
+
+def test_reuse_carries_a_failed_run(monkeypatch):
+    def failing(op, tol, max_iter, seed):
+        raise scipy.linalg.LinAlgError("tridiagonal solve did not converge")
+
+    monkeypatch.setattr(spectral, "_lanczos", failing)
+    op = path_operator(50)
+    cert = in_spectrum(op, 1.0)
+    again = in_spectrum(op, 1.5, reuse=cert)
+    assert cert.spectral is None and again.spectral is None
+    assert again.errors == ["lanczos-ritz: tridiagonal solve did not converge"]
+
+
+def test_radius_follows_a_reassigned_matrix():
+    # a solve describes the matrix the operator holds when it runs
     op = path_operator(400)
     in_spectrum(op, 3.0)
-    in_spectrum(op, 1.0)
-    rep = spectral_radius(op)
-    assert [s for o, s in solved if o is op] == [7]
-    assert rep.to_dict() == spectral_radius(path_operator(400)).to_dict()
-    # the radius call used up the kept run; other seeds never saw it
-    spectral_radius(op)
-    in_spectrum(op, 3.0, seed=8)
-    assert [s for o, s in solved if o is op] == [7, 7, 8]
+    op.matrix = 2 * op.matrix
+    fresh = path_operator(400)
+    fresh.matrix = 2 * fresh.matrix
+    assert spectral_radius(op).to_dict() == spectral_radius(fresh).to_dict()
 
 
 def test_membership_certificate_soundness_against_dense():
