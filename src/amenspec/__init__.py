@@ -7,9 +7,8 @@ rigorous for symmetric operators; the negative direction is only ever
 hinted at through spectral gaps of the truncation.
 """
 
-from .spectral import (CERT_TOL, DEFAULT_SEED, DISCRETE_LABELS, EIGEN_TOL,
-                       UNIFORM_GRID, ZERO_PAD, AmenabilityVerdict, InputError,
-                       LinOp, MembershipCertificate, SpectralReport,
+from .spectral import (CERT_TOL, DEFAULT_SEED, EIGEN_TOL, AmenabilityVerdict,
+                       InputError, LinOp, MembershipCertificate, SpectralReport,
                        SpectrumDomain, ValidationError, fingerprint,
                        in_spectrum, residual, spectral_radius, truncation_sweep)
 from .fusion import (FREE_SU2, FusionRing, RingDescriptor, coamenability_test,
@@ -29,11 +28,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmenabilityVerdict", "BallTruncation", "CERT_TOL", "DEFAULT_SEED",
-    "DISCRETE_LABELS", "EIGEN_TOL", "FREE_SU2", "FreeGroup", "FusionRing",
-    "HalfLineGrid", "InputError", "LinOp", "MembershipCertificate",
-    "PairLattice", "RingDescriptor", "SpectralReport", "SpectrumDomain",
-    "UNIFORM_GRID", "ValidationError", "ZERO_PAD", "ZLattice",
-    "bicrossed_amenability_test", "build_ball", "canonical_pair",
+    "EIGEN_TOL", "FREE_SU2", "FreeGroup", "FusionRing", "HalfLineGrid",
+    "InputError", "LinOp", "MembershipCertificate", "PairLattice",
+    "RingDescriptor", "SpectralReport", "SpectrumDomain", "ValidationError",
+    "ZLattice", "bicrossed_amenability_test", "build_ball", "canonical_pair",
     "cayley_operator", "coamenability_test", "conj_pair",
     "dim_bookkeeping_check", "fingerprint", "free_su2_ring", "fusion_operator",
     "half_line_grid", "in_spectrum", "interval_operator",

@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spectral import (CERT_TOL, DEFAULT_SEED, DISCRETE_LABELS, AmenabilityVerdict,
-                       InputError, LinOp, SpectrumDomain, ValidationError, in_spectrum)
+from .spectral import (CERT_TOL, DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
+                       SpectrumDomain, ValidationError, in_spectrum)
 
 FREE_SU2 = "free-su2"
 _TABLE_FIELDS = {"kind", "labels", "dims", "conj", "fusion"}
@@ -33,7 +33,6 @@ _RULE_FIELDS = {"kind", "rule", "N", "level"}
 _PROBE_RANDOM = 200
 _PROBE_RNG_SEED = 987654321
 _REL_TOL = 1e-9
-_CROSSCHECK_LIMIT = 200
 
 # The rule family satisfies every ring axiom for each finite N >= 2, so a
 # rule descriptor is reported against these rows, in the table order,
@@ -244,7 +243,7 @@ class FusionRing:
     def domain(self, trunc: int) -> SpectrumDomain:
         if not 1 <= trunc <= self.size:
             raise InputError(f"trunc must be in [1, {self.size}], got {trunc}")
-        return SpectrumDomain(DISCRETE_LABELS, self.labels[:trunc], np.ones(trunc))
+        return SpectrumDomain(self.labels[:trunc])
 
     def describe(self) -> dict:
         if self.kind == "table":
@@ -367,8 +366,10 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
     """Tensoring-by-kappa multiplicity operator on the first trunc labels.
 
     Entry (beta, alpha) is mult(beta in kappa (x) alpha). Symmetric exactly
-    when kappa is self-conjugate. Built entries are cross-checked against
-    the dual decomposition through conj(kappa) on small truncations.
+    when kappa is self-conjugate. The dual route, mult(alpha in conj(kappa)
+    (x) beta), agrees entry by entry without a check here: that is the
+    Frobenius reciprocity load_ring validates on the whole table, and rule
+    rings satisfy it through their symmetric triangle condition.
     """
     ki = ring.index(kappa)
     dom = ring.domain(trunc)
@@ -384,19 +385,9 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
                 dropped += m
         dropped += ring.clip_count(ki, j)
     symmetric = ring.conj(kappa) == kappa
-    op = LinOp.from_entries(dom, rows, cols, vals, symmetric=symmetric,
-                            meta={"kappa": kappa, "trunc": trunc,
-                                  "dropped": dropped, "ring": ring.describe()})
-    if trunc <= _CROSSCHECK_LIMIT:
-        kc = ring.index(ring.conj(kappa))
-        coo = op.matrix.tocoo()
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            dual = dict(ring.decompose_indices(kc, int(i))).get(j, 0)
-            if dual != int(v):
-                raise ValidationError(
-                    "fusion multiplicities", f"entry ({ring.labels[i]}, {ring.labels[j]}) "
-                    f"= {float(v)} disagrees with the dual route {dual}")
-    return op
+    return LinOp.from_entries(dom, rows, cols, vals, symmetric=symmetric,
+                              meta={"kappa": kappa, "trunc": trunc,
+                                    "dropped": dropped, "ring": ring.describe()})
 
 
 def window_operator(ring: FusionRing, omega: Sequence[str], trunc: int) -> LinOp:

@@ -24,29 +24,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import (CERT_TOL, DEFAULT_SEED, DISCRETE_LABELS, UNIFORM_GRID,
-                       AmenabilityVerdict, InputError, LinOp, SpectrumDomain,
-                       in_spectrum)
+from .spectral import (DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
+                       SpectrumDomain, in_spectrum, residual)
 
 _QUAD_DENSITY = 1.0 / (4.0 * math.pi)
 
 
 class HalfLineGrid:
-    """Uniform half-line discretization: n cells of width h up to max_r."""
+    """Uniform half-line discretization: n cells of width h up to max_r.
+
+    Every cell carries the same mass, cell_mass = h / (4 pi), the cell's
+    share of the spectral measure; the domain holds the cell midpoints.
+    """
 
     def __init__(self, h: float, max_r: float):
         if not (isinstance(h, (int, float)) and np.isfinite(h) and h > 0):
             raise InputError("grid step h must be a positive number")
         if not (isinstance(max_r, (int, float)) and np.isfinite(max_r) and max_r > 0):
             raise InputError("grid extent max_r must be a positive number")
-        n = int(round(max_r / h))
+        cells = max_r / h
+        if not np.isfinite(cells):
+            raise InputError("max_r / h overflows: too many grid cells")
+        n = int(round(cells))
         if n < 2 or abs(n * h - max_r) > 1e-9 * max(1.0, max_r):
             raise InputError("max_r must be an integer multiple of h, at least 2 cells")
         self.h = float(h)
         self.max_r = float(max_r)
         self.n = n
-        pts = tuple((j + 0.5) * self.h for j in range(n))
-        self.domain = SpectrumDomain(UNIFORM_GRID, pts, np.full(n, self.h * _QUAD_DENSITY))
+        self.cell_mass = self.h * _QUAD_DENSITY
+        self.domain = SpectrumDomain(tuple((j + 0.5) * self.h for j in range(n)))
 
     def snap(self, r: float) -> int:
         """Nearest positive multiple of h, in cell units, rounding half up."""
@@ -96,7 +102,6 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
             raise InputError(f"interval endpoint {name} must be a number")
     if not 0 <= a <= b <= grid.max_r:
         raise InputError("interval must satisfy 0 <= a <= b <= max_r")
-    w = grid.h * _QUAD_DENSITY
     if a == b:
         return LinOp.from_entries(grid.domain, [], [], [], symmetric=True,
                                   meta={"a": float(a), "b": float(b),
@@ -106,7 +111,7 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
     k_hi = int(math.ceil(b / grid.h - 1e-9))
     rows, cols = np.hstack([_reflection_bands(grid.n, k) for k in range(k_lo + 1, k_hi + 1)]
                            or [np.empty((2, 0), dtype=np.int64)])
-    vals = np.full(len(rows), w)
+    vals = np.full(len(rows), grid.cell_mass)
     a_s, b_s = k_lo * grid.h, k_hi * grid.h
     target = (b_s - a_s) / (2.0 * math.pi)
     return LinOp.from_entries(grid.domain, rows, cols, vals, symmetric=True,
@@ -127,7 +132,7 @@ def interval_witness(grid: HalfLineGrid, m: float) -> np.ndarray:
         raise InputError("witness band [m, 2m] must fit inside the grid")
     pts = np.array(grid.domain.points)
     v = np.where((pts >= m) & (pts <= 2 * m), math.sqrt(4.0 * math.pi / m), 0.0)
-    nrm2 = float(v @ (grid.domain.quad_weight * v))
+    nrm2 = float(v @ (grid.cell_mass * v))
     if nrm2 == 0:
         raise InputError("witness band contains no grid point")
     return v / math.sqrt(nrm2)
@@ -150,7 +155,7 @@ def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
                        seed=seed, max_iter=max_iter)
     per = {}
     for wid, v in witnesses:
-        per[wid] = float(np.linalg.norm(op.apply(v) - target * v) / np.linalg.norm(v))
+        per[wid] = residual(op, target, v)
     notes = {"snapped": op.meta["snapped"], "nodes": op.meta["nodes"],
              "grid": {"h": grid.h, "max_r": grid.max_r, "cells": grid.n},
              "witness_residuals": per}
@@ -177,8 +182,7 @@ class PairLattice:
         self.bound = bound
         rng = range(-bound, bound + 1)
         self.classes = tuple((a, b) for a in rng for b in rng if a < b)
-        n = len(self.classes)
-        self.domain = SpectrumDomain(DISCRETE_LABELS, self.classes, np.ones(n))
+        self.domain = SpectrumDomain(self.classes)
 
     @property
     def size(self) -> int:
@@ -195,23 +199,21 @@ def _class_coords(bound: int) -> tuple:
     return g - bound, gp - bound
 
 
-def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
+def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     """Class-shift operator for one shift pair (r, r') with r != r'.
 
     Each class {g, g'} feeds its two shifted classes; degenerate targets
     (equal coordinates) are dropped, as is anything leaving the box. Every
-    entry is 1: the family is unimodular, so the modular prefactor of the
-    exponent p is identically 1, and p is only validated and recorded in
-    meta. Transposing gives the operator of the negated shift, so a single
-    shift is symmetric only when {r, r'} = {-r, -r'}.
+    entry is 1: the family is unimodular, so the modular prefactor of any
+    exponent p is identically 1 and the builder takes no p. Transposing
+    gives the operator of the negated shift, so a single shift is symmetric
+    only when {r, r'} = {-r, -r'}.
     """
     r, rp = shift
     if not (isinstance(r, int) and isinstance(rp, int)):
         raise InputError("shift coordinates must be integers")
     if r == rp:
         raise InputError("shift coordinates must be distinct")
-    if not (isinstance(p, (int, float)) and np.isfinite(p) and p >= 1):
-        raise InputError("exponent p must be a number >= 1")
     B, m = pairs.bound, 2 * pairs.bound + 1
     g, gp = _class_coords(B)
     cr, crp = (min(max(c, -m), m) for c in (r, rp))   # |c| >= m leaves the box; fits int64
@@ -226,10 +228,10 @@ def pair_shift_operator(pairs: PairLattice, shift, p: float = 1.0) -> LinOp:
     return LinOp.from_entries(pairs.domain, rows, cols, np.ones(len(rows)),
                               symmetric=symmetric,
                               meta={"shift": (r, rp), "bound": pairs.bound,
-                                    "p": float(p), "dropped": dropped})
+                                    "dropped": dropped})
 
 
-def pair_window_operator(pairs: PairLattice, omega: Sequence, p: float = 1.0) -> LinOp:
+def pair_window_operator(pairs: PairLattice, omega: Sequence) -> LinOp:
     """Sum of class shifts over a negation-closed window of shift pairs."""
     omega = [tuple(s) for s in omega]
     if not omega:
@@ -239,13 +241,12 @@ def pair_window_operator(pairs: PairLattice, omega: Sequence, p: float = 1.0) ->
     closure = {canonical_pair(-r, -rp) for r, rp in omega}
     if closure != {canonical_pair(r, rp) for r, rp in omega}:
         raise InputError("shift window must be closed under negation")
-    ops = [pair_shift_operator(pairs, s, p=p) for s in omega]
+    ops = [pair_shift_operator(pairs, s) for s in omega]
     mat = ops[0].matrix
     for o in ops[1:]:
         mat = mat + o.matrix
     return LinOp(pairs.domain, mat, symmetric=True,
                  meta={"bound": pairs.bound, "omega": [list(s) for s in omega],
-                       "p": float(p),
                        "dropped": sum(o.meta["dropped"] for o in ops)})
 
 

@@ -22,10 +22,6 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse as sp
 
-DISCRETE_LABELS = "discrete-labels"
-UNIFORM_GRID = "uniform-grid"
-ZERO_PAD = "zero-pad"
-
 DEFAULT_SEED = 7
 EIGEN_TOL = 1e-8
 CERT_TOL = 1e-2
@@ -49,41 +45,27 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SpectrumDomain:
-    """Truncated, discretized model of a representation spectrum with measure.
+    """Truncated, discretized model of a representation spectrum: its points.
 
-    points carry quadrature weights (the measure of the atom or cell);
-    dimensions stay with the builder, exact ones with the fusion ring.
-    Order is stable: identical construction input gives an identical point
-    list. _index takes a {point: position} map the builder already holds
-    instead of hashing the points again; it may map points past the end, so
-    prefixes share it. Points come with their _index as any read-only
-    sequence, else as a tuple.
+    The measure stays with the builder (a grid's cell mass), dimensions
+    with the fusion ring. Order is stable: identical construction input
+    gives an identical point list. _index takes a {point: position} map the
+    builder already holds instead of hashing the points again; it may map
+    points past the end, so prefixes share it. Points come with their
+    _index as any read-only sequence, else as a tuple.
     """
 
-    kind: str
     points: Sequence
-    quad_weight: np.ndarray
     _index: dict | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in (DISCRETE_LABELS, UNIFORM_GRID):
-            raise InputError(f"unknown domain kind {self.kind!r}")
         pts = tuple(self.points) if self._index is None else self.points
         if not pts:
             raise InputError("domain needs at least one point")
         index = {p: i for i, p in enumerate(pts)} if self._index is None else self._index
         if len(index) < len(pts):
             raise InputError("domain points must be unique")
-        qw = np.array(self.quad_weight, dtype=float)
-        if qw.shape != (len(pts),):
-            raise InputError("quadrature weights must match the point list")
-        if not np.all(np.isfinite(qw)):
-            raise InputError("quadrature weights must be finite")
-        if np.any(qw <= 0):
-            raise InputError("quadrature weights must be positive")
-        qw.setflags(write=False)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "quad_weight", qw)
         object.__setattr__(self, "_index", index)
 
     @property
@@ -98,17 +80,15 @@ class SpectrumDomain:
 
 
 class LinOp:
-    """Finitely truncated operator on the weighted l2 space over a domain.
+    """Finitely truncated operator on the l2 space over a domain.
 
-    Stored as CSR. symmetric is asserted by the builder and then verified:
-    discrete builders must be exactly symmetric (tol 0), quadrature builders
-    up to 1e-12. boundary_policy records how shifts past the truncation edge
-    were handled; only zero-pad is offered, matching the compression
-    semantics the certificates rely on.
+    Stored as CSR. symmetric is asserted by the builder and then verified
+    exactly: every builder here produces an exactly symmetric matrix when it
+    asserts one. Shifts past the truncation edge are dropped (zero padding),
+    the compression semantics the certificates rely on.
     """
 
     def __init__(self, domain: SpectrumDomain, matrix, symmetric: bool,
-                 boundary_policy: str = ZERO_PAD, symmetry_tol: float = 0.0,
                  meta: dict | None = None):
         matrix = sp.csr_matrix(matrix)
         matrix.sum_duplicates()
@@ -117,16 +97,13 @@ class LinOp:
             raise InputError(f"matrix shape {matrix.shape} does not match domain size {n}")
         if matrix.nnz and not np.all(np.isfinite(matrix.data)):
             raise InputError("operator entries must be finite")
-        if boundary_policy != ZERO_PAD:
-            raise InputError(f"unsupported boundary policy {boundary_policy!r}")
         self.domain = domain
         self.matrix = matrix
         self.symmetric = bool(symmetric)
-        self.boundary_policy = boundary_policy
         self.meta = dict(meta or {})
         if self.symmetric:
             defect = self.symmetry_defect()
-            if defect > symmetry_tol:
+            if defect > 0:
                 raise InputError(
                     f"operator asserted symmetric but max |A_ij - A_ji| = {defect:g}")
 
@@ -179,7 +156,7 @@ class LinOp:
         if n == self.n:
             return self
         d = self.domain
-        domain = SpectrumDomain(d.kind, d.points[:n], d.quad_weight[:n], _index=d._index)
+        domain = SpectrumDomain(d.points[:n], _index=d._index)
         return LinOp(domain, self.matrix[:n, :n], symmetric=self.symmetric)
 
     def to_dense(self, limit: int = 2000) -> np.ndarray:
@@ -487,10 +464,12 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
 
 
 def fingerprint(op: LinOp) -> dict:
-    """Report-ready summary of an operator: size, fill, symmetry check."""
+    """Report-ready summary of an operator: size, fill, symmetry check.
+    boundary_policy is always zero-pad: no builder keeps what leaves the
+    truncation."""
     return {"size": int(op.n), "nnz": int(op.nnz), "symmetric": op.symmetric,
             "max_asymmetry": op.symmetry_defect(),
-            "boundary_policy": op.boundary_policy}
+            "boundary_policy": "zero-pad"}
 
 
 def residual(op: LinOp, target: float, v) -> float:

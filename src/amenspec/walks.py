@@ -18,21 +18,19 @@ from collections.abc import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .spectral import (DEFAULT_SEED, DISCRETE_LABELS, EIGEN_TOL, AmenabilityVerdict,
-                       InputError, LinOp, SpectrumDomain, _check_solver_args,
-                       spectral_radius)
+from .spectral import (DEFAULT_SEED, EIGEN_TOL, AmenabilityVerdict, InputError, LinOp,
+                       SpectrumDomain, _check_solver_args, spectral_radius)
 
 
 class ZLattice:
-    """Z^d with generator names x1..xd and uppercase inverses X1..Xd."""
-
-    kind = "lattice"
+    """Z^d with generator names x1..xd and uppercase inverses X1..Xd.
+    name is the spec parse_group reads back."""
 
     def __init__(self, d: int):
         if d < 0:
             raise InputError("lattice rank must be nonnegative")
         self.d = int(d)
-        self.name = f"Z^{self.d}"
+        self.name = f"Z^d:{self.d}"
         self.identity = (0,) * self.d
         self.generators = {}
         for i in range(self.d):
@@ -52,17 +50,13 @@ class ZLattice:
     def inv(self, x):
         return tuple(-a for a in x)
 
-    def modular(self, x) -> float:
-        return 1.0
-
     def describe(self) -> dict:
         return {"family": "lattice", "rank": self.d}
 
 
 class FreeGroup:
-    """F_k on letters a, b, c, ... with uppercase inverses; reduced words."""
-
-    kind = "free"
+    """F_k on letters a, b, c, ... with uppercase inverses; reduced words.
+    name is the spec parse_group reads back."""
 
     def __init__(self, k: int):
         if k < 0:
@@ -70,7 +64,7 @@ class FreeGroup:
         if k > 26:
             raise InputError("free rank capped at 26 letters")
         self.k = int(k)
-        self.name = f"F_{self.k}"
+        self.name = f"F:{self.k}"
         self.identity = ()
         self.generators = {}
         for i in range(self.k):
@@ -94,9 +88,6 @@ class FreeGroup:
 
     def inv(self, x):
         return tuple(-s for s in reversed(x))
-
-    def modular(self, x) -> float:
-        return 1.0
 
     def describe(self) -> dict:
         return {"family": "free", "rank": self.k}
@@ -184,9 +175,7 @@ class BallTruncation:
     step: np.ndarray
 
     def __post_init__(self):
-        n = len(self.elements)
-        self.domain = SpectrumDomain(DISCRETE_LABELS, self.elements, np.ones(n),
-                                     _index=self.index)
+        self.domain = SpectrumDomain(self.elements, _index=self.index)
 
     @property
     def size(self) -> int:
@@ -287,8 +276,8 @@ def modular_weight_operator(group, p: float, density: dict,
 
     (A f)(x) = sum_z c(z) modular(z)^((1-p)/2) f(x z^{-1}), summed over the
     support of the density c. Both built-in families are unimodular, so the
-    prefactor is identically 1; it is kept in the arithmetic so densities on
-    a non-unimodular extension slot in unchanged.
+    prefactor is identically 1 and the entries are the density itself; p is
+    only validated and recorded in meta.
     """
     if not (isinstance(p, (int, float)) and np.isfinite(p) and p >= 1):
         raise InputError("exponent p must be a number >= 1")
@@ -302,8 +291,7 @@ def modular_weight_operator(group, p: float, density: dict,
     symmetric = all(density.get(group.inv(z)) == w for z, w in density.items())
     rows, cols, vals = [], [], []
     dropped = 0
-    shifts = {z: (group.inv(z), w * group.modular(z) ** ((1.0 - p) / 2.0))
-              for z, w in density.items()}
+    shifts = {z: (group.inv(z), w) for z, w in density.items()}
     for i, x in enumerate(ball.elements):
         for z, (zi, c) in shifts.items():
             j = ball.index.get(group.mul(x, zi))

@@ -59,7 +59,7 @@ def test_walk_command_with_csv(capsys, tmp_path):
                     "--csv", str(csv))
     assert code == 0
     assert rep["verdict"]["certified"] is False
-    assert rep["config"]["group"] == "F_2"
+    assert rep["config"]["group"] == "F:2"
     lines = csv.read_text().strip().splitlines()
     assert lines[0] == "size,radius_estimate"
     sizes = [int(l.split(",")[0]) for l in lines[1:]]
@@ -211,8 +211,7 @@ def _rebuilt_operator(cmd, config):
         grid = semidirect.half_line_grid(config["grid"]["h"], config["grid"]["max_r"])
         return semidirect.interval_operator(grid, *config["interval"])
     if cmd == "walk":
-        name = config["group"]                     # "Z^d" or "F_k"
-        group = (walks.FreeGroup if name.startswith("F_") else walks.ZLattice)(int(name[2:]))
+        group = walks.parse_group(config["group"])
         weights = config["weight"] or {nm: 1.0 for nm in group.generator_names}
         return walks.cayley_operator(group, weights, walks.build_ball(group, config["radius"]))
     pairs = semidirect.pair_lattice(config["bound"][-1])
@@ -266,6 +265,20 @@ def test_env_config_supplies_defaults(capsys, tmp_path, monkeypatch):
     assert code == 0
     assert rep["config"]["radius"] == 2
     assert rep["config"]["tol"] == 0.2
+
+
+def test_walk_config_echo_round_trips(capsys, tmp_path, monkeypatch):
+    for argv in (("--group", "F:2", "--radius", "3", "--weight", "a=1", "--weight", "A=1"),
+                 ("--group", "Z^d:2", "--radius", "4", "--omega", "x1,X1", "--tol", "0.1")):
+        code, rep = run(capsys, "walk", *argv)
+        assert code == 0, argv
+        cfg = tmp_path / "echo.json"
+        cfg.write_text(json.dumps({"walk": rep["config"]}))
+        monkeypatch.setenv(CONFIG_ENV, str(cfg))
+        code, again = run(capsys, "walk")
+        monkeypatch.delenv(CONFIG_ENV)
+        assert code == 0, argv
+        assert again == rep, argv
 
 
 def test_flags_override_config(capsys, tmp_path, monkeypatch):
@@ -348,6 +361,13 @@ def test_bad_values_exit_2(capsys, tmp_path):
         code, rep = run(capsys, *argv)
         assert code == 2, argv
         assert rep["error"]["type"] == "input", argv
+
+
+def test_grid_cell_count_overflow_is_an_input_error(capsys):
+    code, rep = run(capsys, "semidirect", "--interval", "0:1", "--grid", "0.5:1e308")
+    assert code == 2
+    assert rep["error"]["type"] == "input"
+    assert "too many grid cells" in rep["error"]["message"]
 
 
 def test_rule_parameter_must_be_finite(capsys):

@@ -310,6 +310,13 @@ def test_validate_flags_broken_reciprocity():
     assert [r["axiom"] for r in rows if not r["passed"]] == ["frobenius reciprocity"]
 
 
+def test_load_ring_refuses_broken_reciprocity():
+    # fusion_operator builds on this: its dual route is reciprocity itself
+    with pytest.raises(ValidationError) as err:
+        load_ring(parse_descriptor(cyclic3_descriptor(conj=["e", "g", "h"])))
+    assert err.value.axiom == "frobenius reciprocity"
+
+
 def test_validate_flags_missing_unit():
     rows = validate_descriptor(parse_descriptor(
         {"kind": "table", "labels": ["x"], "dims": [1], "conj": ["x"],
@@ -448,5 +455,4 @@ def test_window_operator_leading_block_is_a_fresh_build(case):
         a, b = getattr(block.matrix, name), getattr(fresh.matrix, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
     assert block.domain.points == fresh.domain.points
-    assert np.array_equal(block.domain.quad_weight, fresh.domain.quad_weight)
     assert block.symmetric == fresh.symmetric

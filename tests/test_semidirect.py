@@ -41,7 +41,7 @@ def test_grid_layout():
     g = half_line_grid(1.0, 4.0)
     assert g.n == 4
     assert g.domain.points == (0.5, 1.5, 2.5, 3.5)
-    assert np.allclose(g.domain.quad_weight, QUAD)
+    assert g.cell_mass == QUAD
 
 
 def test_grid_validation():
@@ -213,7 +213,7 @@ def test_interval_norm_stays_below_window_mass():
 def test_witness_normalization_and_support():
     g = half_line_grid(0.25, 32.0)
     v = interval_witness(g, 4.0)
-    assert abs(v @ (g.domain.quad_weight * v) - 1.0) < 1e-12
+    assert abs(v @ (g.cell_mass * v) - 1.0) < 1e-12
     pts = np.array(g.domain.points)
     assert np.all(v[(pts < 4.0) | (pts > 8.0)] == 0.0)
     assert np.all(v[(pts >= 4.0) & (pts <= 8.0)] > 0.0)
@@ -262,7 +262,7 @@ def test_pair_lattice_enumeration():
     assert pairs.size == 10               # 5 choose 2
     assert all(a < b for a, b in pairs.classes)
     assert len(set(pairs.classes)) == 10
-    assert np.all(pairs.domain.quad_weight == 1.0)
+    assert pairs.domain.points == pairs.classes
     with pytest.raises(InputError):
         pair_lattice(0)
     with pytest.raises(InputError):
@@ -306,8 +306,6 @@ def test_pair_shift_validation():
         pair_shift_operator(pairs, (1, 1))
     with pytest.raises(InputError):
         pair_shift_operator(pairs, (1.5, 0))
-    with pytest.raises(InputError):
-        pair_shift_operator(pairs, (1, 0), p=0.5)
 
 
 def loop_pair_shift(pairs, r, rp):

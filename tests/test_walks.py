@@ -496,4 +496,3 @@ def test_lattice_group_laws(x, y):
     g = ZLattice(2)
     assert g.mul(x, g.inv(x)) == g.identity
     assert g.mul(x, y) == g.mul(y, x)
-    assert g.modular(x) == 1.0
