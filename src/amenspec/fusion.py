@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .spectral import (CERT_TOL, DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       SpectrumDomain, ValidationError, in_spectrum)
+                       ValidationError, in_spectrum)
 
 FREE_SU2 = "free-su2"
 _TABLE_FIELDS = {"kind", "labels", "dims", "conj", "fusion"}
@@ -240,11 +240,6 @@ class FusionRing:
         lo, hi = abs(i - j), i + j
         return max(0, (hi - max(self.level, lo - 2)) // 2) if hi > self.level else 0
 
-    def domain(self, trunc: int) -> SpectrumDomain:
-        if not 1 <= trunc <= self.size:
-            raise InputError(f"trunc must be in [1, {self.size}], got {trunc}")
-        return SpectrumDomain(self.labels[:trunc])
-
     def describe(self) -> dict:
         if self.kind == "table":
             return {"kind": "table", "labels": self.size}
@@ -372,7 +367,8 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
     rings satisfy it through their symmetric triangle condition.
     """
     ki = ring.index(kappa)
-    dom = ring.domain(trunc)
+    if not 1 <= trunc <= ring.size:
+        raise InputError(f"trunc must be in [1, {ring.size}], got {trunc}")
     rows, cols, vals = [], [], []
     dropped = 0
     for j in range(trunc):
@@ -385,7 +381,7 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
                 dropped += m
         dropped += ring.clip_count(ki, j)
     symmetric = ring.conj(kappa) == kappa
-    return LinOp.from_entries(dom, rows, cols, vals, symmetric=symmetric,
+    return LinOp.from_entries(trunc, rows, cols, vals, symmetric=symmetric,
                               meta={"kappa": kappa, "trunc": trunc,
                                     "dropped": dropped, "ring": ring.describe()})
 
@@ -409,7 +405,7 @@ def window_operator(ring: FusionRing, omega: Sequence[str], trunc: int) -> LinOp
             "dropped": sum(o.meta["dropped"] for o in ops), "ring": ring.describe()}
     if ring.integral_dims:
         meta["target_exact"] = int(sum(ring.dim_exact(s) for s in omega))
-    return LinOp(ops[0].domain, mat, symmetric=symmetric, meta=meta)
+    return LinOp(mat, symmetric=symmetric, meta=meta)
 
 
 def dim_bookkeeping_check(ring: FusionRing, kappa: str, omega: Sequence[str]) -> bool:

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .spectral import (DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       SpectrumDomain, in_spectrum, residual)
+                       _MAX_BUILD, in_spectrum, residual)
 
 _QUAD_DENSITY = 1.0 / (4.0 * math.pi)
 
@@ -33,8 +33,8 @@ _QUAD_DENSITY = 1.0 / (4.0 * math.pi)
 class HalfLineGrid:
     """Uniform half-line discretization: n cells of width h up to max_r.
 
-    Every cell carries the same mass, cell_mass = h / (4 pi), the cell's
-    share of the spectral measure; the domain holds the cell midpoints.
+    Cell j has midpoint (j + 1/2) h and mass cell_mass = h / (4 pi), its
+    share of the spectral measure; the grid stores no per-cell array.
     """
 
     def __init__(self, h: float, max_r: float):
@@ -43,8 +43,8 @@ class HalfLineGrid:
         if not (isinstance(max_r, (int, float)) and np.isfinite(max_r) and max_r > 0):
             raise InputError("grid extent max_r must be a positive number")
         cells = max_r / h
-        if not np.isfinite(cells):
-            raise InputError("max_r / h overflows: too many grid cells")
+        if not cells <= _MAX_BUILD:      # an overflow to inf included
+            raise InputError(f"too many grid cells: {cells:.3g}, more than {_MAX_BUILD}")
         n = int(round(cells))
         if n < 2 or abs(n * h - max_r) > 1e-9 * max(1.0, max_r):
             raise InputError("max_r must be an integer multiple of h, at least 2 cells")
@@ -52,7 +52,6 @@ class HalfLineGrid:
         self.max_r = float(max_r)
         self.n = n
         self.cell_mass = self.h * _QUAD_DENSITY
-        self.domain = SpectrumDomain(tuple((j + 0.5) * self.h for j in range(n)))
 
     def snap(self, r: float) -> int:
         """Nearest positive multiple of h, in cell units, rounding half up."""
@@ -82,7 +81,7 @@ def shift_operator(grid: HalfLineGrid, r: float) -> LinOp:
     if k >= grid.n:
         raise InputError(f"shift parameter {r} reaches past the grid extent")
     rows, cols = _reflection_bands(grid.n, k)
-    op = LinOp.from_entries(grid.domain, rows, cols, np.ones(len(rows)),
+    op = LinOp.from_entries(grid.n, rows, cols, np.ones(len(rows)),
                             symmetric=True,
                             meta={"r": float(r), "r_snapped": k * grid.h,
                                   "snap_delta": k * grid.h - float(r),
@@ -103,18 +102,23 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
     if not 0 <= a <= b <= grid.max_r:
         raise InputError("interval must satisfy 0 <= a <= b <= max_r")
     if a == b:
-        return LinOp.from_entries(grid.domain, [], [], [], symmetric=True,
+        return LinOp.from_entries(grid.n, [], [], [], symmetric=True,
                                   meta={"a": float(a), "b": float(b),
                                         "snapped": [float(a), float(a)],
                                         "nodes": 0, "target": 0.0})
     k_lo = int(math.floor(a / grid.h + 1e-9))
     k_hi = int(math.ceil(b / grid.h - 1e-9))
-    rows, cols = np.hstack([_reflection_bands(grid.n, k) for k in range(k_lo + 1, k_hi + 1)]
+    # node k emits 2 max(n - k, 0) + min(k, n) = 2n - min(k, n) entries
+    n, inside = grid.n, max(min(k_hi, grid.n) - k_lo, 0)          # nodes with k <= n
+    entries = n * (k_hi - k_lo + inside) - inside * (2 * k_lo + inside + 1) // 2
+    if entries > _MAX_BUILD:
+        raise InputError(f"interval operator has {entries} entries, more than {_MAX_BUILD}")
+    rows, cols = np.hstack([_reflection_bands(n, k) for k in range(k_lo + 1, k_hi + 1)]
                            or [np.empty((2, 0), dtype=np.int64)])
     vals = np.full(len(rows), grid.cell_mass)
     a_s, b_s = k_lo * grid.h, k_hi * grid.h
     target = (b_s - a_s) / (2.0 * math.pi)
-    return LinOp.from_entries(grid.domain, rows, cols, vals, symmetric=True,
+    return LinOp.from_entries(grid.n, rows, cols, vals, symmetric=True,
                               meta={"a": float(a), "b": float(b),
                                     "snapped": [a_s, b_s],
                                     "nodes": k_hi - k_lo, "target": target})
@@ -130,7 +134,7 @@ def interval_witness(grid: HalfLineGrid, m: float) -> np.ndarray:
         raise InputError("witness scale m must be a positive number")
     if 2 * m > grid.max_r:
         raise InputError("witness band [m, 2m] must fit inside the grid")
-    pts = np.array(grid.domain.points)
+    pts = (np.arange(grid.n) + 0.5) * grid.h
     v = np.where((pts >= m) & (pts <= 2 * m), math.sqrt(4.0 * math.pi / m), 0.0)
     nrm2 = float(v @ (grid.cell_mass * v))
     if nrm2 == 0:
@@ -182,11 +186,7 @@ class PairLattice:
         self.bound = bound
         rng = range(-bound, bound + 1)
         self.classes = tuple((a, b) for a in rng for b in rng if a < b)
-        self.domain = SpectrumDomain(self.classes)
-
-    @property
-    def size(self) -> int:
-        return len(self.classes)
+        self.size = len(self.classes)
 
 
 def pair_lattice(bound: int) -> PairLattice:
@@ -225,7 +225,7 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     cols = (i * m - i * (i + 1) // 2 + j - i - 1)[keep]     # the index of class (i, j)
     dropped = int(np.count_nonzero(~keep))
     symmetric = {r, rp} == {-r, -rp}
-    return LinOp.from_entries(pairs.domain, rows, cols, np.ones(len(rows)),
+    return LinOp.from_entries(pairs.size, rows, cols, np.ones(len(rows)),
                               symmetric=symmetric,
                               meta={"shift": (r, rp), "bound": pairs.bound,
                                     "dropped": dropped})
@@ -245,7 +245,7 @@ def pair_window_operator(pairs: PairLattice, omega: Sequence) -> LinOp:
     mat = ops[0].matrix
     for o in ops[1:]:
         mat = mat + o.matrix
-    return LinOp(pairs.domain, mat, symmetric=True,
+    return LinOp(mat, symmetric=True,
                  meta={"bound": pairs.bound, "omega": [list(s) for s in omega],
                        "dropped": sum(o.meta["dropped"] for o in ops)})
 

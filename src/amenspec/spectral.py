@@ -1,13 +1,13 @@
 """Truncated symmetric operators and residual-based spectrum membership.
 
 Every example class downstream (fusion rings, group walks, grid operators)
-builds a LinOp over a SpectrumDomain and asks two questions: what is the
-spectral radius of the truncation, and does a given target value sit in the
-spectrum up to a certified residual. For a self-adjoint operator A and a
-unit vector v, dist(target, spec(A)) <= ||A v - target v||, so a small
-residual certifies membership. All truncations here are compressions of a
-fixed operator, so certification is one-sided: growing the truncation can
-only move the truncated spectrum outward, and non-membership is never
+builds a LinOp, a truncation's sparse matrix, and asks two questions: what
+is the spectral radius of the truncation, and does a given target value sit
+in the spectrum up to a certified residual. For a self-adjoint operator A
+and a unit vector v, dist(target, spec(A)) <= ||A v - target v||, so a
+small residual certifies membership. All truncations here are compressions
+of a fixed operator, so certification is one-sided: growing the truncation
+can only move the truncated spectrum outward, and non-membership is never
 certified, only hinted at via the gap to the nearest truncated eigenvalue.
 """
 
@@ -28,6 +28,7 @@ CERT_TOL = 1e-2
 _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
+_MAX_BUILD = 2 ** 22  # most ball elements, grid cells or interval entries built
 
 
 class InputError(ValueError):
@@ -43,44 +44,8 @@ class ValidationError(ValueError):
         super().__init__(f"{axiom}: {detail}")
 
 
-@dataclass(frozen=True, eq=False)
-class SpectrumDomain:
-    """Truncated, discretized model of a representation spectrum: its points.
-
-    The measure stays with the builder (a grid's cell mass), dimensions
-    with the fusion ring. Order is stable: identical construction input
-    gives an identical point list. _index takes a {point: position} map the
-    builder already holds instead of hashing the points again; it may map
-    points past the end, so prefixes share it. Points come with their
-    _index as any read-only sequence, else as a tuple.
-    """
-
-    points: Sequence
-    _index: dict | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        pts = tuple(self.points) if self._index is None else self.points
-        if not pts:
-            raise InputError("domain needs at least one point")
-        index = {p: i for i, p in enumerate(pts)} if self._index is None else self._index
-        if len(index) < len(pts):
-            raise InputError("domain points must be unique")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_index", index)
-
-    @property
-    def truncation_size(self) -> int:
-        return len(self.points)
-
-    def index(self, point) -> int:
-        i = self._index.get(point, len(self.points))
-        if i >= len(self.points):
-            raise InputError(f"point {point!r} not in domain")
-        return i
-
-
 class LinOp:
-    """Finitely truncated operator on the l2 space over a domain.
+    """Finitely truncated operator: the n x n matrix on its builder's first n points.
 
     Stored as CSR. symmetric is asserted by the builder and then verified
     exactly: every builder here produces an exactly symmetric matrix when it
@@ -88,16 +53,13 @@ class LinOp:
     the compression semantics the certificates rely on.
     """
 
-    def __init__(self, domain: SpectrumDomain, matrix, symmetric: bool,
-                 meta: dict | None = None):
+    def __init__(self, matrix, symmetric: bool, meta: dict | None = None):
         matrix = sp.csr_matrix(matrix)
         matrix.sum_duplicates()
-        n = domain.truncation_size
-        if matrix.shape != (n, n):
-            raise InputError(f"matrix shape {matrix.shape} does not match domain size {n}")
+        if not 0 < matrix.shape[0] == matrix.shape[1]:
+            raise InputError(f"operator matrix must be square and nonempty, got {matrix.shape}")
         if matrix.nnz and not np.all(np.isfinite(matrix.data)):
             raise InputError("operator entries must be finite")
-        self.domain = domain
         self.matrix = matrix
         self.symmetric = bool(symmetric)
         self.meta = dict(meta or {})
@@ -108,18 +70,17 @@ class LinOp:
                     f"operator asserted symmetric but max |A_ij - A_ji| = {defect:g}")
 
     @classmethod
-    def from_entries(cls, domain: SpectrumDomain, rows, cols, vals, **kw) -> "LinOp":
-        n = domain.truncation_size
+    def from_entries(cls, n: int, rows, cols, vals, **kw) -> "LinOp":
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
-            raise InputError("entry index outside the domain")
+            raise InputError("entry index outside the operator")
         m = sp.coo_matrix((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n))
-        return cls(domain, m.tocsr(), **kw)
+        return cls(m.tocsr(), **kw)
 
     @property
     def n(self) -> int:
-        return self.domain.truncation_size
+        return self.matrix.shape[0]
 
     @property
     def nnz(self) -> int:
@@ -132,32 +93,17 @@ class LinOp:
     def apply(self, v) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.n,):
-            raise InputError(f"vector length {v.shape} does not match domain size {self.n}")
+            raise InputError(f"vector length {v.shape} does not match operator size {self.n}")
         return self.matrix @ v
 
-    def entry(self, row_point, col_point) -> float:
-        i = self.domain.index(row_point)
-        j = self.domain.index(col_point)
-        return float(self.matrix[i, j])
-
-    def entries(self):
-        """Iterate ((row_point, col_point), value) over stored nonzeros."""
-        coo = self.matrix.tocoo()
-        pts = self.domain.points
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            yield (pts[i], pts[j]), float(v)
-
     def leading_block(self, n: int) -> "LinOp":
-        """The compression to the first n points: the leading n x n block,
-        on a domain that shares this domain's index; self when n == self.n.
-        The block's meta is empty: a builder's entries describe its size."""
+        """The compression to the first n points, the leading n x n block, or
+        self when n == self.n; its meta is empty, as a builder's describes its size."""
         if not 1 <= n <= self.n:
             raise InputError(f"block size must be in [1, {self.n}], got {n}")
         if n == self.n:
             return self
-        d = self.domain
-        domain = SpectrumDomain(d.points[:n], _index=d._index)
-        return LinOp(domain, self.matrix[:n, :n], symmetric=self.symmetric)
+        return LinOp(self.matrix[:n, :n], symmetric=self.symmetric)
 
     def to_dense(self, limit: int = 2000) -> np.ndarray:
         if self.n > limit:

@@ -11,15 +11,16 @@ for a free group it stays pinned near the tree bound.
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass
 from collections.abc import Sequence
+from itertools import accumulate
 
 import numpy as np
-import scipy.sparse as sp
 
 from .spectral import (DEFAULT_SEED, EIGEN_TOL, AmenabilityVerdict, InputError, LinOp,
-                       SpectrumDomain, _check_solver_args, spectral_radius)
+                       _MAX_BUILD, _check_solver_args, spectral_radius)
 
 
 class ZLattice:
@@ -108,24 +109,21 @@ def parse_group(text: str):
 
 class _BallWords(Sequence):
     """A free ball's words, none stored: words[i] follows parent/step back
-    to the identity, get(word) walks right out from it one letter at a time
-    and only away from it, so a word that is not reduced is not found, and
-    words[:n] is a view of the first n words."""
+    to the identity, and get(word) walks right out from it one letter at a
+    time and only away from it, so a word that is not reduced is not found.
+    A slice is a tuple of words."""
 
-    def __init__(self, letters, parent, step, right, n):
-        self._letters, self._parent, self._step, self._right, self._n = (
-            letters, parent, step, right, n)
+    def __init__(self, letters, parent, step, right):
+        self._letters, self._parent, self._step, self._right = letters, parent, step, right
         self._column = {s: c for c, s in enumerate(letters)}
 
     def __len__(self):
-        return self._n
+        return len(self._parent)
 
     def __getitem__(self, key):
-        i = range(self._n)[key]
+        i = range(len(self))[key]
         if isinstance(i, range):
-            if i.start or i.step != 1:
-                return tuple(self[j] for j in i)
-            return _BallWords(self._letters, self._parent, self._step, self._right, len(i))
+            return tuple(self[j] for j in i)
         word = []
         while i > 0:
             word.append(self._letters[self._step.item(i)])
@@ -141,7 +139,7 @@ class _BallWords(Sequence):
             if j < 0 or self._parent.item(j) != i:
                 return default
             i = j
-        return i if i < self._n else default
+        return i
 
     def __contains__(self, word):
         return self.get(word) is not None
@@ -151,9 +149,10 @@ class _BallWords(Sequence):
 class BallTruncation:
     """Word-metric ball enumerated breadth first; order is deterministic.
 
-    The ball is built once, at its radius, and every smaller ball is a
-    prefix of it: the ball of radius r is elements[:sphere_ends[r]], so an
-    operator on it is the leading principal block of the operator on this
+    Row i of an operator on the ball is elements[i]; the operator keeps only
+    its matrix. The ball is built once, at its radius, and every smaller ball
+    is a prefix of it: the ball of radius r is elements[:sphere_ends[r]], so
+    an operator on it is the leading principal block of the operator on this
     ball. right[i, c] is the index of elements[i] times the generator named
     group.generator_names[c], or -1 when that product lies outside the ball;
     parent[i] and step[i] give the element and the generator column through
@@ -173,9 +172,6 @@ class BallTruncation:
     right: np.ndarray
     parent: np.ndarray
     step: np.ndarray
-
-    def __post_init__(self):
-        self.domain = SpectrumDomain(self.elements, _index=self.index)
 
     @property
     def size(self) -> int:
@@ -201,13 +197,26 @@ def _free_ball(group: FreeGroup, radius: int) -> BallTruncation:
     right[parent[1:], step[1:]] = inner
     right[inner, step[1:] ^ 1] = parent[1:]
     words = _BallWords(tuple(group.generators[nm][0] for nm in group.generator_names),
-                       parent, step, right, n)
+                       parent, step, right)
     return BallTruncation(group, radius, words, words, tuple(ends[1:]), right, parent, step)
+
+
+def _check_ball_size(group, radius: int) -> None:
+    """Refuse a ball past _MAX_BUILD elements, counted in closed form up to that limit."""
+    if isinstance(group, FreeGroup) and group.k > 1:    # the 2k-regular tree
+        terms = (2 * group.k * (2 * group.k - 1) ** i for i in range(radius))
+    else:   # Z^d, F_0 = Z^0, F_1 = Z^1: 2^j C(d, j) C(r, j) points with j nonzero coordinates
+        d = group.k if isinstance(group, FreeGroup) else group.d
+        terms = (2 ** j * math.comb(d, j) * math.comb(radius, j)
+                 for j in range(1, min(d, radius) + 1))
+    if any(total > _MAX_BUILD for total in accumulate(terms, initial=1)):
+        raise InputError(f"the radius-{radius} ball has more than {_MAX_BUILD} elements")
 
 
 def build_ball(group, radius: int) -> BallTruncation:
     if not isinstance(radius, int) or radius < 0:
         raise InputError("radius must be a nonnegative integer")
+    _check_ball_size(group, radius)
     if isinstance(group, FreeGroup):
         return _free_ball(group, radius)
     order = [group.identity]
@@ -263,7 +272,7 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
     kept = left.ravel() >= 0
     rows = np.repeat(np.arange(ball.size), len(weights))[kept]
     vals = np.tile(np.array([float(w) for w in weights.values()]), ball.size)[kept]
-    return LinOp.from_entries(ball.domain, rows, left.ravel()[kept], vals,
+    return LinOp.from_entries(ball.size, rows, left.ravel()[kept], vals,
                               symmetric=symmetric,
                               meta={"group": group.describe(), "radius": ball.radius,
                                     "weights": dict(weights),
@@ -301,7 +310,7 @@ def modular_weight_operator(group, p: float, density: dict,
                 rows.append(i)
                 cols.append(j)
                 vals.append(c)
-    return LinOp.from_entries(ball.domain, rows, cols, vals, symmetric=symmetric,
+    return LinOp.from_entries(ball.size, rows, cols, vals, symmetric=symmetric,
                               meta={"group": group.describe(), "radius": ball.radius,
                                     "p": float(p), "support": len(density),
                                     "dropped": dropped})
@@ -323,6 +332,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     verdict carries the largest ball's operator and its SpectralReport.
     """
     if isinstance(radii, int):
+        _check_ball_size(group, radii)      # before listing every radius
         radii = list(range(1, radii + 1))
     radii = [int(r) for r in radii]
     if not radii or any(r <= 0 for r in radii) or any(
@@ -332,8 +342,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
 
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}
-        ball = build_ball(group, 0)
-        op = LinOp(ball.domain, sp.eye(1, format="csr"), symmetric=True)
+        op = LinOp(np.eye(1), symmetric=True)
         rep = spectral_radius(op, seed=seed)
         notes = {"radii": [0], "ball_sizes": [1],
                  "radius_estimates": [rep.radius_estimate],

@@ -6,6 +6,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,26 @@ def test_grid_cell_count_overflow_is_an_input_error(capsys):
     assert code == 2
     assert rep["error"]["type"] == "input"
     assert "too many grid cells" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("semidirect", "--grid", "1e-9:1", "--interval", "0:1"),
+    ("semidirect", "--grid", "1e-300:1", "--interval", "0:1"),
+    ("semidirect", "--grid", "1:4096", "--interval", "0:4096"),   # 4096 cells, 25M entries
+    ("walk", "--group", "F:2", "--radius", "30"),
+    ("walk", "--group", "Z^d:1", "--radius", str(10 ** 18)),
+])
+def test_builds_past_the_size_limit_are_input_errors(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, rep = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert rep["error"]["type"] == "input"
+    assert "more than 4194304" in rep["error"]["message"]
+    assert peak < 4e6       # refused before any array of that size is made
 
 
 def test_rule_parameter_must_be_finite(capsys):

@@ -80,8 +80,8 @@ def test_non_integral_parameter_keeps_float_dims():
 
 def test_deep_truncation_domain_handles_dim_overflow():
     ring = free_su2_ring(3, 900)
-    d = ring.domain(900)
-    assert d.truncation_size == 900
+    op = fusion_operator(ring, "a1", 900)
+    assert op.n == 900 and ring.labels[op.n - 1] == "a899"
     assert ring.dim("a899") == np.inf      # the float value saturates
     assert ring.dim_exact("a899") >= 1     # exact value stays available
 
@@ -136,10 +136,11 @@ def test_window_operator_input_checks():
         window_operator(ring, ["a1", "a1"], 5)
     with pytest.raises(InputError):
         window_operator(ring, ["b9"], 5)
-    with pytest.raises(InputError):
-        ring.domain(12)
-    with pytest.raises(InputError):
-        ring.domain(0)
+    for trunc in (12, 0):
+        with pytest.raises(InputError, match=r"trunc must be in \[1, 11\]"):
+            fusion_operator(ring, "a1", trunc)
+        with pytest.raises(InputError, match=r"trunc must be in \[1, 11\]"):
+            window_operator(ring, ["a1"], trunc)
 
 
 def test_transpose_matches_conjugate_label():
@@ -454,5 +455,5 @@ def test_window_operator_leading_block_is_a_fresh_build(case):
     for name in ("indptr", "indices", "data"):
         a, b = getattr(block.matrix, name), getattr(fresh.matrix, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
-    assert block.domain.points == fresh.domain.points
+    assert block.n == fresh.n == n
     assert block.symmetric == fresh.symmetric

@@ -21,6 +21,18 @@ from amenspec import (InputError, LinOp, bicrossed_amenability_test, canonical_p
 QUAD = 1.0 / (4.0 * math.pi)
 
 
+def midpoints(grid):
+    """Cell midpoints (j + 1/2) h as a tuple of floats, one at a time."""
+    return tuple((j + 0.5) * grid.h for j in range(grid.n))
+
+
+def point_entries(op, points):
+    """{(row point, column point): value} over the stored entries of op."""
+    coo = op.matrix.tocoo()
+    return {(points[i], points[j]): v
+            for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())}
+
+
 def direct_reflection_apply(n, k_values, w, v):
     """Band arithmetic written out longhand, for cross-checking operators."""
     out = np.zeros_like(v)
@@ -40,7 +52,7 @@ def direct_reflection_apply(n, k_values, w, v):
 def test_grid_layout():
     g = half_line_grid(1.0, 4.0)
     assert g.n == 4
-    assert g.domain.points == (0.5, 1.5, 2.5, 3.5)
+    assert midpoints(g) == (0.5, 1.5, 2.5, 3.5)
     assert g.cell_mass == QUAD
 
 
@@ -53,6 +65,28 @@ def test_grid_validation():
         half_line_grid(1.0, 4.5)      # not a multiple of h
     with pytest.raises(InputError):
         half_line_grid(1.0, 1.0)      # single cell
+
+
+def test_grid_size_limit_comes_before_any_array():
+    g = half_line_grid(1.0, float(2 ** 22))      # (h, n) only: nothing per cell
+    assert g.n == 2 ** 22
+    for h, max_r in ((1.0, float(2 ** 22 + 1)), (1e-9, 1.0), (1e-300, 1.0)):
+        with pytest.raises(InputError, match="too many grid cells: .*, more than 4194304"):
+            half_line_grid(h, max_r)
+
+
+@pytest.mark.parametrize("n, a, b", [(4, 0.0, 4.0), (4, 2.0, 3.0), (9, 0.5, 3.2),
+                                     (9, 8.9, 9.0), (16, 0.0, 1.0), (16, 3.0, 16.0)])
+def test_interval_entry_count_is_what_the_bands_emit(monkeypatch, n, a, b):
+    # the closed-form count is exact: the limit at the count passes, one below fails
+    g = half_line_grid(1.0, float(n))
+    k_lo, k_hi = math.floor(a + 1e-9), math.ceil(b - 1e-9)
+    count = sum(semidirect._reflection_bands(n, k).shape[1] for k in range(k_lo + 1, k_hi + 1))
+    monkeypatch.setattr(semidirect, "_MAX_BUILD", count)
+    assert interval_operator(g, a, b).meta["nodes"] == k_hi - k_lo
+    monkeypatch.setattr(semidirect, "_MAX_BUILD", count - 1)
+    with pytest.raises(InputError, match=f"has {count} entries"):
+        interval_operator(g, a, b)
 
 
 def test_snap_rounds_half_up_with_floor_one():
@@ -70,8 +104,9 @@ def test_snap_rounds_half_up_with_floor_one():
 
 
 def test_shift_operator_rows():
-    op = shift_operator(half_line_grid(1.0, 4.0), 1.0)
-    got = dict(op.entries())
+    g = half_line_grid(1.0, 4.0)
+    op = shift_operator(g, 1.0)
+    got = point_entries(op, midpoints(g))
     # interior row: mass from both neighbors; first row: reflection brings
     # the corner term back onto the diagonal
     assert got[(2.5, 1.5)] == 1.0 and got[(2.5, 3.5)] == 1.0
@@ -146,8 +181,7 @@ def test_reflection_bands_match_the_entry_loop(n, k):
     rows, cols = loop_reflection_bands(n, k)
     bands = semidirect._reflection_bands(n, k)
     assert bands.dtype == np.int64 and np.array_equal(bands, [rows, cols])
-    domain = half_line_grid(1.0, float(n)).domain
-    got = LinOp.from_entries(domain, *bands, np.ones(bands.shape[1]), symmetric=True)
+    got = LinOp.from_entries(n, *bands, np.ones(bands.shape[1]), symmetric=True)
     want = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     want.sum_duplicates()
     assert_same_csr(got.matrix, want)
@@ -210,11 +244,28 @@ def test_interval_norm_stays_below_window_mass():
     assert np.abs(evs).max() <= op.meta["target"] + 1e-12
 
 
+def parent_witness(grid, m):
+    """interval_witness as built from a tuple of midpoints, one float at a time."""
+    pts = np.array(midpoints(grid))
+    v = np.where((pts >= m) & (pts <= 2 * m), math.sqrt(4.0 * math.pi / m), 0.0)
+    return v / math.sqrt(float(v @ (grid.cell_mass * v)))
+
+
+@pytest.mark.parametrize("h, max_r", [(2.0 ** -4, 32.0), (0.1, 3.2), (0.3, 9.0)])
+def test_witness_is_bit_equal_to_the_midpoint_tuple_construction(h, max_r):
+    g = half_line_grid(h, max_r)
+    # band edges on midpoints: a midpoint one ulp off flips a cell in or out
+    edges = [x for p in midpoints(g) for x in (p, p / 2) if 2 * x <= max_r]
+    for m in [0.1, 0.35, 0.45, 0.7, 1.0, 1.5, max_r / 2] + edges:
+        got, want = interval_witness(g, m), parent_witness(g, m)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (h, m)
+
+
 def test_witness_normalization_and_support():
     g = half_line_grid(0.25, 32.0)
     v = interval_witness(g, 4.0)
     assert abs(v @ (g.cell_mass * v) - 1.0) < 1e-12
-    pts = np.array(g.domain.points)
+    pts = np.array(midpoints(g))
     assert np.all(v[(pts < 4.0) | (pts > 8.0)] == 0.0)
     assert np.all(v[(pts >= 4.0) & (pts <= 8.0)] > 0.0)
     with pytest.raises(InputError):
@@ -262,7 +313,7 @@ def test_pair_lattice_enumeration():
     assert pairs.size == 10               # 5 choose 2
     assert all(a < b for a, b in pairs.classes)
     assert len(set(pairs.classes)) == 10
-    assert pairs.domain.points == pairs.classes
+    assert pair_window_operator(pairs, [(0, 1), (-1, 0)]).n == pairs.size
     with pytest.raises(InputError):
         pair_lattice(0)
     with pytest.raises(InputError):
@@ -272,7 +323,7 @@ def test_pair_lattice_enumeration():
 def test_pair_shift_rows():
     pairs = pair_lattice(3)
     op = pair_shift_operator(pairs, (1, 0))
-    got = dict(op.entries())
+    got = point_entries(op, pairs.classes)
     assert got[((0, 2), (-1, 2))] == 1.0
     assert got[((0, 2), (0, 1))] == 1.0
     # shifting (0, 1) one way lands on the degenerate diagonal and is dropped
@@ -352,7 +403,7 @@ def test_pair_window_is_upper_triangle_adjacency():
         for nb in ((a + 1, b), (a - 1, b), (a, b + 1), (a, b - 1)):
             if nb[0] < nb[1] and nb in classes:
                 want[((a, b), nb)] = 1.0
-    assert dict(op.entries()) == want
+    assert point_entries(op, pairs.classes) == want
     assert op.symmetric
 
 

@@ -17,21 +17,17 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import amenspec
-from amenspec import (CERT_TOL, InputError, LinOp, SpectrumDomain, ZLattice, build_ball,
+from amenspec import (CERT_TOL, InputError, LinOp, ZLattice, build_ball,
                       cayley_operator, fingerprint, in_spectrum, pair_lattice,
                       pair_window_operator, residual, spectral, spectral_radius,
                       truncation_sweep)
-
-
-def make_domain(n):
-    return SpectrumDomain(tuple(range(n)))
 
 
 def path_operator(n):
     """0/1 adjacency of the path graph on n vertices."""
     rows = list(range(n - 1)) + list(range(1, n))
     cols = list(range(1, n)) + list(range(n - 1))
-    return LinOp.from_entries(make_domain(n), rows, cols, np.ones(2 * (n - 1)),
+    return LinOp.from_entries(n, rows, cols, np.ones(2 * (n - 1)),
                               symmetric=True)
 
 
@@ -46,35 +42,6 @@ def test_exports_exist_once():
     assert len(amenspec.__all__) == len(set(amenspec.__all__))
     for name in amenspec.__all__:
         assert hasattr(amenspec, name), name
-
-
-# -- domains ------------------------------------------------------------------
-
-
-def test_domain_basic():
-    d = make_domain(4)
-    assert d.truncation_size == 4
-    assert d.index(2) == 2
-    with pytest.raises(InputError):
-        d.index(99)
-
-
-def test_domain_rejects_bad_input():
-    with pytest.raises(InputError, match="unique"):
-        SpectrumDomain((0, 0))
-    with pytest.raises(InputError, match="at least one point"):
-        SpectrumDomain(())
-
-
-def test_domain_adopts_a_given_index():
-    index = {"a": 0, "b": 1, "c": 2}
-    d = SpectrumDomain(("a", "b"), _index=index)
-    assert d._index is index
-    assert d.index("b") == 1
-    with pytest.raises(InputError, match="not in domain"):
-        d.index("c")            # mapped by the shared index, but past this prefix
-    with pytest.raises(InputError, match="unique"):
-        SpectrumDomain(("a", "a"), _index={"a": 0})
 
 
 # -- operator construction ----------------------------------------------------
@@ -98,40 +65,47 @@ def test_apply_is_linear():
 
 def test_entry_lookup_and_iteration():
     op = path_operator(4)
-    assert op.entry(0, 1) == 1.0
-    assert op.entry(0, 3) == 0.0
-    seen = dict(op.entries())
+    assert op.matrix[0, 1] == 1.0
+    assert op.matrix[0, 3] == 0.0
+    coo = op.matrix.tocoo()
+    seen = {(i, j): v for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())}
     assert seen[(2, 3)] == 1.0
-    assert len(seen) == 6
+    assert len(seen) == 6 and op.n == 4
 
 
 def test_duplicate_entries_are_summed():
-    d = make_domain(2)
-    op = LinOp.from_entries(d, [0, 0], [1, 1], [1.0, 2.0], symmetric=False)
-    assert op.entry(0, 1) == 3.0
+    op = LinOp.from_entries(2, [0, 0], [1, 1], [1.0, 2.0], symmetric=False)
+    assert op.matrix[0, 1] == 3.0 and op.nnz == 1
 
 
 def test_symmetry_claim_is_verified():
-    d = make_domain(2)
     with pytest.raises(InputError):
-        LinOp.from_entries(d, [0], [1], [1.0], symmetric=True)
-    op = LinOp.from_entries(d, [0], [1], [1.0], symmetric=False)
+        LinOp.from_entries(2, [0], [1], [1.0], symmetric=True)
+    op = LinOp.from_entries(2, [0], [1], [1.0], symmetric=False)
     assert op.symmetry_defect() == 1.0
 
 
 def test_operator_input_errors():
-    d = make_domain(3)
     with pytest.raises(InputError):
-        LinOp.from_entries(d, [0], [5], [1.0], symmetric=False)
+        LinOp.from_entries(3, [0], [5], [1.0], symmetric=False)
     with pytest.raises(InputError):
-        LinOp.from_entries(d, [0], [0], [np.nan], symmetric=False)
-    with pytest.raises(InputError):
-        LinOp(d, np.eye(2), symmetric=True)
+        LinOp.from_entries(3, [0], [0], [np.nan], symmetric=False)
     op = path_operator(3)
     with pytest.raises(InputError):
         op.apply(np.ones(5))
     with pytest.raises(InputError):
         path_operator(30).to_dense(limit=10)
+
+
+def test_operator_matrix_must_be_square_and_nonempty():
+    # the matrix alone sets the size n, so it must be n x n with n >= 1
+    for m in (np.ones((2, 3)), np.ones((3, 2)), np.zeros((0, 0)), sp.csr_matrix((0, 4))):
+        with pytest.raises(InputError, match="square and nonempty"):
+            LinOp(m, symmetric=False)
+    with pytest.raises(InputError, match="square and nonempty"):
+        LinOp.from_entries(0, [], [], [], symmetric=True)
+    op = LinOp(np.ones((1, 1)), symmetric=True)
+    assert op.n == 1 and op.leading_block(1) is op
 
 
 # -- spectral radius ----------------------------------------------------------
@@ -148,10 +122,9 @@ def test_radius_path5_closed_form():
 
 
 def test_radius_identity_and_zero():
-    d = make_domain(7)
-    ident = LinOp.from_entries(d, range(7), range(7), np.ones(7), symmetric=True)
+    ident = LinOp.from_entries(7, range(7), range(7), np.ones(7), symmetric=True)
     assert abs(spectral_radius(ident).radius_estimate - 1.0) < 1e-12
-    zero = LinOp.from_entries(d, [], [], [], symmetric=True)
+    zero = LinOp.from_entries(7, [], [], [], symmetric=True)
     rep = spectral_radius(zero)
     assert rep.radius_estimate == 0.0 and rep.converged
 
@@ -161,8 +134,7 @@ def test_radius_matches_dense_on_random_symmetric():
     for n in (3, 17, 60):
         m = rng.standard_normal((n, n))
         m = m + m.T
-        d = make_domain(n)
-        op = LinOp(d, m, symmetric=True)
+        op = LinOp(m, symmetric=True)
         want = float(np.abs(np.linalg.eigvalsh(m)).max())
         rep = spectral_radius(op)
         assert abs(rep.radius_estimate - want) < 1e-8
@@ -171,9 +143,8 @@ def test_radius_matches_dense_on_random_symmetric():
 
 def test_radius_negative_dominant_eigenvalue():
     # dominant eigenvalue in absolute value is the negative end
-    d = make_domain(3)
     m = np.diag([-5.0, 1.0, 2.0])
-    op = LinOp(d, m, symmetric=True)
+    op = LinOp(m, symmetric=True)
     rep = spectral_radius(op)
     assert abs(rep.radius_estimate - 5.0) < 1e-10
 
@@ -247,7 +218,7 @@ def test_basis_stays_orthonormal_across_sixteen_decades():
     # Ritz values converge at both ends at once, where plain Lanczos loses
     # orthogonality first
     n = 600
-    op = LinOp(make_domain(n), sp.diags(np.geomspace(1e-8, 1e8, n)), symmetric=True)
+    op = LinOp(sp.diags(np.geomspace(1e-8, 1e8, n)), symmetric=True)
     res = spectral._lanczos(op, spectral.EIGEN_TOL, n, 7)
     assert orthonormality_defect(res) <= 1e-12
 
@@ -264,7 +235,7 @@ def test_closure_takes_the_second_gram_schmidt_pass():
 def test_solves_say_why_they_stopped():
     assert spectral_radius(path_operator(50), max_iter=50).stop == "closure"
     assert spectral_radius(path_operator(400), max_iter=12).stop == "budget"
-    zero = LinOp.from_entries(make_domain(3), [], [], [], symmetric=True)
+    zero = LinOp.from_entries(3, [], [], [], symmetric=True)
     assert spectral_radius(zero).stop == "closure"
     # the 20-point block closes, the 60-point one spends its budget of 30
     rep = truncation_sweep(path_operator(60), [20, 60], max_iter=30)
@@ -328,7 +299,7 @@ class CountingMatrix:
     """Stands in for a LinOp's matrix and counts matrix-vector products."""
 
     def __init__(self, m):
-        self.m, self.nnz, self.products = m, m.nnz, 0
+        self.m, self.nnz, self.shape, self.products = m, m.nnz, m.shape, 0
 
     def __matmul__(self, v):
         self.products += 1
@@ -339,7 +310,7 @@ class CountingMatrix:
 def test_overflowing_product_fails_at_its_first_step(solve):
     # the first product overflows, so the first beta is inf: the solve stops
     # there instead of running on NaNs until its budget is spent
-    op = LinOp(make_domain(4), np.full((4, 4), 1e308), symmetric=True)
+    op = LinOp(np.full((4, 4), 1e308), symmetric=True)
     op.matrix = CountingMatrix(op.matrix)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(InputError, match="step 1: .* operator overflows"):
@@ -446,8 +417,7 @@ def test_in_spectrum_skips_zero_and_unnamed_witnesses():
 
 
 def test_in_spectrum_input_errors():
-    d = make_domain(2)
-    asym = LinOp.from_entries(d, [0], [1], [1.0], symmetric=False)
+    asym = LinOp.from_entries(2, [0], [1], [1.0], symmetric=False)
     with pytest.raises(InputError):
         in_spectrum(asym, 1.0)
     op = path_operator(5)
@@ -535,7 +505,7 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
         return orig(op, tol, max_iter, seed)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
-    zero = LinOp.from_entries(make_domain(5), [], [], [], symmetric=True)
+    zero = LinOp.from_entries(5, [], [], [], symmetric=True)
     for op, target in ((path_operator(400), 3.0), (path_operator(400), 1.0), (zero, 0.5)):
         solved.clear()
         cert = in_spectrum(op, target, max_iter=120)
@@ -589,7 +559,7 @@ def test_membership_certificate_soundness_against_dense():
         n = int(rng.integers(5, 40))
         m = rng.standard_normal((n, n))
         m = m + m.T
-        op = LinOp(make_domain(n), m, symmetric=True)
+        op = LinOp(m, symmetric=True)
         evs = np.linalg.eigvalsh(m)
         target = float(rng.uniform(evs.min() - 1, evs.max() + 1))
         cert = in_spectrum(op, target, tol=0.1)
@@ -644,10 +614,7 @@ def test_leading_block_is_the_compression_to_a_prefix():
     assert op.leading_block(12) is op
     block = op.leading_block(5)
     assert np.array_equal(block.to_dense(), op.to_dense()[:5, :5])
-    assert block.domain.points == op.domain.points[:5]
-    assert block.domain._index is op.domain._index and block.domain.index(4) == 4
-    with pytest.raises(InputError):
-        block.domain.index(5)
+    assert block.n == 5 and block.symmetric and block.meta == {}
     for n in (0, 13):
         with pytest.raises(InputError, match="block size"):
             op.leading_block(n)
@@ -662,7 +629,7 @@ def test_radius_bounded_by_max_row_sum(n, seed):
     rng = np.random.default_rng(seed)
     m = np.abs(rng.standard_normal((n, n)))
     m = m + m.T
-    op = LinOp(make_domain(n), m, symmetric=True)
+    op = LinOp(m, symmetric=True)
     bound = float(np.abs(m).sum(axis=1).max())
     rep = spectral_radius(op)
     assert rep.radius_estimate <= bound + 1e-8
@@ -674,7 +641,7 @@ def test_residual_scale_invariance(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     m = m + m.T
-    op = LinOp(make_domain(n), m, symmetric=True)
+    op = LinOp(m, symmetric=True)
     v = rng.standard_normal(n)
     if np.linalg.norm(v) < 1e-9:
         return
@@ -692,7 +659,7 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
     rng = np.random.default_rng(seed)
     half = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = (half + half.T).toarray()
-    op = LinOp(make_domain(n), m, symmetric=True)
+    op = LinOp(m, symmetric=True)
     evs = np.linalg.eigvalsh(m)
     i = pick % n
     if kind == "eigenvalue":
@@ -722,7 +689,7 @@ def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
     half = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = (half + half.T).toarray()
     budget = n if max_iter is None else max_iter
-    res = spectral._lanczos(LinOp(make_domain(n), m, symmetric=True), 1e-10, budget, seed % 100)
+    res = spectral._lanczos(LinOp(m, symmetric=True), 1e-10, budget, seed % 100)
     evs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(np.abs(evs).max()))
     k = res.iterations

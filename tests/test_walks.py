@@ -17,6 +17,13 @@ from amenspec import (FreeGroup, InputError, ZLattice, build_ball,
 SMALL_GROUPS = [ZLattice(d) for d in (1, 2, 3)] + [FreeGroup(k) for k in (1, 2, 3)]
 
 
+def point_entries(op, points):
+    """{(row point, column point): value} over the stored entries of op."""
+    coo = op.matrix.tocoo()
+    return {(points[i], points[j]): v
+            for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist())}
+
+
 # -- groups and balls ---------------------------------------------------------
 
 
@@ -130,28 +137,23 @@ def test_free_ball_is_the_breadth_first_search(k, radii):
             assert got.dtype == np.int64 and np.array_equal(got, want), (r, name)
         assert ball.sphere_ends == ends
         assert tuple(ball.elements) == elements
-    # the words were just shown equal to the domain's points
-    assert all(ball.domain.index(w) == i for i, w in enumerate(elements))
+    # the words were just shown equal to the search's elements, in order
+    assert all(ball.index.get(w) == i for i, w in enumerate(elements))
 
 
 def test_free_ball_finds_only_its_own_reduced_words():
     ball = build_ball(FreeGroup(2), 3)
-    op = cayley_operator(ball.group, dict.fromkeys("aAbB", 1.0), ball)
-    inner = op.leading_block(ball.sphere_ends[2])
-    past_prefix = ball.elements[ball.sphere_ends[2]]
-    assert inner.domain.points[-1] == ball.elements[ball.sphere_ends[2] - 1]
-    assert past_prefix not in inner.domain.points
-    assert past_prefix in ball.index
-    with pytest.raises(InputError, match="not in domain"):
-        inner.domain.index(past_prefix)
+    inner = ball.elements[:ball.sphere_ends[2]]     # a slice is a tuple of words
+    assert inner == tuple(build_ball(FreeGroup(2), 2).elements)
+    assert ball.elements[ball.sphere_ends[2]] not in inner
     for word in [(1, 1, 1, 1),          # outside the ball
                  (1, -1), (2, 1, -1),   # not reduced
                  (3,), (0,), ("a",),    # unknown letters
                  [1], "a", 1, None]:    # not tuples
         assert word not in ball.index and ball.index.get(word, -1) == -1
-        with pytest.raises(InputError, match="not in domain"):
-            ball.domain.index(word)
-    assert ball.domain.index(()) == 0 and ball.domain.index((-2, 1)) == 14
+    assert ball.index.get(()) == 0 and ball.index.get((-2, 1)) == 14
+    assert ball.elements[ball.index.get((-2, 1))] == (-2, 1)
+    assert all(ball.index.get(w) == i for i, w in enumerate(ball.elements))
     assert ball.elements[-1] == ball.elements[ball.size - 1]
     assert ball.elements[2:5] == ((-1,), (2,), (-2,))
     with pytest.raises(IndexError):
@@ -169,13 +171,33 @@ def test_free_ball_keeps_no_words():
     assert live <= 12e6
 
 
+@pytest.mark.parametrize("group", [ZLattice(d) for d in (0, 1, 2, 3)]
+                         + [FreeGroup(k) for k in (0, 1, 2, 3)], ids=lambda g: g.name)
+def test_ball_size_limit_is_the_exact_ball_size(monkeypatch, group):
+    # the closed-form count is exact: a limit at the size builds, one below fails
+    for r, size in enumerate([build_ball(group, r).size for r in range(6)]):
+        monkeypatch.setattr(walks, "_MAX_BUILD", size)
+        assert build_ball(group, r).size == size
+        monkeypatch.setattr(walks, "_MAX_BUILD", size - 1)
+        with pytest.raises(InputError, match=f"the radius-{r} ball has more than {size - 1} "):
+            build_ball(group, r)
+
+
+@pytest.mark.parametrize("spec, radius", [("F:2", 14), ("F:26", 5), ("Z^d:2", 1449),
+                                          ("Z^d:1", 10 ** 18), ("F:1", 10 ** 18)])
+def test_balls_past_the_size_limit_are_input_errors(spec, radius):
+    # 2**22 elements at most; a huge radius is refused without counting to it
+    with pytest.raises(InputError, match="has more than 4194304 elements"):
+        build_ball(parse_group(spec), radius)
+
+
 # -- walk operators -----------------------------------------------------------
 
 
 def test_lattice_walk_entries():
     ball = build_ball(ZLattice(1), 3)
     op = cayley_operator(ZLattice(1), {"x1": 0.5, "X1": 0.5}, ball)
-    got = dict(op.entries())
+    got = point_entries(op, ball.elements)
     want = {((u,), (v,)): 0.5
             for u in range(-3, 4) for v in range(-3, 4) if abs(u - v) == 1}
     assert got == want
@@ -189,7 +211,7 @@ def test_plane_walk_matches_brute_adjacency():
     pts = set(ball.elements)
     want = {(u, v): 1.0 for u in pts for v in pts
             if abs(u[0] - v[0]) + abs(u[1] - v[1]) == 1}
-    assert dict(op.entries()) == want
+    assert point_entries(op, ball.elements) == want
 
 
 def test_free_walk_radius_one_is_a_star():
@@ -411,9 +433,10 @@ def test_kesten_operators_match_fresh_builds(inputs):
     if weights is None:
         weights = dict.fromkeys(omega or group.generator_names, 1.0)
     assert [op.meta["radius"] for op in solved] == radii
+    ball = build_ball(group, radii[-1])     # row i of every operator is elements[i]
     for r, op in zip(radii, solved):
         elements, want, dropped = reference_walk(group, weights, r)
-        assert tuple(op.domain.points) == elements
+        assert ball.elements[:op.n] == elements
         for name in ("indptr", "indices", "data"):
             got, ref = getattr(op.matrix, name), getattr(want, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name
@@ -436,31 +459,6 @@ def test_kesten_builds_one_ball_and_one_operator(monkeypatch):
     assert calls.count("build_ball") == 1
     assert calls.count("cayley_operator") == 1
     assert calls.count("spectral_radius") == 6
-
-
-def test_ball_domains_share_the_search_index(monkeypatch):
-    solved = []
-    spectral_radius = walks.spectral_radius
-
-    def recording(op, **kw):
-        solved.append(op)
-        return spectral_radius(op, **kw)
-
-    monkeypatch.setattr(walks, "spectral_radius", recording)
-    kesten_test(FreeGroup(2), 4)
-    full = solved[-1].domain
-    outside = full.points[-1]
-    for op in solved:
-        assert op.domain._index is full._index
-        pts = op.domain.points
-        assert [op.domain.index(p) for p in pts] == list(range(len(pts)))
-        if op is not solved[-1]:
-            with pytest.raises(InputError, match="not in domain"):
-                op.domain.index(outside)
-        with pytest.raises(InputError, match="not in domain"):
-            op.domain.index((1, 1, 1, 1, 1))
-    ball = build_ball(FreeGroup(2), 3)
-    assert ball.domain._index is ball.index
 
 
 # -- group laws ---------------------------------------------------------------
