@@ -1,8 +1,8 @@
 """Command line surface: one run per process, one JSON report per run.
 
 Reports are deterministic for a fixed command line and seed: keys are
-sorted, wall time is omitted unless requested with --timings, and every
-numeric field comes from seeded computations. Exit status 0 means the run
+sorted, wall time is omitted unless requested with --timings, and the
+seed picks only the shift-invert start vector. Exit status 0 means the run
 completed (certified or not); 2 means bad input or a failed ring axiom;
 3 means an eigensolver failed to stabilize. Errors are emitted as JSON
 objects on stdout so pipelines can parse both outcomes the same way.
@@ -159,14 +159,14 @@ def _run_sweep(o: dict):
     # one operator at the largest size; every smaller size is a leading block of it
     ring, ring_echo = _build_ring(o, max(o["sizes"]) - 1)
     op = fusion.window_operator(ring, o["omega"], max(o["sizes"]))
-    rep = truncation_sweep(op, o["sizes"], tol=o["tol"], seed=o["seed"])
+    rep = truncation_sweep(op, o["sizes"], tol=o["tol"])
     return {"ring": ring_echo, "omega": o["omega"], "sizes": o["sizes"]}, op, rep
 
 
 def _run_walk(o: dict):
     group = walks.parse_group(o["group"])
     verdict = walks.kesten_test(group, o["radius"], omega=o["omega"], tol=o["tol"],
-                                seed=o["seed"], weights=o["weight"])
+                                weights=o["weight"])
     notes = verdict.notes
     if not all(notes["eigensolver_converged"]):
         bad = [r for r, ok in zip(notes["radii"], notes["eigensolver_converged"]) if not ok]
@@ -194,7 +194,7 @@ def _run_bicrossed(o: dict):
                                                     seed=o["seed"])
     # a sweep verdict carries no operator: rebuild the largest box, solve it, report on it
     op = semidirect.pair_window_operator(semidirect.pair_lattice(bounds[-1]), omega)
-    verdict.spectral = spectral_radius(op, seed=o["seed"])
+    verdict.spectral = spectral_radius(op)
     return ({"bound": bounds, "shift": list(shift), "window": [list(s) for s in omega]},
             op, verdict)
 
@@ -236,7 +236,7 @@ def _report(cmd: str, o: dict, echo: dict, op, result):
 
 _REQUIRED = object()
 _COMMON = (
-    ("--seed", "random seed for the eigensolvers", _as_seed, DEFAULT_SEED),
+    ("--seed", "seed of the shift-invert start vector", _as_seed, DEFAULT_SEED),
     ("--output", "write the JSON report here instead of stdout", _as_str, None),
     ("--csv", "also write a CSV summary to this path", _as_str, None),
     ("--timings", "include wall time in the report (breaks byte determinism)", _as_bool, False),

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .spectral import (CERT_TOL, DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       ValidationError, in_spectrum)
+                       ValidationError, _MAX_BUILD, in_spectrum)
 
 FREE_SU2 = "free-su2"
 _TABLE_FIELDS = {"kind", "labels", "dims", "conj", "fusion"}
@@ -172,6 +172,8 @@ class FusionRing:
             self.level = None
             self.N = None
         else:
+            if desc.level + 1 > _MAX_BUILD:
+                raise InputError(f"the level-{desc.level} ring has more than {_MAX_BUILD} labels")
             self.level = desc.level
             self.N = int(desc.N) if float(desc.N).is_integer() else float(desc.N)
             self.integral_dims = isinstance(self.N, int)

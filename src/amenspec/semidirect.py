@@ -183,6 +183,8 @@ class PairLattice:
     def __init__(self, bound: int):
         if not isinstance(bound, int) or bound < 1:
             raise InputError("bound must be a positive integer")
+        if bound * (2 * bound + 1) > _MAX_BUILD:      # the class count
+            raise InputError(f"the bound-{bound} box has more than {_MAX_BUILD} classes")
         self.bound = bound
         rng = range(-bound, bound + 1)
         self.classes = tuple((a, b) for a in rng for b in rng if a < b)

@@ -28,7 +28,7 @@ CERT_TOL = 1e-2
 _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
-_MAX_BUILD = 2 ** 22  # most ball elements, grid cells or interval entries built
+_MAX_BUILD = 2 ** 22  # most elements, cells, entries, classes or labels a build makes
 
 
 class InputError(ValueError):
@@ -47,7 +47,8 @@ class ValidationError(ValueError):
 class LinOp:
     """Finitely truncated operator: the n x n matrix on its builder's first n points.
 
-    Stored as CSR. symmetric is asserted by the builder and then verified
+    Stored as CSR, with finite nonnegative entries, which _lanczos's start
+    relies on. symmetric is asserted by the builder and then verified
     exactly: every builder here produces an exactly symmetric matrix when it
     asserts one. Shifts past the truncation edge are dropped (zero padding),
     the compression semantics the certificates rely on.
@@ -58,8 +59,8 @@ class LinOp:
         matrix.sum_duplicates()
         if not 0 < matrix.shape[0] == matrix.shape[1]:
             raise InputError(f"operator matrix must be square and nonempty, got {matrix.shape}")
-        if matrix.nnz and not np.all(np.isfinite(matrix.data)):
-            raise InputError("operator entries must be finite")
+        if matrix.nnz and not (np.all(np.isfinite(matrix.data)) and matrix.data.min() >= 0):
+            raise InputError("operator entries must be finite and nonnegative")
         self.matrix = matrix
         self.symmetric = bool(symmetric)
         self.meta = dict(meta or {})
@@ -139,8 +140,7 @@ class SpectralReport:
 class MembershipCertificate:
     """Result of in_spectrum. spectral is the SpectralReport of its Lanczos
     run, None when that run failed; to_dict leaves it out. _run keeps the
-    run, as (op, seed, max_iter, run or route error), for in_spectrum's
-    reuse=."""
+    run, as (op, max_iter, run or route error), for in_spectrum's reuse=."""
 
     target: float
     tolerance: float
@@ -275,12 +275,17 @@ def _gram_schmidt(basis: list, w: np.ndarray) -> None:
         w -= c @ B
 
 
-def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
+def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     """Lanczos with full reorthogonalization, at most min(max_iter, n) steps.
 
-    The seeded Gaussian start vector has a component along every
-    eigenspace, so a closed Krylov subspace (breakdown, or dimension n)
-    holds every distinct eigenvalue exactly. Each step reads only the two
+    The start is the constant vector 1/sqrt(n). A LinOp is nonnegative, so
+    its radius is its largest eigenvalue, with a nonnegative eigenvector
+    (Perron-Frobenius: Horn and Johnson, Matrix Analysis, 8.3) that meets
+    the start, which thus reaches the radius for certain. Its Krylov space
+    is spanned by its projections on the eigenspaces it meets, those of the
+    "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007), so
+    it closes (breakdown, or dimension n) after as many steps as there are
+    main eigenvalues, holding each exactly. Each step reads only the two
     extreme Ritz values, by bisection; a stall of both is confirmed by the
     rigorous bound beta * |last Ritz component|, those two components from
     inverse iteration on the tridiagonal (_last_components), before the run
@@ -304,9 +309,8 @@ def _lanczos(op: LinOp, tol: float, max_iter: int, seed: int) -> _LanczosResult:
     n = op.n
     A = op.matrix
     budget = min(max_iter, n)
-    v = np.random.default_rng(seed).standard_normal(n)
     blocks = [np.empty((min(_BLOCK, budget + 1), n))]
-    np.divide(v, np.linalg.norm(v), out=blocks[0][0])
+    blocks[0][0] = 1 / math.sqrt(n)
     alphas = np.empty(budget)
     betas = np.empty(budget)
     stop = "budget"
@@ -368,23 +372,22 @@ def _check_solver_args(tol: float, max_iter: int) -> None:
         raise InputError("max_iter must be at least 1")
 
 
-def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300,
-                    seed: int = DEFAULT_SEED) -> SpectralReport:
+def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> SpectralReport:
     """Spectral radius of the truncated operator.
 
-    Lanczos with full reorthogonalization: one classical Gram-Schmidt pass
-    per step, and a second one when the first cut the vector's norm below
-    1/sqrt(2) of what it was (the DGKS test, see _lanczos). For a symmetric
-    operator the estimate is within tol of the largest |eigenvalue| of the
-    truncation once converged, and converged: false means the budget of
-    max_iter steps ran out. stop says why the solve ended: "closure" (the
-    Krylov subspace closed, or the operator is zero), "residual" (the
-    residual bound on the extreme Ritz values met tol) or "budget".
+    Lanczos from the constant vector, which meets the nonnegative Perron
+    eigenvector of the radius and closes at the number of main eigenvalues
+    (see _lanczos). For a symmetric operator the estimate is within tol of
+    the largest eigenvalue of the truncation once converged, and converged:
+    false means the budget of max_iter steps ran out. stop says why the
+    solve ended: "closure" (the Krylov subspace closed, or the operator is
+    zero), "residual" (the residual bound on the extreme Ritz values met
+    tol) or "budget".
     radius_lower_bound is the Rayleigh quotient of the extreme Ritz vector,
     recomputed in the original space, hence a rigorous lower bound.
     """
     _check_solver_args(tol, max_iter)
-    return _radius_report(op, _lanczos(op, tol, max_iter, seed) if op.nnz else None)
+    return _radius_report(op, _lanczos(op, tol, max_iter) if op.nnz else None)
 
 
 def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
@@ -397,15 +400,10 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
     lower = abs(float(u @ op.apply(u)))
     estimate = max(float(np.abs(thetas).max()), lower)
 
-    order = np.argsort(thetas)
-    sel = list(thetas[order[::-1][:4]]) + list(thetas[order[:4]])
-    seen, tops = set(), []
-    for t in sel:
-        key = round(float(t), 14)
-        if key not in seen:
-            seen.add(key)
-            tops.append(float(t))
-    return SpectralReport(estimate, min(lower, estimate), tops,
+    tops = {}                           # the top four, then the bottom four, once each
+    for t in list(thetas[::-1][:4]) + list(thetas[:4]):
+        tops.setdefault(round(float(t), 14), float(t))
+    return SpectralReport(estimate, min(lower, estimate), list(tops.values()),
                           res.iterations, res.converged, res.stop)
 
 
@@ -418,13 +416,17 @@ def fingerprint(op: LinOp) -> dict:
             "boundary_policy": "zero-pad"}
 
 
+def _norm(v: np.ndarray) -> float:    # dnrm2 scales as it sums: no square overflows
+    return float(scipy.linalg.norm(v, check_finite=False))
+
+
 def residual(op: LinOp, target: float, v) -> float:
     """||A v - target v|| / ||v|| for a candidate approximate eigenvector."""
     v = np.asarray(v, dtype=float)
-    nrm = np.linalg.norm(v)
+    nrm = _norm(v)
     if nrm == 0:
         raise InputError("zero witness vector")
-    return float(np.linalg.norm(op.apply(v) - target * v) / nrm)
+    return _norm(op.apply(v) - target * v) / nrm
 
 
 def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
@@ -448,16 +450,19 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     from the eigensolver, an exactly singular factor.
 
     The certificate's spectral is the SpectralReport of its Lanczos run,
-    equal to spectral_radius(op, seed=seed, max_iter=max_iter). reuse, an
-    earlier certificate on op with the same seed and max_iter, supplies
-    that run (or its failure) instead of a new solve; a certificate on
-    another operator, seed or budget is an InputError.
+    equal to spectral_radius(op, max_iter=max_iter). seed picks only the
+    shift-invert start, which must stay generic: an interior eigenvector
+    can be orthogonal to the constant vector. reuse, an earlier certificate
+    on op with the same max_iter, whatever its seed, supplies that run (or
+    its failure) instead of a new solve; any other is an InputError.
     """
     if not op.symmetric:
         raise InputError("membership certificates require a symmetric operator")
     _check_solver_args(tol, max_iter)
-    if reuse is not None and reuse._run[:3] != (op, seed, max_iter):
-        raise InputError("reuse needs a certificate on the same operator, seed and max_iter")
+    if not math.isfinite(target):       # a window mass past float range
+        raise InputError(f"target must be finite, got {target!r}")
+    if reuse is not None and reuse._run[:2] != (op, max_iter):
+        raise InputError("reuse needs a certificate on the same operator and max_iter")
 
     best_res = np.inf
     best_id = None
@@ -469,7 +474,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (op.n,):
             raise InputError(f"witness {wid} has wrong length")
-        if np.linalg.norm(vec) == 0:
+        if _norm(vec) == 0:
             continue
         r = residual(op, target, vec)
         if r < best_res:
@@ -479,10 +484,10 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     errors = []
     spectral = None
     if reuse is not None:
-        run = reuse._run[3]
+        run = reuse._run[2]
     else:
         try:
-            run = _lanczos(op, EIGEN_TOL, max_iter, seed)
+            run = _lanczos(op, EIGEN_TOL, max_iter)
         except scipy.linalg.LinAlgError as e:
             run = f"lanczos-ritz: {e}"   # the certificate rests on the witnesses
     if isinstance(run, str):
@@ -508,8 +513,8 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         else:
             u = np.random.default_rng(seed + 3).standard_normal(op.n)
             for _ in range(4):
-                u = lu.solve(u / np.linalg.norm(u))
-            u /= np.linalg.norm(u)
+                u = lu.solve(u / _norm(u))
+            u /= _norm(u)
             if np.all(np.isfinite(u)):
                 gap = min(gap, abs(float(u @ op.apply(u)) - target))
                 r = residual(op, target, u)
@@ -519,11 +524,11 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     certified = bool(best_res <= tol)
     return MembershipCertificate(float(target), float(tol), float(best_res),
                                  best_id, certified, float(gap), errors, spectral,
-                                 (op, seed, max_iter, run))
+                                 (op, max_iter, run))
 
 
 def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
-                     seed: int = DEFAULT_SEED, max_iter: int = 300) -> SpectralReport:
+                     max_iter: int = 300) -> SpectralReport:
     """Solve the leading n x n block of op at each size n; record the estimates.
 
     sizes must be strictly increasing and lie in [1, op.n]. The returned
@@ -543,7 +548,7 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
     solved = True
     for s in sizes:
         report = spectral_radius(op.leading_block(s), tol=min(tol, EIGEN_TOL),
-                                 max_iter=max_iter, seed=seed)
+                                 max_iter=max_iter)
         trace.append((s, report.radius_estimate))
         solved = solved and report.converged
     report.truncation_trace = trace

@@ -19,8 +19,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .spectral import (DEFAULT_SEED, EIGEN_TOL, AmenabilityVerdict, InputError, LinOp,
-                       _MAX_BUILD, _check_solver_args, spectral_radius)
+from .spectral import (EIGEN_TOL, AmenabilityVerdict, InputError, LinOp, _MAX_BUILD,
+                       _check_solver_args, spectral_radius)
 
 
 class ZLattice:
@@ -30,6 +30,8 @@ class ZLattice:
     def __init__(self, d: int):
         if d < 0:
             raise InputError("lattice rank must be nonnegative")
+        if 2 * d * d > _MAX_BUILD:
+            raise InputError(f"lattice rank {d}: 2d^2 coordinates, more than {_MAX_BUILD}")
         self.d = int(d)
         self.name = f"Z^d:{self.d}"
         self.identity = (0,) * self.d
@@ -317,8 +319,7 @@ def modular_weight_operator(group, p: float, density: dict,
 
 
 def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0.05,
-                seed: int = DEFAULT_SEED, max_iter: int = 300,
-                weights: dict | None = None) -> AmenabilityVerdict:
+                max_iter: int = 300, weights: dict | None = None) -> AmenabilityVerdict:
     """Growth test: does the compressed walk radius reach the total weight.
 
     radii may be a single radius (swept from 1) or an increasing sequence.
@@ -331,11 +332,9 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     and a curvature-corrected limit estimate from the last two radii; the
     verdict carries the largest ball's operator and its SpectralReport.
     """
-    if isinstance(radii, int):
-        _check_ball_size(group, radii)      # before listing every radius
-        radii = list(range(1, radii + 1))
-    radii = [int(r) for r in radii]
-    if not radii or any(r <= 0 for r in radii) or any(
+    # a range increases by construction; build_ball bounds it before it is listed
+    radii = range(1, radii + 1) if isinstance(radii, int) else [int(r) for r in radii]
+    if not radii or radii[0] <= 0 or isinstance(radii, list) and any(
             b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be strictly increasing positive integers")
     _check_solver_args(tol, max_iter)
@@ -343,7 +342,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}
         op = LinOp(np.eye(1), symmetric=True)
-        rep = spectral_radius(op, seed=seed)
+        rep = spectral_radius(op)
         notes = {"radii": [0], "ball_sizes": [1],
                  "radius_estimates": [rep.radius_estimate],
                  "lower_bounds": [rep.radius_lower_bound],
@@ -382,7 +381,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     for r in radii:
         op = full.leading_block(ball.sphere_ends[r])
         op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
-        rep = spectral_radius(op, tol=EIGEN_TOL, max_iter=max_iter, seed=seed)
+        rep = spectral_radius(op, tol=EIGEN_TOL, max_iter=max_iter)
         sizes.append(op.n)
         estimates.append(rep.radius_estimate)
         lowers.append(rep.radius_lower_bound)
@@ -397,7 +396,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
         limit = (r2 ** 2 * b - r1 ** 2 * a) / (r2 ** 2 - r1 ** 2)
     else:
         limit = normalized[-1]
-    notes = {"radii": radii, "ball_sizes": sizes, "radius_estimates": estimates,
+    notes = {"radii": list(radii), "ball_sizes": sizes, "radius_estimates": estimates,
              "lower_bounds": lowers, "normalized": normalized,
              "limit_estimate": float(limit), "eigensolver_converged": solved}
     certified = bool(best_lower >= target - tol)

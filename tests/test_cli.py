@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,10 +109,11 @@ def test_sweep_command_csv_matches_closed_form(capsys, tmp_path):
 @pytest.mark.parametrize("argv, stop", [
     (("fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--trunc", "2000"),
      "budget"),
-    (("walk", "--group", "F:2", "--radius", "6"), "residual"),
+    (("walk", "--group", "Z^d:2", "--radius", "20"), "residual"),
     (("walk", "--group", "F:2", "--radius", "3"), "closure"),
-    # the 50-label block closes; the report is that of the 400-label block
-    (("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--sizes", "50,400"),
+    # the 50-label block closes; the report is that of the 1000-label block,
+    # whose 500 main eigenvalues outlast the budget of 300 steps
+    (("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--sizes", "50,1000"),
      "budget"),
 ])
 def test_reports_say_why_the_solve_stopped(capsys, argv, stop):
@@ -174,9 +176,9 @@ def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch
     solves, builds = [], []
     lanczos = spectral._lanczos
 
-    def counting_lanczos(op, tol, max_iter, seed):
-        solves.append((op, tol, max_iter, seed))
-        return lanczos(op, tol, max_iter, seed)
+    def counting_lanczos(op, tol, max_iter):
+        solves.append((op, tol, max_iter))
+        return lanczos(op, tol, max_iter)
 
     def counting(name, build):
         def wrapped(*args, **kwargs):
@@ -198,7 +200,7 @@ def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch
         code, rep = run(capsys, *argv)
         assert code == 0 and rep["spectral"]["iterations"] > 0
         assert builds == built, argv
-        keys = [(id(op), tol, max_iter, seed) for op, tol, max_iter, seed in solves]
+        keys = [(id(op), tol, max_iter) for op, tol, max_iter in solves]
         assert len(keys) == len(set(keys)), argv
 
 
@@ -231,7 +233,7 @@ def test_spectral_block_is_the_solve_of_the_reported_operator(capsys, argv):
     assert code == 0
     op = _rebuilt_operator(argv[0], rep["config"])
     assert fingerprint(op) == rep["operator"]
-    assert rep["spectral"] == spectral_radius(op, seed=rep["config"]["seed"]).to_dict()
+    assert rep["spectral"] == spectral_radius(op).to_dict()
 
 
 # -- determinism --------------------------------------------------------------
@@ -377,6 +379,10 @@ def test_grid_cell_count_overflow_is_an_input_error(capsys):
     ("semidirect", "--grid", "1:4096", "--interval", "0:4096"),   # 4096 cells, 25M entries
     ("walk", "--group", "F:2", "--radius", "30"),
     ("walk", "--group", "Z^d:1", "--radius", str(10 ** 18)),
+    ("walk", "--group", "Z^d:30000", "--radius", "1"),                # 2d^2 coordinates
+    ("bicrossed", "--bound", "100000", "--shift", "0,1"),             # B(2B + 1) classes
+    ("fusion", "--ring", "free-su2", "--N", "2", "--omega", "a1",     # level + 1 labels
+     "--trunc", "100000000"),
 ])
 def test_builds_past_the_size_limit_are_input_errors(capsys, argv):
     tracemalloc.start()
@@ -400,6 +406,36 @@ def test_rule_parameter_must_be_finite(capsys):
         assert "finite numeric N" in rep["error"]["message"]
 
 
+def _strict_json(text: str) -> dict:
+    """json.loads that refuses Infinity and NaN, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("n", ["1e200", "1e308"])
+def test_huge_rule_parameter_gives_finite_json(capsys, n):
+    # the residuals are about N: their norms must not square it into inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["fusion", "--ring", "free-su2", "--N", n, "--omega", "a1",
+                     "--trunc", "20"])
+    rep = _strict_json(capsys.readouterr().out)
+    assert code == 0
+    verdict = rep["verdict"]
+    assert not verdict["certified"]
+    assert float(n) * (1 - 1e-12) <= verdict["best_residual"] < math.inf
+    assert math.isfinite(verdict["gap_hint"])
+
+
+def test_window_mass_past_float_range_is_an_input_error(capsys):
+    # dim(a2) = N^2 - 1 overflows to inf: no residual can certify against it
+    code, rep = run(capsys, "fusion", "--ring", "free-su2", "--N", "1e200", "--omega", "a2",
+                    "--trunc", "20")
+    assert code == 2
+    assert rep["error"] == {"type": "input", "message": "target must be finite, got inf"}
+
+
 def test_overflowing_walk_is_an_input_error(capsys):
     code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "3",
                     "--weight", "x1=1e308", "--weight", "X1=1e308")
@@ -410,7 +446,7 @@ def test_overflowing_walk_is_an_input_error(capsys):
 
 
 def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
-    def failing(op, tol, max_iter, seed):
+    def failing(op, tol, max_iter):
         raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -426,7 +462,7 @@ def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
 ])
 def test_certificate_solver_failure_is_a_convergence_error(capsys, monkeypatch, argv):
     # the certificate falls back to its witnesses, but the report has no solve
-    def failing(op, tol, max_iter, seed):
+    def failing(op, tol, max_iter):
         raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -514,7 +550,7 @@ def test_verdict_lists_route_errors(capsys, monkeypatch):
 
 
 def test_convergence_failure_exits_3(capsys, monkeypatch):
-    def stuck(group, radius, omega=None, tol=0.05, seed=7, weights=None):
+    def stuck(group, radius, omega=None, tol=0.05, weights=None):
         notes = {"radii": [1], "ball_sizes": [3], "radius_estimates": [1.9],
                  "lower_bounds": [1.9], "normalized": [0.95],
                  "limit_estimate": 0.95, "eigensolver_converged": [False]}

@@ -440,8 +440,8 @@ def test_bicrossed_sweep_structure():
 
 def test_bicrossed_secondary_names_its_route():
     omega = [(0, 1), (-1, 0)]
-    sec = bicrossed_amenability_test([3, 6], omega).notes["secondary"]
-    direct = in_spectrum(pair_window_operator(pair_lattice(6), omega), 2.0, tol=5e-2)
+    sec = bicrossed_amenability_test([10, 20, 40], omega).notes["secondary"]
+    direct = in_spectrum(pair_window_operator(pair_lattice(40), omega), 2.0, tol=5e-2)
     assert sec["witness_id"] == direct.witness_id == "shift-invert"
     assert sec["best_residual"] == direct.best_residual
 

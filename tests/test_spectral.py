@@ -13,7 +13,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import amenspec
@@ -33,6 +33,16 @@ def path_operator(n):
 
 def path_top(n):
     return 2.0 * math.cos(math.pi / (n + 1))
+
+
+def main_eigenvalues(m):
+    """The distinct eigenvalues (to 1e-10) of the dense symmetric m whose
+    eigenspace P_lambda meets the all-ones vector: ||P_lambda 1|| > 1e-8."""
+    evs, vecs = np.linalg.eigh(m)
+    labels = np.round(evs, 10)
+    ones = np.ones(len(evs))
+    return [float(evs[labels == lam].min()) for lam in np.unique(labels)
+            if np.linalg.norm(vecs[:, labels == lam].T @ ones) > 1e-8]
 
 
 # -- package surface ----------------------------------------------------------
@@ -132,7 +142,7 @@ def test_radius_identity_and_zero():
 def test_radius_matches_dense_on_random_symmetric():
     rng = np.random.default_rng(11)
     for n in (3, 17, 60):
-        m = rng.standard_normal((n, n))
+        m = np.abs(rng.standard_normal((n, n)))
         m = m + m.T
         op = LinOp(m, symmetric=True)
         want = float(np.abs(np.linalg.eigvalsh(m)).max())
@@ -142,11 +152,19 @@ def test_radius_matches_dense_on_random_symmetric():
 
 
 def test_radius_negative_dominant_eigenvalue():
-    # dominant eigenvalue in absolute value is the negative end
-    m = np.diag([-5.0, 1.0, 2.0])
-    op = LinOp(m, symmetric=True)
-    rep = spectral_radius(op)
-    assert abs(rep.radius_estimate - 5.0) < 1e-10
+    # the star K_{1,3} is bipartite: its negative end -sqrt(3) is as large as rho
+    m = np.zeros((4, 4))
+    m[0, 1:] = m[1:, 0] = 1.0
+    rep = spectral_radius(LinOp(m, symmetric=True))
+    assert abs(rep.radius_estimate - math.sqrt(3)) < 1e-10
+    assert abs(min(rep.top_eigenvalues) + math.sqrt(3)) < 1e-10
+
+
+def test_negative_entries_are_input_errors():
+    with pytest.raises(InputError, match="nonnegative"):
+        LinOp(np.diag([-5.0, 1.0, 2.0]), symmetric=True)
+    with pytest.raises(InputError, match="nonnegative"):
+        LinOp.from_entries(3, [0, 1], [1, 0], [-1.0, -1.0], symmetric=True)
 
 
 def test_rayleigh_quotients_never_beat_radius():
@@ -173,15 +191,16 @@ def test_spent_budget_reports_unconverged_lanczos():
 
 
 def test_closure_takes_one_run_on_repeated_eigenvalues():
+    # the constant start stays in the ball's symmetric sector: the run closes
+    # at the 3 main eigenvalues, not at the 7 distinct ones
     group = ZLattice(2)
     op = cayley_operator(group, {g: 1.0 for g in group.generator_names},
                          build_ball(group, 2))
     dense = np.linalg.eigvalsh(op.to_dense())
-    distinct = np.unique(np.round(dense, 10))
-    assert op.n == 13 and distinct.size == 7
+    assert op.n == 13 and np.unique(np.round(dense, 10)).size == 7
     rep = spectral_radius(op)
-    assert rep.converged
-    assert rep.iterations == distinct.size
+    assert rep.converged and rep.stop == "closure"
+    assert rep.iterations == len(main_eigenvalues(op.to_dense())) == 3
     assert abs(rep.radius_estimate - np.abs(dense).max()) < 1e-12
 
 
@@ -193,7 +212,7 @@ def test_lanczos_basis_grows_by_blocks_without_copies():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        res = spectral._lanczos(op, spectral.EIGEN_TOL, 60, 7)
+        res = spectral._lanczos(op, spectral.EIGEN_TOL, 60)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -208,7 +227,7 @@ def orthonormality_defect(res):
 
 
 def test_one_gram_schmidt_pass_keeps_the_basis_orthonormal():
-    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300, 7)
+    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300 and res.stop == "budget"
     assert res.second_passes == 0
     assert orthonormality_defect(res) <= 1e-12
@@ -219,15 +238,18 @@ def test_basis_stays_orthonormal_across_sixteen_decades():
     # orthogonality first
     n = 600
     op = LinOp(sp.diags(np.geomspace(1e-8, 1e8, n)), symmetric=True)
-    res = spectral._lanczos(op, spectral.EIGEN_TOL, n, 7)
+    res = spectral._lanczos(op, spectral.EIGEN_TOL, n)
     assert orthonormality_defect(res) <= 1e-12
 
 
 def test_closure_takes_the_second_gram_schmidt_pass():
-    # at k = n the new vector lies in the span of the basis, so the first pass
-    # removes nearly all of its norm and the DGKS test asks for a second one
-    res = spectral._lanczos(path_operator(50), spectral.EIGEN_TOL, 50, 7)
-    assert res.stop == "closure" and res.iterations == 50
+    # at closure the new vector lies in the span of the basis, so the first
+    # pass removes nearly all of its norm and the DGKS test asks for a second
+    # one; the path's reflection halves its 50 eigenvalues to 25 main ones
+    op = path_operator(50)
+    res = spectral._lanczos(op, spectral.EIGEN_TOL, 50)
+    assert res.stop == "closure"
+    assert res.iterations == len(main_eigenvalues(op.to_dense())) == 25
     assert res.second_passes >= 1
     assert orthonormality_defect(res) <= 1e-12
 
@@ -237,8 +259,9 @@ def test_solves_say_why_they_stopped():
     assert spectral_radius(path_operator(400), max_iter=12).stop == "budget"
     zero = LinOp.from_entries(3, [], [], [], symmetric=True)
     assert spectral_radius(zero).stop == "closure"
-    # the 20-point block closes, the 60-point one spends its budget of 30
-    rep = truncation_sweep(path_operator(60), [20, 60], max_iter=30)
+    # the 20-point block closes, the 100-point one (50 main eigenvalues)
+    # spends its budget of 30
+    rep = truncation_sweep(path_operator(100), [20, 100], max_iter=30)
     assert rep.stop == "budget" and rep.to_dict()["stop"] == "budget"
     assert truncation_sweep(path_operator(60), [20], max_iter=30).stop == "closure"
 
@@ -278,7 +301,7 @@ def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, consta
                             build_ball(ZLattice(2), 20))])
 def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeypatch):
     op = build()
-    fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300, 7)
+    fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
     calls = []
 
     def full_solve(alphas, betas, found):
@@ -288,7 +311,7 @@ def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeyp
         return abs(S[-1, 0]), abs(S[-1, -1])
 
     monkeypatch.setattr(spectral, "_last_components", full_solve)
-    slow = spectral._lanczos(op, spectral.EIGEN_TOL, 300, 7)
+    slow = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
     assert calls and slow.stop == "residual"       # the stall test did run
     assert (fast.iterations, fast.stop, fast.second_passes) == \
         (slow.iterations, slow.stop, slow.second_passes)
@@ -345,8 +368,9 @@ def test_solvers_reject_empty_budget(max_iter):
 
 
 def test_radius_deterministic_for_fixed_seed():
-    a = spectral_radius(path_operator(90), seed=3)
-    b = spectral_radius(path_operator(90), seed=3)
+    # the solve draws nothing, so it takes no seed at all
+    a = spectral_radius(path_operator(90))
+    b = spectral_radius(path_operator(90))
     assert a.to_dict() == b.to_dict()
 
 
@@ -428,7 +452,7 @@ def test_in_spectrum_input_errors():
 
 
 def test_in_spectrum_lets_unrelated_solver_errors_out(monkeypatch):
-    def broken(op, tol, max_iter, seed):
+    def broken(op, tol, max_iter):
         raise TypeError("solver bug")
 
     monkeypatch.setattr(spectral, "_lanczos", broken)
@@ -437,7 +461,7 @@ def test_in_spectrum_lets_unrelated_solver_errors_out(monkeypatch):
 
 
 def test_in_spectrum_falls_back_to_witnesses_on_eigensolver_failure(monkeypatch):
-    def failing(op, tol, max_iter, seed):
+    def failing(op, tol, max_iter):
         raise scipy.linalg.LinAlgError("tridiagonal solve did not converge")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -500,9 +524,9 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
     solved = []
     orig = spectral._lanczos
 
-    def counting(op, tol, max_iter, seed):
+    def counting(op, tol, max_iter):
         solved.append(op)
-        return orig(op, tol, max_iter, seed)
+        return orig(op, tol, max_iter)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
     zero = LinOp.from_entries(5, [], [], [], symmetric=True)
@@ -524,15 +548,21 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
 def test_reuse_needs_the_same_operator_seed_and_budget():
     op = path_operator(60)
     cert = in_spectrum(op, 1.0)
-    for other, kw in ((path_operator(60), {}), (op, {"seed": 8}), (op, {"max_iter": 299})):
+    for other, kw in ((path_operator(60), {}), (op, {"max_iter": 299})):
         with pytest.raises(InputError, match="reuse"):
             in_spectrum(other, 1.0, reuse=cert, **kw)
+    # the Lanczos run draws nothing, so another seed may reuse it; the seed
+    # still picks the shift-invert start, which decides this target
+    again = in_spectrum(op, 1.0, seed=8, reuse=cert)
+    fresh = in_spectrum(op, 1.0, seed=8)
+    assert fresh.witness_id == "shift-invert"
+    assert again.to_dict() == fresh.to_dict() != cert.to_dict()
     with pytest.raises(InputError, match="reuse"):
         in_spectrum(op, 1.0, reuse=spectral.MembershipCertificate(1.0, 0.1, 0.0, None, True, 0.0))
 
 
 def test_reuse_carries_a_failed_run(monkeypatch):
-    def failing(op, tol, max_iter, seed):
+    def failing(op, tol, max_iter):
         raise scipy.linalg.LinAlgError("tridiagonal solve did not converge")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -557,7 +587,7 @@ def test_membership_certificate_soundness_against_dense():
     rng = np.random.default_rng(23)
     for _ in range(6):
         n = int(rng.integers(5, 40))
-        m = rng.standard_normal((n, n))
+        m = np.abs(rng.standard_normal((n, n)))
         m = m + m.T
         op = LinOp(m, symmetric=True)
         evs = np.linalg.eigvalsh(m)
@@ -639,7 +669,7 @@ def test_radius_bounded_by_max_row_sum(n, seed):
 @given(st.integers(2, 30), st.integers(0, 10 ** 6))
 def test_residual_scale_invariance(n, seed):
     rng = np.random.default_rng(seed)
-    m = rng.standard_normal((n, n))
+    m = np.abs(rng.standard_normal((n, n)))
     m = m + m.T
     op = LinOp(m, symmetric=True)
     v = rng.standard_normal(n)
@@ -683,13 +713,14 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 120), st.floats(0.005, 0.3), st.integers(0, 10 ** 6),
        st.sampled_from([1, 31, 32, 33, 63, 64, 65, None]))
+@example(n=5, density=0.03125, seed=0, max_iter=None)   # evs[0] is not main
 def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
     # max_iter None means n; 32 and 64 end a run on the first row of a new block
     rng = np.random.default_rng(seed)
     half = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = (half + half.T).toarray()
     budget = n if max_iter is None else max_iter
-    res = spectral._lanczos(LinOp(m, symmetric=True), 1e-10, budget, seed % 100)
+    res = spectral._lanczos(LinOp(m, symmetric=True), 1e-10, budget)
     evs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(np.abs(evs).max()))
     k = res.iterations
@@ -698,8 +729,30 @@ def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
     assert basis.shape == (k, n)
     assert np.abs(basis @ basis.T - np.eye(k)).max() <= 1e-10
     if res.converged:
-        assert abs(res.thetas[0] - evs[0]) <= 1e-10 * scale
+        # the constant start reaches only the main eigenvalues, the top among them
+        assert abs(res.thetas[0] - min(main_eigenvalues(m))) <= 1e-10 * scale
         assert abs(res.thetas[-1] - evs[-1]) <= 1e-10 * scale
     for i in range(k):
         u = res.ritz_vector(i)
         assert u @ m @ u <= evs[-1] + 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 100), st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.booleans())
+def test_constant_start_closes_at_the_main_eigenvalues(n, density, seed, graph):
+    # nonnegative symmetric: entries in [0, 2), or the 0, 1, 2 weights of a multigraph
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr",
+                     data_rvs=np.ones if graph else None)
+    m = (half + half.T).toarray()
+    res = spectral._lanczos(LinOp(m, symmetric=True), 1e-14, n)
+    evs = np.linalg.eigvalsh(m)
+    scale = max(1.0, float(np.abs(evs).max()))
+    if res.converged:
+        assert abs(res.thetas[-1] - evs[-1]) <= 1e-10 * scale
+    if res.stop == "closure":
+        # a beta near rounding noise leaves the dimension of the Krylov space
+        # undecided: the run may go on in noise past the main count
+        basis = np.vstack(res.blocks)
+        assume(np.all(np.diag(basis @ m @ basis.T, 1) >= 1e-8 * scale))
+        assert res.iterations == len(main_eigenvalues(m))

@@ -45,6 +45,10 @@ def test_group_constructors_validate_rank():
     with pytest.raises(InputError):
         FreeGroup(27)
     assert ZLattice(0).generator_names == ()
+    # 2 * 1448^2 = 4,193,408 generator coordinates fit in 2^22, 2 * 1449^2 do not
+    assert len(ZLattice(1448).generators) == 2896
+    with pytest.raises(InputError, match="more than 4194304"):
+        ZLattice(1449)
 
 
 def test_generator_naming():
@@ -337,6 +341,16 @@ def test_growth_trivial_group():
         assert verdict.certified
         assert verdict.target == 1.0
         assert verdict.witness_id == "ball-0"
+
+
+@pytest.mark.parametrize("group", [ZLattice(0), FreeGroup(0)])
+def test_trivial_group_lists_no_radius(group):
+    # its ball is one point at every radius, so any radius is answered at once
+    verdict = kesten_test(group, 10 ** 18)
+    assert verdict.certified and verdict.notes["radii"] == [0]
+    for radii in (0, -3, [], [0, 2], [3, 2]):
+        with pytest.raises(InputError, match="radii"):
+            kesten_test(group, radii)
 
 
 def test_growth_generator_window():
