@@ -28,6 +28,8 @@ CERT_TOL = 1e-2
 _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
+_REORTH = 1e-13      # reorthogonalize once an estimate of some |q_j . q_k+1| passes this
+_EPS = float(np.finfo(float).eps)
 _MAX_BUILD = 2 ** 22  # most elements, cells, entries, classes or labels a build makes
 
 
@@ -104,7 +106,9 @@ class LinOp:
             raise InputError(f"block size must be in [1, {self.n}], got {n}")
         if n == self.n:
             return self
-        return LinOp(self.matrix[:n, :n], symmetric=self.symmetric)
+        block = LinOp(self.matrix[:n, :n], symmetric=False)
+        block.symmetric = self.symmetric    # a block of an exactly symmetric matrix is one
+        return block
 
     def to_dense(self, limit: int = 2000) -> np.ndarray:
         if self.n > limit:
@@ -120,6 +124,7 @@ class SpectralReport:
     iterations: int
     converged: bool
     stop: str                # why Lanczos stopped: closure, residual or budget
+    reorthogonalized: int    # of its iterations, those that ran Gram-Schmidt
     truncation_trace: list = field(default_factory=list)
     method: str = "lanczos"
 
@@ -131,6 +136,7 @@ class SpectralReport:
             "iterations": self.iterations,
             "converged": self.converged,
             "stop": self.stop,
+            "reorthogonalized": self.reorthogonalized,
             "truncation_trace": [list(t) for t in self.truncation_trace],
             "method": self.method,
         }
@@ -210,7 +216,7 @@ class AmenabilityVerdict:
 
 @dataclass
 class _LanczosResult:
-    """Ritz data from one full-reorthogonalization Lanczos run."""
+    """Ritz data from one Lanczos run."""
 
     blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
@@ -218,6 +224,7 @@ class _LanczosResult:
     iterations: int
     stop: str               # "closure", "residual" or "budget"
     second_passes: int      # steps that took the second Gram-Schmidt pass
+    reorthogonalized: int   # steps that ran Gram-Schmidt at all
 
     @property
     def converged(self) -> bool:
@@ -230,32 +237,30 @@ class _LanczosResult:
         return u / nrm if nrm > 0 else u
 
 
-def _extreme_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
-    """Smallest and largest eigenvalue of the tridiagonal (alphas, betas),
-    and the dstebz output (w, iblock, isplit) of each, for _last_components.
+def _ritz_value(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple:
+    """The i-th smallest eigenvalue (i from 1) of the tridiagonal (alphas,
+    betas), and the dstebz output (w, iblock, isplit) for _last_components,
+    by eigvalsh_tridiagonal(select='i')'s bisection called directly, so
+    bit-identical; the caller checks that the entries are finite."""
+    if len(alphas) == 1:
+        return float(alphas[0]), ()
+    _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
+                                                            i, i, 0.0, "E")
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dstebz (extreme Ritz values) failed with info={info}")
+    return float(w[0]), (w[:1], iblock, isplit)
 
-    The LAPACK bisection eigvalsh_tridiagonal(select='i') runs, called
-    directly: range 2 (by index), il = iu = 1 and il = iu = k, abstol 0,
-    order 'E', so the values are bit-identical, without the wrapper's
-    per-call validation. The caller checks that the entries are finite.
-    """
-    k = len(alphas)
-    if k == 1:
-        return float(alphas[0]), float(alphas[0]), ()
-    found = []
-    for i in (1, k):
-        _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
-                                                                i, i, 0.0, "E")
-        if info != 0:
-            raise scipy.linalg.LinAlgError(
-                f"dstebz (extreme Ritz values) failed with info={info}")
-        found.append((w[:1], iblock, isplit))
-    return float(found[0][0][0]), float(found[1][0][0]), found
+
+def _scale_bound(hi: float, amax: float, bmax: float) -> float:
+    """Upper bound on a tridiagonal's scale max(1, |lo|, |hi|) without its bottom
+    eigenvalue lo: |lo| <= max |alpha| + 2 max beta (Gershgorin), widened
+    past the rounding of the bisection for lo."""
+    return max(1.0, abs(hi), amax + 2 * bmax) * (1 + 1e-12)
 
 
 def _last_components(alphas: np.ndarray, betas: np.ndarray, found) -> tuple:
     """|Last component| of the tridiagonal's unit eigenvectors for the values
-    _extreme_ritz found, by inverse iteration (LAPACK dstein), O(k) each. One
+    _ritz_value found, by inverse iteration (LAPACK dstein), O(k) each. One
     call per value (m = 1) keeps its block right when the tridiagonal splits."""
     out = []
     for w, iblock, isplit in found:
@@ -276,7 +281,7 @@ def _gram_schmidt(basis: list, w: np.ndarray) -> None:
 
 
 def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
-    """Lanczos with full reorthogonalization, at most min(max_iter, n) steps.
+    """Lanczos with partial reorthogonalization, at most min(max_iter, n) steps.
 
     The start is the constant vector 1/sqrt(n). A LinOp is nonnegative, so
     its radius is its largest eigenvalue, with a nonnegative eigenvector
@@ -285,22 +290,24 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     is spanned by its projections on the eigenspaces it meets, those of the
     "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007), so
     it closes (breakdown, or dimension n) after as many steps as there are
-    main eigenvalues, holding each exactly. Each step reads only the two
-    extreme Ritz values, by bisection; a stall of both is confirmed by the
-    rigorous bound beta * |last Ritz component|, those two components from
-    inverse iteration on the tridiagonal (_last_components), before the run
-    stops. stop says why the run ended: the subspace closed ("closure"),
-    that bound held ("residual"), or the budget ran out ("budget");
-    converged means one of the first two.
+    main eigenvalues, holding each exactly. Each step bisects the top Ritz
+    value, and the bottom one only where _scale_bound leaves a stop decision
+    open, so every decision is that of bisecting both. A stall of both is
+    confirmed by the rigorous bound beta * |last Ritz component|
+    (_last_components). stop says why the run ended: the subspace closed
+    ("closure"), that bound held ("residual"), or the budget ran out
+    ("budget"); converged means one of the first two.
 
-    Reorthogonalization is one classical Gram-Schmidt pass against the
-    whole basis after the three-term recurrence, and a second pass only
-    when the first cut the vector's norm below _DGKS_ETA of what it was:
-    the test of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30 (1976),
-    which ARPACK's dsaitr applies with 0.717. A vector that keeps that much
-    of its norm is orthogonal to the basis to working precision after one
-    pass. A non-finite Lanczos coefficient, from a matrix-vector product
-    that overflowed, raises InputError at the step where it appears.
+    Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
+    recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
+    algorithm with partial reorthogonalization, Math. Comp. 42, 1984). Only
+    when some |omega_j| passes _REORTH = 1e-13, not Simon's sqrt(eps) but
+    below the 1e-12 orthonormality the Ritz vectors and the closure test
+    need, are this step and the next reorthogonalized, which resets omega
+    to eps: one classical Gram-Schmidt pass against the basis, and a second
+    when the first cut the norm below _DGKS_ETA (Daniel, Gragg, Kaufman and
+    Stewart, Math. Comp. 30, 1976; ARPACK's dsaitr uses 0.717). A non-finite
+    coefficient, from an overflowing product, raises InputError at its step.
 
     Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
     new block is allocated when the last one fills, so k steps hold about
@@ -313,10 +320,11 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     blocks[0][0] = 1 / math.sqrt(n)
     alphas = np.empty(budget)
     betas = np.empty(budget)
+    prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
+    cur[0] = 1.0
+    amax = bmax = 0.0
     stop = "budget"
-    second_passes = 0
-    stall = 0
-    k = 0
+    second_passes = reorthogonalized = stall = k = pending = 0
     while k < budget:
         q = blocks[-1][k % _BLOCK]
         w = A @ q
@@ -325,34 +333,60 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         w -= a * q
         if k:
             w -= betas[k - 1] * blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
-        basis = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
-        before = float(np.linalg.norm(w))
-        _gram_schmidt(basis, w)
         b = float(np.linalg.norm(w))
-        if b < _DGKS_ETA * before:
-            _gram_schmidt(basis, w)
-            b = float(np.linalg.norm(w))
-            second_passes += 1
         if not (math.isfinite(a) and math.isfinite(b)):
             raise InputError(f"Lanczos step {k + 1}: a coefficient is not finite; "
                              "the operator overflows floating point")
+        amax = max(amax, abs(a))
+        eps_t = _EPS * (amax + 2 * max(bmax, b))     # eps ||T||, by Gershgorin
+        reorth = pending or eps_t >= _REORTH * b     # omega_k = eps_t / b
+        if not reorth and k:     # b omega_j = (T omega(q_k))_j - a omega_j(q_k) - beta omega_j(q_k-1)
+            t = np.multiply(alphas[:k] - a, cur[:k], out=new[:k])
+            t += betas[:k] * cur[1:k + 1] - betas[k - 1] * prev[:k]
+            t[1:] += betas[:k - 1] * cur[:k - 1]
+            t += np.copysign(eps_t, t)
+            t /= b
+            reorth = max(t.max(), -t.min()) > _REORTH
+        if reorth:
+            basis = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
+            _gram_schmidt(basis, w)
+            b, before = float(np.linalg.norm(w)), b
+            if b < _DGKS_ETA * before:
+                _gram_schmidt(basis, w)
+                b = float(np.linalg.norm(w))
+                second_passes += 1
+            reorthogonalized += 1
+            new[:k + 1] = _EPS
+        else:
+            new[k] = eps_t / b
+        new[k + 1] = 1.0
+        pending = reorth and not pending
         k += 1
-        lo, hi, found = _extreme_ritz(alphas[:k], betas[:k - 1])
-        scale = max(1.0, abs(lo), abs(hi))
-        if b <= _BREAKDOWN * scale or k == n:
+        hi, top = _ritz_value(alphas[:k], betas[:k - 1], k)
+        lo, scale = None, _scale_bound(hi, amax, bmax)
+        if b <= _BREAKDOWN * scale or k > 1 and abs(hi - prev_hi) <= 0.01 * tol * scale:
+            lo, bottom = _ritz_value(alphas[:k], betas[:k - 1], 1)   # a decision reads it
+            scale = max(1.0, abs(lo), abs(hi))
+        if k == n or b <= _BREAKDOWN * scale:      # scale is exact where this can hold
             stop = "closure"
             break
-        if k > 1:
+        if lo is None or k == 1:       # no stall: |hi - prev_hi| alone is past its bound
+            stall = 0
+        else:
+            if prev_lo is None:
+                prev_lo = _ritz_value(alphas[:k - 1], betas[:k - 2], 1)[0]
             stall = stall + 1 if abs(lo - prev_lo) + abs(hi - prev_hi) <= 0.01 * tol * scale else 0
             if stall >= 2:
                 # confirm with the rigorous bound beta * |last Ritz component|
-                res_ext = b * max(_last_components(alphas[:k], betas[:k - 1], found))
+                res_ext = b * max(_last_components(alphas[:k], betas[:k - 1], (bottom, top)))
                 if res_ext <= 0.5 * tol * scale:
                     stop = "residual"
                     break
                 stall = 0
         prev_lo, prev_hi = lo, hi
         betas[k - 1] = b
+        bmax = max(bmax, b)
+        prev, cur, new = cur, new, prev
         if k % _BLOCK == 0:
             blocks.append(np.empty((min(_BLOCK, budget + 1 - k), n)))
         np.divide(w, b, out=blocks[-1][k % _BLOCK])
@@ -362,7 +396,8 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         thetas, S = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
     if k % _BLOCK:
         blocks[-1] = blocks[-1][:k % _BLOCK]
-    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, stop, second_passes)
+    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, stop, second_passes,
+                          reorthogonalized)
 
 
 def _check_solver_args(tol: float, max_iter: int) -> None:
@@ -394,7 +429,7 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
     """The SpectralReport of the Lanczos run res on op. The zero operator
     has a fixed one, whatever run was made on it, if any."""
     if op.nnz == 0:
-        return SpectralReport(0.0, 0.0, [0.0], 0, True, "closure")
+        return SpectralReport(0.0, 0.0, [0.0], 0, True, "closure", 0)
     thetas = res.thetas
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
     lower = abs(float(u @ op.apply(u)))
@@ -404,15 +439,15 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
     for t in list(thetas[::-1][:4]) + list(thetas[:4]):
         tops.setdefault(round(float(t), 14), float(t))
     return SpectralReport(estimate, min(lower, estimate), list(tops.values()),
-                          res.iterations, res.converged, res.stop)
+                          res.iterations, res.converged, res.stop, res.reorthogonalized)
 
 
 def fingerprint(op: LinOp) -> dict:
-    """Report-ready summary of an operator: size, fill, symmetry check.
-    boundary_policy is always zero-pad: no builder keeps what leaves the
-    truncation."""
+    """Report-ready summary of an operator: size, fill, symmetry check (made
+    exactly when a symmetric LinOp was). boundary_policy is always zero-pad:
+    no builder keeps what leaves the truncation."""
     return {"size": int(op.n), "nnz": int(op.nnz), "symmetric": op.symmetric,
-            "max_asymmetry": op.symmetry_defect(),
+            "max_asymmetry": 0.0 if op.symmetric else op.symmetry_defect(),
             "boundary_policy": "zero-pad"}
 
 

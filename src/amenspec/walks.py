@@ -204,7 +204,7 @@ def _free_ball(group: FreeGroup, radius: int) -> BallTruncation:
 
 
 def _check_ball_size(group, radius: int) -> None:
-    """Refuse a ball past _MAX_BUILD elements, counted in closed form up to that limit."""
+    """Refuse a ball past _MAX_BUILD elements, counted in closed form, or spheres."""
     if isinstance(group, FreeGroup) and group.k > 1:    # the 2k-regular tree
         terms = (2 * group.k * (2 * group.k - 1) ** i for i in range(radius))
     else:   # Z^d, F_0 = Z^0, F_1 = Z^1: 2^j C(d, j) C(r, j) points with j nonzero coordinates
@@ -213,6 +213,8 @@ def _check_ball_size(group, radius: int) -> None:
                  for j in range(1, min(d, radius) + 1))
     if any(total > _MAX_BUILD for total in accumulate(terms, initial=1)):
         raise InputError(f"the radius-{radius} ball has more than {_MAX_BUILD} elements")
+    if radius + 1 > _MAX_BUILD:
+        raise InputError(f"the radius-{radius} ball has more than {_MAX_BUILD} spheres")
 
 
 def build_ball(group, radius: int) -> BallTruncation:
@@ -300,22 +302,25 @@ def modular_weight_operator(group, p: float, density: dict,
         if not (isinstance(w, (int, float)) and np.isfinite(w) and w > 0):
             raise InputError(f"density weight for {z!r} must be a positive number")
     symmetric = all(density.get(group.inv(z)) == w for z, w in density.items())
-    rows, cols, vals = [], [], []
-    dropped = 0
-    shifts = {z: (group.inv(z), w) for z, w in density.items()}
-    for i, x in enumerate(ball.elements):
-        for z, (zi, c) in shifts.items():
-            j = ball.index.get(group.mul(x, zi))
-            if j is None:
-                dropped += 1
-            else:
-                rows.append(i)
-                cols.append(j)
-                vals.append(c)
-    return LinOp.from_entries(ball.size, rows, cols, vals, symmetric=symmetric,
+    shifts = np.empty((ball.size, len(density)), dtype=np.int64)   # x z^-1, or -1 outside
+    for c, z in enumerate(density):
+        zi = group.inv(z)
+        if isinstance(group, FreeGroup):
+            # walk right from x along the reduced word z^-1, a path in the tree
+            # that never backtracks: once out of the ball, it stays out
+            j = np.arange(ball.size)
+            for s in zi:
+                j = np.where(j < 0, -1, ball.right[j, ball.elements._column[s]])
+            shifts[:, c] = j
+        else:
+            shifts[:, c] = [ball.index.get(group.mul(x, zi), -1) for x in ball.elements]
+    kept = shifts.ravel() >= 0
+    rows = np.repeat(np.arange(ball.size), len(density))[kept]
+    vals = np.tile(np.array([float(w) for w in density.values()]), ball.size)[kept]
+    return LinOp.from_entries(ball.size, rows, shifts.ravel()[kept], vals, symmetric=symmetric,
                               meta={"group": group.describe(), "radius": ball.radius,
                                     "p": float(p), "support": len(density),
-                                    "dropped": dropped})
+                                    "dropped": int(kept.size - kept.sum())})
 
 
 def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0.05,

@@ -53,6 +53,9 @@ def test_fusion_command(capsys):
     assert "wall_time_s" not in rep
     assert set(rep) == {"schema", "version", "command", "config", "operator",
                         "spectral", "verdict"}
+    assert set(rep["spectral"]) == {"radius_estimate", "radius_lower_bound",
+                                    "top_eigenvalues", "iterations", "converged", "stop",
+                                    "reorthogonalized", "truncation_trace", "method"}
 
 
 def test_walk_command_with_csv(capsys, tmp_path):
@@ -121,6 +124,7 @@ def test_reports_say_why_the_solve_stopped(capsys, argv, stop):
     assert code == 0
     assert rep["spectral"]["stop"] == stop
     assert rep["spectral"]["converged"] == (stop != "budget")
+    assert 0 < rep["spectral"]["reorthogonalized"] < rep["spectral"]["iterations"]
 
 
 def test_sweep_builds_each_truncation_once(capsys, monkeypatch):

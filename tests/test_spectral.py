@@ -95,6 +95,21 @@ def test_symmetry_claim_is_verified():
     assert op.symmetry_defect() == 1.0
 
 
+def test_symmetry_is_checked_once_per_build(monkeypatch):
+    # a leading block and the fingerprint of an exactly symmetric operator
+    # read the check its construction made; an asymmetric one reports its defect
+    calls = []
+    check = LinOp.symmetry_defect
+    monkeypatch.setattr(LinOp, "symmetry_defect", lambda self: calls.append(1) or check(self))
+    op = path_operator(30)
+    blocks = [op.leading_block(m) for m in (1, 10, 29)]
+    assert all(b.symmetric for b in blocks) and len(calls) == 1
+    assert fingerprint(blocks[-1])["max_asymmetry"] == 0.0 and len(calls) == 1
+    asym = LinOp.from_entries(2, [0], [1], [2.0], symmetric=False)
+    assert fingerprint(asym)["max_asymmetry"] == 2.0
+    assert not asym.leading_block(1).symmetric
+
+
 def test_operator_input_errors():
     with pytest.raises(InputError):
         LinOp.from_entries(3, [0], [5], [1.0], symmetric=False)
@@ -230,6 +245,9 @@ def test_one_gram_schmidt_pass_keeps_the_basis_orthonormal():
     res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300 and res.stop == "budget"
     assert res.second_passes == 0
+    # partial reorthogonalization: 40 of the 300 steps run Gram-Schmidt; the
+    # step after each is forced, else the estimates re-trigger (107 steps)
+    assert res.reorthogonalized <= 60
     assert orthonormality_defect(res) <= 1e-12
 
 
@@ -274,7 +292,7 @@ def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
     d, e = np.array(diag), np.array(off)
     want = tuple(float(scipy.linalg.eigvalsh_tridiagonal(
         d, e, select="i", select_range=(i, i))[0]) for i in (0, k - 1))
-    assert spectral._extreme_ritz(d, e)[:2] == want
+    assert tuple(spectral._ritz_value(d, e, i)[0] for i in (1, k)) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +309,7 @@ def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, consta
     # an extreme eigenvalue that is (nearly) repeated has no one eigenvector
     scale = max(1.0, float(np.abs(w).max()))
     assume(min(w[1] - w[0], w[-1] - w[-2]) >= 1e-3 * scale)
-    got = spectral._last_components(d, e, spectral._extreme_ritz(d, e)[2])
+    got = spectral._last_components(d, e, [spectral._ritz_value(d, e, i)[1] for i in (1, k)])
     assert np.allclose(got, (abs(S[-1, 0]), abs(S[-1, -1])), rtol=0, atol=1e-12)
 
 
@@ -316,6 +334,33 @@ def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeyp
     assert (fast.iterations, fast.stop, fast.second_passes) == \
         (slow.iterations, slow.stop, slow.second_passes)
     assert np.array_equal(fast.thetas, slow.thetas)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: path_operator(50), lambda: path_operator(2000),
+    lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
+    lambda: cayley_operator(ZLattice(2), {g: 1.0 for g in ZLattice(2).generator_names},
+                            build_ball(ZLattice(2), 20))],
+    ids=["path50", "path2000", "pairs20", "Z2r20"])
+def test_lazy_low_end_stops_lanczos_where_bisecting_both_did(build, monkeypatch):
+    # bounds that know nothing of the scale make every step bisect the bottom
+    # Ritz value, as if every stop decision read it
+    op = build()
+    bottoms = []
+    ritz_value = spectral._ritz_value
+
+    def counting(alphas, betas, i):
+        bottoms.append(i == 1 < len(alphas))
+        return ritz_value(alphas, betas, i)
+
+    monkeypatch.setattr(spectral, "_ritz_value", counting)
+    lazy = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
+    lazy_bottoms, bottoms[:] = sum(bottoms), []
+    monkeypatch.setattr(spectral, "_scale_bound", lambda *bound: math.inf)
+    eager = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
+    assert sum(bottoms) == eager.iterations - 1 > lazy_bottoms
+    assert (lazy.iterations, lazy.stop) == (eager.iterations, eager.stop)
+    assert np.array_equal(lazy.thetas, eager.thetas)
 
 
 class CountingMatrix:
@@ -756,3 +801,25 @@ def test_constant_start_closes_at_the_main_eigenvalues(n, density, seed, graph):
         basis = np.vstack(res.blocks)
         assume(np.all(np.diag(basis @ m @ basis.T, 1) >= 1e-8 * scale))
         assert res.iterations == len(main_eigenvalues(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.booleans())
+def test_partial_reorthogonalization_keeps_the_basis_and_the_radius(n, density, seed, graph):
+    # nonnegative symmetric, 0/1 or [0, 1) weights: the basis stays orthonormal
+    # to 1e-12 though most steps skip Gram-Schmidt, and the radius is the dense one
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr",
+                     data_rvs=np.ones if graph else None)
+    m = (sp.triu(half) + sp.triu(half, 1).T).toarray()
+    assume(m.any())
+    op = LinOp(m, symmetric=True)
+    tol = 1e-10
+    res = spectral._lanczos(op, tol, n)
+    assert orthonormality_defect(res) <= 1e-12
+    assert res.reorthogonalized <= res.iterations
+    top = float(np.linalg.eigvalsh(m)[-1])
+    rep = spectral._radius_report(op, res)
+    if res.converged:
+        assert abs(rep.radius_estimate - top) <= tol * max(1.0, top)
+    assert rep.radius_lower_bound <= top * (1 + 1e-12)

@@ -178,10 +178,13 @@ def test_free_ball_keeps_no_words():
 @pytest.mark.parametrize("group", [ZLattice(d) for d in (0, 1, 2, 3)]
                          + [FreeGroup(k) for k in (0, 1, 2, 3)], ids=lambda g: g.name)
 def test_ball_size_limit_is_the_exact_ball_size(monkeypatch, group):
-    # the closed-form count is exact: a limit at the size builds, one below fails
-    for r, size in enumerate([build_ball(group, r).size for r in range(6)]):
+    # the closed-form count is exact: a limit at the size builds, one below
+    # fails; the size is that of the elements or, where more, of the radius + 1
+    # sphere ends (the trivial group's balls are one point)
+    for r, elements in enumerate([build_ball(group, r).size for r in range(6)]):
+        size = max(elements, r + 1)
         monkeypatch.setattr(walks, "_MAX_BUILD", size)
-        assert build_ball(group, r).size == size
+        assert build_ball(group, r).size == elements
         monkeypatch.setattr(walks, "_MAX_BUILD", size - 1)
         with pytest.raises(InputError, match=f"the radius-{r} ball has more than {size - 1} "):
             build_ball(group, r)
@@ -193,6 +196,15 @@ def test_balls_past_the_size_limit_are_input_errors(spec, radius):
     # 2**22 elements at most; a huge radius is refused without counting to it
     with pytest.raises(InputError, match="has more than 4194304 elements"):
         build_ball(parse_group(spec), radius)
+
+
+@pytest.mark.parametrize("group", [FreeGroup(0), ZLattice(0)], ids=lambda g: g.name)
+def test_trivial_ball_past_the_sphere_limit_is_an_input_error(group):
+    # one point at every radius, but radius + 1 sphere ends: refused before the
+    # search, which would run one pass per sphere
+    with pytest.raises(InputError, match="has more than 4194304 spheres"):
+        build_ball(group, 10 ** 18)
+    assert build_ball(group, 20).sphere_ends == (1,) * 21
 
 
 # -- walk operators -----------------------------------------------------------
@@ -262,6 +274,45 @@ def test_modular_operator_free_group_shares_spectrum():
     ev_w = np.linalg.eigvalsh(walk.to_dense())
     ev_m = np.linalg.eigvalsh(mod.to_dense())
     assert np.allclose(ev_w, ev_m, atol=1e-10)
+
+
+def modular_by_products(group, density, ball):
+    """The operator's entries by group multiplication and a lookup of each
+    product, one shift at a time: the construction before the walk along
+    the right-neighbour table."""
+    rows, cols, vals, dropped = [], [], [], 0
+    for i, x in enumerate(ball.elements):
+        for z, c in density.items():
+            j = ball.index.get(group.mul(x, group.inv(z)))
+            if j is None:
+                dropped += 1
+            else:
+                rows.append(i)
+                cols.append(j)
+                vals.append(c)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(ball.size, ball.size)), dropped
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.booleans())
+def test_modular_operator_walks_right_as_the_products_did(seed, support, symmetric):
+    # random reduced support words of F_2 r6, up to its longest: the same CSR
+    # arrays and the same count of shifts that leave the ball
+    f = FreeGroup(2)
+    ball = build_ball(f, 6)
+    rng = np.random.default_rng(seed)
+    density = {}
+    for i in rng.choice(ball.size, size=support, replace=False):
+        z, w = ball.elements[int(i)], float(rng.integers(1, 4))
+        density[z] = w
+        if symmetric:
+            density[f.inv(z)] = w
+    op = modular_weight_operator(f, 1.0, density, ball)
+    want, dropped = modular_by_products(f, density, ball)
+    assert op.symmetric or not symmetric
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(op.matrix, name), getattr(want, name))
+    assert op.meta["dropped"] == dropped
 
 
 def test_modular_operator_validation():
