@@ -371,19 +371,21 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
     ki = ring.index(kappa)
     if not 1 <= trunc <= ring.size:
         raise InputError(f"trunc must be in [1, {ring.size}], got {trunc}")
-    rows, cols, vals = [], [], []
-    dropped = 0
-    for j in range(trunc):
-        for i, m in ring.decompose_indices(ki, j):
-            if i < trunc:
-                rows.append(i)
-                cols.append(j)
-                vals.append(m)
-            else:
-                dropped += m
-        dropped += ring.clip_count(ki, j)
+    if ring.kind == "table":        # column j: the nonzero entries of fusion row (ki, j)
+        cols, rows = np.nonzero(ring._fusion[ki, :trunc])
+        vals, dropped = ring._fusion[ki, cols, rows], 0
+    else:       # column j: rows lo + 2t for t < count, lo = |ki - j|, to min(ki + j, level)
+        j = np.arange(trunc)
+        lo = np.abs(ki - j)
+        count = (np.minimum(ki + j, ring.level) - lo) // 2 + 1
+        cols, vals = np.repeat(j, count), np.ones(count.sum(), dtype=np.int64)
+        rows = np.repeat(lo - 2 * (np.cumsum(count) - count), count) + 2 * np.arange(cols.size)
+        # only the columns j > level - ki have summands past the level cut
+        dropped = sum(ring.clip_count(ki, c) for c in range(ring.level + 1 - ki, trunc))
+    keep = rows < trunc
+    dropped += int(vals[~keep].sum())
     symmetric = ring.conj(kappa) == kappa
-    return LinOp.from_entries(trunc, rows, cols, vals, symmetric=symmetric,
+    return LinOp.from_entries(trunc, rows[keep], cols[keep], vals[keep], symmetric=symmetric,
                               meta={"kappa": kappa, "trunc": trunc,
                                     "dropped": dropped, "ring": ring.describe()})
 

@@ -29,6 +29,8 @@ _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
 _REORTH = 1e-13      # reorthogonalize once an estimate of some |q_j . q_k+1| passes this
+_INVERSE_FROM = 48   # k0: Ritz values by inverse iteration from this many steps on
+_INERTIA = 32        # its margin delta, in eps of the scaled tridiagonal (see _lanczos)
 _EPS = float(np.finfo(float).eps)
 _MAX_BUILD = 2 ** 22  # most elements, cells, entries, classes or labels a build makes
 
@@ -225,16 +227,19 @@ class _LanczosResult:
     stop: str               # "closure", "residual" or "budget"
     second_passes: int      # steps that took the second Gram-Schmidt pass
     reorthogonalized: int   # steps that ran Gram-Schmidt at all
+    vectors: dict = field(default_factory=dict, repr=False)   # ritz_vector's, read-only
 
     @property
     def converged(self) -> bool:
         return self.stop != "budget"
 
     def ritz_vector(self, which: int) -> np.ndarray:
-        s = self.S[:, which]
-        u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, len(s), _BLOCK), self.blocks))
-        nrm = np.linalg.norm(u)
-        return u / nrm if nrm > 0 else u
+        if which not in self.vectors:
+            s = self.S[:, which]
+            u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, len(s), _BLOCK), self.blocks))
+            nrm = np.linalg.norm(u)
+            self.vectors[which] = u / nrm if nrm > 0 else u
+        return self.vectors[which]
 
 
 def _ritz_value(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple:
@@ -251,11 +256,25 @@ def _ritz_value(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple:
     return float(w[0]), (w[:1], iblock, isplit)
 
 
+def _ritz_near(alphas: np.ndarray, betas: np.ndarray, i: int, guess: float) -> tuple:
+    """_ritz_value(alphas, betas, i), i in (1, k), within delta for T scaled to a Gershgorin
+    bound < 1: by inverse iteration from guess, proven by inertia, else bisected (_lanczos)."""
+    k = len(alphas)
+    if k >= _INVERSE_FROM and math.isfinite(guess):
+        block, split = np.ones(k, np.int32), np.full(k, k, np.int32)
+        z, info = scipy.linalg.lapack.dstein(alphas, betas, [guess], block, split)
+        rho = float(alphas @ z[:, 0] ** 2 + 2 * (betas @ (z[:-1, 0] * z[1:, 0])))
+        pivots = (1.0 if i == k else -1.0) * (rho - alphas) + _INERTIA * _EPS
+        if info == 0 and scipy.linalg.lapack.dpttrf(pivots, betas)[2] == 0:
+            return rho, (np.array([rho]), block, split)
+    return _ritz_value(alphas, betas, i)
+
+
 def _scale_bound(hi: float, amax: float, bmax: float) -> float:
-    """Upper bound on a tridiagonal's scale max(1, |lo|, |hi|) without its bottom
+    """Upper bound on a tridiagonal's scale max(|lo|, |hi|) without its bottom
     eigenvalue lo: |lo| <= max |alpha| + 2 max beta (Gershgorin), widened
-    past the rounding of the bisection for lo."""
-    return max(1.0, abs(hi), amax + 2 * bmax) * (1 + 1e-12)
+    past the rounding of the value found for lo."""
+    return max(abs(hi), amax + 2 * bmax) * (1 + 1e-12)
 
 
 def _last_components(alphas: np.ndarray, betas: np.ndarray, found) -> tuple:
@@ -270,6 +289,11 @@ def _last_components(alphas: np.ndarray, betas: np.ndarray, found) -> tuple:
                 f"dstein (extreme Ritz vectors) failed with info={info}")
         out.append(abs(float(z[-1, 0])))
     return tuple(out)
+
+
+def _beta(w: np.ndarray) -> float:     # ||w||: dnrm2 where the sum of squares leaves range
+    b = float(np.linalg.norm(w))
+    return b if 1e-140 < b < math.inf else _norm(w)
 
 
 def _gram_schmidt(basis: list, w: np.ndarray) -> None:
@@ -290,13 +314,26 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     is spanned by its projections on the eigenspaces it meets, those of the
     "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007), so
     it closes (breakdown, or dimension n) after as many steps as there are
-    main eigenvalues, holding each exactly. Each step bisects the top Ritz
+    main eigenvalues, holding each exactly. Each step finds the top Ritz
     value, and the bottom one only where _scale_bound leaves a stop decision
-    open, so every decision is that of bisecting both. A stall of both is
+    open, so every decision is that of finding both. A stall of both is
     confirmed by the rigorous bound beta * |last Ritz component|
     (_last_components). stop says why the run ended: the subspace closed
     ("closure"), that bound held ("residual"), or the budget ran out
-    ("budget"); converged means one of the first two.
+    ("budget"); converged means one of the first two. Every test is relative
+    to scale = max(|lo|, |hi|), so a run of 2^e A is that of A, scaled.
+
+    Ritz values are found on T times the power of two that puts max|alpha|
+    + 2 max beta in [1/2, 1): exact, and beta^2 stays in range. From
+    _INVERSE_FROM = 48 steps on, each is the Rayleigh quotient rho of the
+    eigenvector dstein finds by inverse iteration at the last value plus its
+    last increment. One LDL^T (dpttrf) of (rho + delta) I - T, or T - (rho -
+    delta) I for the bottom value, with positive pivots proves no eigenvalue
+    past rho +- delta (Sylvester; Kahan, Stanford CS-41, 1966, for rounding),
+    and a Rayleigh quotient lies in the spectrum: rho is the value within
+    delta = 32 eps (Parlett, The Symmetric Eigenvalue Problem, ch. 4-5, 3.3).
+    Otherwise it is bisected (dstebz, 53 O(k) halvings). 48 is the measured
+    crossover: 21.9 us a call against 20.3 (158 against 38 at k = 300, Xeon).
 
     Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
     recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
@@ -307,7 +344,8 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     to eps: one classical Gram-Schmidt pass against the basis, and a second
     when the first cut the norm below _DGKS_ETA (Daniel, Gragg, Kaufman and
     Stewart, Math. Comp. 30, 1976; ARPACK's dsaitr uses 0.717). A non-finite
-    coefficient, from an overflowing product, raises InputError at its step.
+    coefficient or Gershgorin bound, from an overflowing product, raises
+    InputError at its step.
 
     Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
     new block is allocated when the last one fills, so k steps hold about
@@ -322,6 +360,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     betas = np.empty(budget)
     prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
     cur[0] = 1.0
+    his, los = np.full((2, budget + 1), math.nan)  # the extreme Ritz values, by step
     amax = bmax = 0.0
     stop = "budget"
     second_passes = reorthogonalized = stall = k = pending = 0
@@ -333,12 +372,12 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         w -= a * q
         if k:
             w -= betas[k - 1] * blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
-        b = float(np.linalg.norm(w))
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise InputError(f"Lanczos step {k + 1}: a coefficient is not finite; "
-                             "the operator overflows floating point")
+        b = _beta(w)
         amax = max(amax, abs(a))
         eps_t = _EPS * (amax + 2 * max(bmax, b))     # eps ||T||, by Gershgorin
+        if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(eps_t)):
+            raise InputError(f"Lanczos step {k + 1}: a coefficient or their Gershgorin "
+                             "bound is not finite; the operator overflows floating point")
         reorth = pending or eps_t >= _REORTH * b     # omega_k = eps_t / b
         if not reorth and k:     # b omega_j = (T omega(q_k))_j - a omega_j(q_k) - beta omega_j(q_k-1)
             t = np.multiply(alphas[:k] - a, cur[:k], out=new[:k])
@@ -350,10 +389,10 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         if reorth:
             basis = blocks[:-1] + [blocks[-1][:k % _BLOCK + 1]]
             _gram_schmidt(basis, w)
-            b, before = float(np.linalg.norm(w)), b
+            b, before = _beta(w), b
             if b < _DGKS_ETA * before:
                 _gram_schmidt(basis, w)
-                b = float(np.linalg.norm(w))
+                b = _beta(w)
                 second_passes += 1
             reorthogonalized += 1
             new[:k + 1] = _EPS
@@ -362,28 +401,32 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         new[k + 1] = 1.0
         pending = reorth and not pending
         k += 1
-        hi, top = _ritz_value(alphas[:k], betas[:k - 1], k)
+        f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
+        ta, tb = alphas[:k] * f, betas[:k - 1] * f
+        hi, top = _ritz_near(ta, tb, k, f * 2 * his[k - 1] - f * his[k - 2])  # no overflow
+        his[k] = hi = hi / f
         lo, scale = None, _scale_bound(hi, amax, bmax)
-        if b <= _BREAKDOWN * scale or k > 1 and abs(hi - prev_hi) <= 0.01 * tol * scale:
-            lo, bottom = _ritz_value(alphas[:k], betas[:k - 1], 1)   # a decision reads it
-            scale = max(1.0, abs(lo), abs(hi))
+        if b <= _BREAKDOWN * scale or k > 1 and abs(hi - his[k - 1]) <= 0.01 * tol * scale:
+            lo, bottom = _ritz_near(ta, tb, 1, f * 2 * los[k - 1] - f * los[k - 2])
+            los[k] = lo = lo / f
+            scale = max(abs(lo), abs(hi))
         if k == n or b <= _BREAKDOWN * scale:      # scale is exact where this can hold
             stop = "closure"
             break
-        if lo is None or k == 1:       # no stall: |hi - prev_hi| alone is past its bound
+        if lo is None or k == 1:       # no stall: |hi - his[k - 1]| alone is past its bound
             stall = 0
         else:
-            if prev_lo is None:
-                prev_lo = _ritz_value(alphas[:k - 1], betas[:k - 2], 1)[0]
-            stall = stall + 1 if abs(lo - prev_lo) + abs(hi - prev_hi) <= 0.01 * tol * scale else 0
+            if math.isnan(los[k - 1]):
+                los[k - 1] = _ritz_near(ta[:-1], tb[:-1], 1, math.nan)[0] / f
+            still = abs(lo - los[k - 1]) + abs(hi - his[k - 1]) <= 0.01 * tol * scale
+            stall = stall + 1 if still else 0
             if stall >= 2:
                 # confirm with the rigorous bound beta * |last Ritz component|
-                res_ext = b * max(_last_components(alphas[:k], betas[:k - 1], (bottom, top)))
+                res_ext = b * max(_last_components(ta, tb, (bottom, top)))
                 if res_ext <= 0.5 * tol * scale:
                     stop = "residual"
                     break
                 stall = 0
-        prev_lo, prev_hi = lo, hi
         betas[k - 1] = b
         bmax = max(bmax, b)
         prev, cur, new = cur, new, prev

@@ -440,6 +440,16 @@ def test_window_mass_past_float_range_is_an_input_error(capsys):
     assert rep["error"] == {"type": "input", "message": "target must be finite, got inf"}
 
 
+def test_walk_whose_squares_overflow_is_solved(capsys):
+    # radius 3.8e200 is a float, its square and beta's square are not
+    heavy = [arg for g in ("x1", "X1", "x2", "X2") for arg in ("--weight", f"{g}=1e200")]
+    code, rep = run(capsys, "walk", "--group", "Z^d:2", "--radius", "6", *heavy)
+    unit_code, unit = run(capsys, "walk", "--group", "Z^d:2", "--radius", "6")
+    assert code == unit_code == 0
+    assert rep["spectral"]["radius_estimate"] == \
+        pytest.approx(1e200 * unit["spectral"]["radius_estimate"], rel=1e-12)
+
+
 def test_overflowing_walk_is_an_input_error(capsys):
     code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "3",
                     "--weight", "x1=1e308", "--weight", "X1=1e308")

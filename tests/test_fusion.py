@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amenspec import (InputError, ValidationError, coamenability_test,
+from amenspec import (InputError, LinOp, ValidationError, coamenability_test,
                       dim_bookkeeping_check, free_su2_ring, fusion_operator,
                       load_descriptor_file, load_ring, parse_descriptor,
                       validate_descriptor, window_operator)
@@ -158,6 +158,37 @@ def test_self_conjugate_operators_are_exactly_symmetric():
         for kappa in ("a1", "a2", "a5"):
             op = fusion_operator(ring, kappa, 30)
             assert op.symmetry_defect() == 0.0
+
+
+def loop_fusion_operator(ring, kappa, trunc):
+    """Reference build, entry by entry: the matrix and the dropped count."""
+    ki = ring.index(kappa)
+    rows, cols, vals, dropped = [], [], [], 0
+    for j in range(trunc):
+        for i, m in ring.decompose_indices(ki, j):
+            if i < trunc:
+                rows.append(i)
+                cols.append(j)
+                vals.append(m)
+            else:
+                dropped += m
+        dropped += ring.clip_count(ki, j)
+    return LinOp.from_entries(trunc, rows, cols, vals, symmetric=False).matrix, dropped
+
+
+@pytest.mark.parametrize("ring, kappa, trunc", [
+    *[(free_su2_ring(N, level), kappa, trunc) for N in (2, 3) for level in (29, 30)
+      for kappa in ("a1", "a2", "a5") for trunc in (20, level + 1)],
+    *[(load_ring(parse_descriptor(cyclic3_descriptor())), kappa, trunc)
+      for kappa in ("e", "g", "h") for trunc in (1, 2, 3)]])
+def test_operator_build_is_the_entrywise_build(ring, kappa, trunc):
+    # the same CSR arrays and dropped count, with and without rows past trunc
+    op = fusion_operator(ring, kappa, trunc)
+    want, dropped = loop_fusion_operator(ring, kappa, trunc)
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(op.matrix, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert op.meta["dropped"] == dropped
 
 
 # -- bookkeeping --------------------------------------------------------------

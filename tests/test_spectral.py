@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import amenspec
 from amenspec import (CERT_TOL, InputError, LinOp, ZLattice, build_ball,
-                      cayley_operator, fingerprint, in_spectrum, pair_lattice,
-                      pair_window_operator, residual, spectral, spectral_radius,
-                      truncation_sweep)
+                      cayley_operator, fingerprint, free_su2_ring, in_spectrum,
+                      pair_lattice, pair_window_operator, residual, spectral,
+                      spectral_radius, truncation_sweep, window_operator)
 
 
 def path_operator(n):
@@ -29,6 +29,25 @@ def path_operator(n):
     cols = list(range(1, n)) + list(range(n - 1))
     return LinOp.from_entries(n, rows, cols, np.ones(2 * (n - 1)),
                               symmetric=True)
+
+
+def scaled_draw(scale=1.0):
+    """The 29-point [0, 1)-weight matrix whose solve, scaled by 1e-150, once
+    closed after one step, 8.6 % below its radius."""
+    rng = np.random.default_rng(249228)
+    half = sp.random(29, 29, density=0.285, random_state=rng, format="csr")
+    return (sp.triu(half) + sp.triu(half, 1).T).toarray() * scale
+
+
+def z2_ball_operator(radius):
+    return cayley_operator(ZLattice(2), {g: 1.0 for g in ZLattice(2).generator_names},
+                           build_ball(ZLattice(2), radius))
+
+
+# the solves whose stop decisions are compared across ways of finding Ritz values
+SOLVES = {"path50": lambda: path_operator(50), "path2000": lambda: path_operator(2000),
+          "pairs20": lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
+          "Z2r20": lambda: z2_ball_operator(20)}
 
 
 def path_top(n):
@@ -313,10 +332,7 @@ def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, consta
     assert np.allclose(got, (abs(S[-1, 0]), abs(S[-1, -1])), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
-    lambda: cayley_operator(ZLattice(2), {g: 1.0 for g in ZLattice(2).generator_names},
-                            build_ball(ZLattice(2), 20))])
+@pytest.mark.parametrize("build", [SOLVES["pairs20"], SOLVES["Z2r20"]])
 def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeypatch):
     op = build()
     fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
@@ -336,24 +352,20 @@ def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeyp
     assert np.array_equal(fast.thetas, slow.thetas)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: path_operator(50), lambda: path_operator(2000),
-    lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
-    lambda: cayley_operator(ZLattice(2), {g: 1.0 for g in ZLattice(2).generator_names},
-                            build_ball(ZLattice(2), 20))],
-    ids=["path50", "path2000", "pairs20", "Z2r20"])
+@pytest.mark.parametrize("build", SOLVES.values(), ids=SOLVES.keys())
 def test_lazy_low_end_stops_lanczos_where_bisecting_both_did(build, monkeypatch):
-    # bounds that know nothing of the scale make every step bisect the bottom
-    # Ritz value, as if every stop decision read it
+    # bounds that know nothing of the scale make every step find the bottom
+    # Ritz value, as if every stop decision read it; _ritz_near finds each
+    # value, by bisection or by inverse iteration
     op = build()
     bottoms = []
-    ritz_value = spectral._ritz_value
+    ritz_near = spectral._ritz_near
 
-    def counting(alphas, betas, i):
+    def counting(alphas, betas, i, guess):
         bottoms.append(i == 1 < len(alphas))
-        return ritz_value(alphas, betas, i)
+        return ritz_near(alphas, betas, i, guess)
 
-    monkeypatch.setattr(spectral, "_ritz_value", counting)
+    monkeypatch.setattr(spectral, "_ritz_near", counting)
     lazy = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
     lazy_bottoms, bottoms[:] = sum(bottoms), []
     monkeypatch.setattr(spectral, "_scale_bound", lambda *bound: math.inf)
@@ -361,6 +373,89 @@ def test_lazy_low_end_stops_lanczos_where_bisecting_both_did(build, monkeypatch)
     assert sum(bottoms) == eager.iterations - 1 > lazy_bottoms
     assert (lazy.iterations, lazy.stop) == (eager.iterations, eager.stop)
     assert np.array_equal(lazy.thetas, eager.thetas)
+
+
+@pytest.mark.parametrize("build", [*SOLVES.values(),
+                                   lambda: window_operator(free_su2_ring(3, 1999), ["a1"], 2000)],
+                         ids=[*SOLVES, "fusionN3"])
+def test_inverse_iteration_stops_lanczos_where_bisection_did(build, monkeypatch):
+    op = build()
+    fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
+    monkeypatch.setattr(spectral, "_INVERSE_FROM", math.inf)     # bisection only
+    slow = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
+    assert (fast.iterations, fast.stop, fast.second_passes) == \
+        (slow.iterations, slow.stop, slow.second_passes)
+    assert np.array_equal(fast.thetas, slow.thetas)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 250), st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.booleans(),
+       st.sampled_from([1e-8, 1e-10]))
+def test_inverse_iteration_from_step_two_stops_where_bisection_did(n, density, seed, graph,
+                                                                   tol):
+    # nonnegative symmetric, 0/1 or [0, 1) weights
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr",
+                     data_rvs=np.ones if graph else None)
+    op = LinOp(sp.triu(half) + sp.triu(half, 1).T, symmetric=True)
+    runs = []
+    for k0 in (2, math.inf):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_INVERSE_FROM", k0)
+            runs.append(spectral._lanczos(op, tol, n))
+    fast, slow = runs
+    assert (fast.iterations, fast.stop) == (slow.iterations, slow.stop)
+    assert np.array_equal(fast.thetas, slow.thetas)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(spectral._INVERSE_FROM, 300), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.floats(-14, 0), st.booleans())
+def test_inverse_iteration_finds_the_bisected_value_or_bisects(k, seed, top, offset, below):
+    # a tridiagonal scaled as _lanczos scales it, a guess 10^offset off its value
+    rng = np.random.default_rng(seed)
+    d, e = rng.standard_normal(k), np.abs(rng.standard_normal(k - 1)) + 1e-3
+    f = math.ldexp(1.0, -math.frexp(np.abs(d).max() + 2 * e.max())[1])
+    d, e = d * f, e * f
+    i = k if top else 1
+    want = spectral._ritz_value(d, e, i)[0]
+    got = spectral._ritz_near(d, e, i, want + (-1) ** below * 10 ** offset)[0]
+    # within delta of it, up to the rounding of the check and of the bisection
+    # (a few eps on a tridiagonal of norm below 1), or bisected and equal to it
+    assert abs(got - want) <= (spectral._INERTIA + 8) * spectral._EPS
+
+
+def test_inverse_iteration_leaves_bisection_to_the_first_steps(monkeypatch):
+    calls = []
+    ritz_value = spectral._ritz_value
+    monkeypatch.setattr(spectral, "_ritz_value", lambda *args: calls.append(1) or ritz_value(*args))
+    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    assert res.iterations == 300
+    assert len(calls) <= spectral._INVERSE_FROM + 1
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+def test_stop_tests_are_relative_below_norm_one(scale):
+    # at 1e-150 the closure test once read beta against 1, not the norm, and
+    # at 1e-300 beta^2 underflows
+    top = np.linalg.eigvalsh(scaled_draw())[-1]
+    res = spectral._lanczos(LinOp(scaled_draw(scale), symmetric=True), 1e-10, 29)
+    assert res.stop == "closure" and res.iterations == 29
+    assert abs(res.thetas[-1] / scale - top) <= 1e-10 * top
+
+
+@pytest.mark.parametrize("build", [lambda: path_operator(2000), lambda: z2_ball_operator(20),
+                                   lambda: LinOp(scaled_draw(), symmetric=True)],
+                         ids=["path2000", "Z2r20", "draw29"])
+@pytest.mark.parametrize("e", [-300, 300])
+def test_power_of_two_scalings_run_the_same_solve(build, e):
+    op = build()
+    res = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
+    scaled = spectral._lanczos(LinOp(op.matrix * math.ldexp(1.0, e), symmetric=True),
+                               spectral.EIGEN_TOL, 300)
+    assert (scaled.iterations, scaled.stop, scaled.second_passes) == \
+        (res.iterations, res.stop, res.second_passes)
+    assert np.array_equal(scaled.thetas, np.ldexp(res.thetas, e))
 
 
 class CountingMatrix:
@@ -588,6 +683,12 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
         assert solved == []
         assert again.to_dict() == in_spectrum(op, 2.0 * target, max_iter=120).to_dict()
         assert again.spectral.to_dict() == cert.spectral.to_dict()
+
+
+def test_certificate_forms_the_radius_ritz_vector_once():
+    # the target lies above the spectrum: its nearest Ritz value is the radius's
+    cert = in_spectrum(path_operator(400), 3.0)
+    assert list(cert._run[2].vectors) == [len(cert._run[2].thetas) - 1]
 
 
 def test_reuse_needs_the_same_operator_seed_and_budget():
