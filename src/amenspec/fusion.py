@@ -235,13 +235,6 @@ class FusionRing:
             hi = min(hi, self.level)
         return [(k, 1) for k in range(lo, hi + 1, 2)]
 
-    def clip_count(self, i: int, j: int) -> int:
-        """Summands of label i (x) label j falling past the level cut."""
-        if self.kind == "table":
-            return 0
-        lo, hi = abs(i - j), i + j
-        return max(0, (hi - max(self.level, lo - 2)) // 2) if hi > self.level else 0
-
     def describe(self) -> dict:
         if self.kind == "table":
             return {"kind": "table", "labels": self.size}
@@ -380,8 +373,8 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
         count = (np.minimum(ki + j, ring.level) - lo) // 2 + 1
         cols, vals = np.repeat(j, count), np.ones(count.sum(), dtype=np.int64)
         rows = np.repeat(lo - 2 * (np.cumsum(count) - count), count) + 2 * np.arange(cols.size)
-        # only the columns j > level - ki have summands past the level cut
-        dropped = sum(ring.clip_count(ki, c) for c in range(ring.level + 1 - ki, trunc))
+        # column j clips the summands ki + j, ki + j - 2, ... past level (lo <= level)
+        dropped = int((np.maximum(ki + j - ring.level + 1, 0) // 2).sum())
     keep = rows < trunc
     dropped += int(vals[~keep].sum())
     symmetric = ring.conj(kappa) == kappa

@@ -242,57 +242,37 @@ class _LanczosResult:
         return self.vectors[which]
 
 
-def _ritz_value(alphas: np.ndarray, betas: np.ndarray, i: int) -> tuple:
-    """The i-th smallest eigenvalue (i from 1) of the tridiagonal (alphas,
-    betas), and the dstebz output (w, iblock, isplit) for _last_components,
-    by eigvalsh_tridiagonal(select='i')'s bisection called directly, so
-    bit-identical; the caller checks that the entries are finite."""
-    if len(alphas) == 1:
-        return float(alphas[0]), ()
-    _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
-                                                            i, i, 0.0, "E")
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"dstebz (extreme Ritz values) failed with info={info}")
-    return float(w[0]), (w[:1], iblock, isplit)
-
-
-def _ritz_near(alphas: np.ndarray, betas: np.ndarray, i: int, guess: float) -> tuple:
-    """_ritz_value(alphas, betas, i), i in (1, k), within delta for T scaled to a Gershgorin
-    bound < 1: by inverse iteration from guess, proven by inertia, else bisected (_lanczos)."""
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray, guess: float) -> tuple:
+    """The top eigenvalue of the tridiagonal (alphas, betas), scaled to a
+    Gershgorin bound < 1, and the |last component| of its unit eigenvector.
+    From _INVERSE_FROM steps on, by inverse iteration (LAPACK dstein) from
+    guess, proven within delta by inertia (see _lanczos); otherwise, or when
+    that fails, by eigvalsh_tridiagonal(select='i')'s bisection called
+    directly, so bit-identical, and one dstein for its vector, O(k) each.
+    The caller checks that the entries are finite."""
     k = len(alphas)
+    if k == 1:
+        return float(alphas[0]), 1.0
     if k >= _INVERSE_FROM and math.isfinite(guess):
         block, split = np.ones(k, np.int32), np.full(k, k, np.int32)
         z, info = scipy.linalg.lapack.dstein(alphas, betas, [guess], block, split)
         rho = float(alphas @ z[:, 0] ** 2 + 2 * (betas @ (z[:-1, 0] * z[1:, 0])))
-        pivots = (1.0 if i == k else -1.0) * (rho - alphas) + _INERTIA * _EPS
-        if info == 0 and scipy.linalg.lapack.dpttrf(pivots, betas)[2] == 0:
-            return rho, (np.array([rho]), block, split)
-    return _ritz_value(alphas, betas, i)
-
-
-def _scale_bound(hi: float, amax: float, bmax: float) -> float:
-    """Upper bound on a tridiagonal's scale max(|lo|, |hi|) without its bottom
-    eigenvalue lo: |lo| <= max |alpha| + 2 max beta (Gershgorin), widened
-    past the rounding of the value found for lo."""
-    return max(abs(hi), amax + 2 * bmax) * (1 + 1e-12)
-
-
-def _last_components(alphas: np.ndarray, betas: np.ndarray, found) -> tuple:
-    """|Last component| of the tridiagonal's unit eigenvectors for the values
-    _ritz_value found, by inverse iteration (LAPACK dstein), O(k) each. One
-    call per value (m = 1) keeps its block right when the tridiagonal splits."""
-    out = []
-    for w, iblock, isplit in found:
-        z, info = scipy.linalg.lapack.dstein(alphas, betas, w, iblock, isplit)
-        if info != 0:
-            raise scipy.linalg.LinAlgError(
-                f"dstein (extreme Ritz vectors) failed with info={info}")
-        out.append(abs(float(z[-1, 0])))
-    return tuple(out)
+        if info == 0 and scipy.linalg.lapack.dpttrf(rho - alphas + _INERTIA * _EPS,
+                                                    betas)[2] == 0:
+            return rho, abs(float(z[-1, 0]))
+    _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
+                                                            k, k, 0.0, "E")
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
+    # one value (m = 1) keeps dstein's block right when the tridiagonal splits
+    z, info = scipy.linalg.lapack.dstein(alphas, betas, w[:1], iblock, isplit)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dstein (top Ritz vector) failed with info={info}")
+    return float(w[0]), abs(float(z[-1, 0]))
 
 
 def _beta(w: np.ndarray) -> float:     # ||w||: dnrm2 where the sum of squares leaves range
-    b = float(np.linalg.norm(w))
+    b = math.sqrt(scipy.linalg.blas.ddot(w, w))     # BLAS: no numpy overflow warning
     return b if 1e-140 < b < math.inf else _norm(w)
 
 
@@ -314,26 +294,28 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     is spanned by its projections on the eigenspaces it meets, those of the
     "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007), so
     it closes (breakdown, or dimension n) after as many steps as there are
-    main eigenvalues, holding each exactly. Each step finds the top Ritz
-    value, and the bottom one only where _scale_bound leaves a stop decision
-    open, so every decision is that of finding both. A stall of both is
-    confirmed by the rigorous bound beta * |last Ritz component|
-    (_last_components). stop says why the run ended: the subspace closed
-    ("closure"), that bound held ("residual"), or the budget ran out
-    ("budget"); converged means one of the first two. Every test is relative
-    to scale = max(|lo|, |hi|), so a run of 2^e A is that of A, scaled.
+    main eigenvalues, holding each exactly. No stop decision needs more
+    than the radius, so each step finds only the top Ritz value hi, with
+    the last component of its eigenvector (_top_ritz), and every test is
+    relative to hi: hi >= alpha_1 = 1'A1/n > 0 for a nonzero operator, and a
+    run of 2^e A is that of A, scaled. A stall of hi for two steps is
+    confirmed by the rigorous bound beta * |last component| <= tol * hi / 2.
+    stop says why the run ended: the subspace closed ("closure"), that bound
+    held ("residual"), or the budget ran out ("budget"); converged means one
+    of the first two.
 
-    Ritz values are found on T times the power of two that puts max|alpha|
-    + 2 max beta in [1/2, 1): exact, and beta^2 stays in range. From
-    _INVERSE_FROM = 48 steps on, each is the Rayleigh quotient rho of the
-    eigenvector dstein finds by inverse iteration at the last value plus its
-    last increment. One LDL^T (dpttrf) of (rho + delta) I - T, or T - (rho -
-    delta) I for the bottom value, with positive pivots proves no eigenvalue
-    past rho +- delta (Sylvester; Kahan, Stanford CS-41, 1966, for rounding),
-    and a Rayleigh quotient lies in the spectrum: rho is the value within
-    delta = 32 eps (Parlett, The Symmetric Eigenvalue Problem, ch. 4-5, 3.3).
-    Otherwise it is bisected (dstebz, 53 O(k) halvings). 48 is the measured
-    crossover: 21.9 us a call against 20.3 (158 against 38 at k = 300, Xeon).
+    hi is found on T times the power of two that puts max|alpha| + 2 max
+    beta in [1/2, 1): exact, and beta^2 stays in range. From _INVERSE_FROM
+    = 48 steps on, it is the Rayleigh quotient rho of the eigenvector dstein
+    finds by inverse iteration at the last value plus its last increment.
+    One LDL^T (dpttrf) of (rho + delta) I - T with positive pivots proves no
+    eigenvalue above rho + delta (Sylvester; Kahan, Stanford CS-41, 1966,
+    for rounding), and a Rayleigh quotient lies in the spectrum: rho is the
+    value within delta = 32 eps (Parlett, The Symmetric Eigenvalue Problem,
+    ch. 4-5, 3.3). Otherwise it is bisected (dstebz, 53 O(k) halvings) and
+    its eigenvector found by one dstein. 48 is the measured crossover of
+    the value alone: 21.9 us a call against 20.3 (158 against 38 at
+    k = 300, Xeon).
 
     Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
     recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
@@ -360,7 +342,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     betas = np.empty(budget)
     prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
     cur[0] = 1.0
-    his, los = np.full((2, budget + 1), math.nan)  # the extreme Ritz values, by step
+    his = np.full(budget + 1, math.nan)    # the top Ritz values, by step
     amax = bmax = 0.0
     stop = "budget"
     second_passes = reorthogonalized = stall = k = pending = 0
@@ -402,31 +384,18 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         pending = reorth and not pending
         k += 1
         f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
-        ta, tb = alphas[:k] * f, betas[:k - 1] * f
-        hi, top = _ritz_near(ta, tb, k, f * 2 * his[k - 1] - f * his[k - 2])  # no overflow
+        hi, last = _top_ritz(alphas[:k] * f, betas[:k - 1] * f,
+                             f * 2 * his[k - 1] - f * his[k - 2])      # no overflow
         his[k] = hi = hi / f
-        lo, scale = None, _scale_bound(hi, amax, bmax)
-        if b <= _BREAKDOWN * scale or k > 1 and abs(hi - his[k - 1]) <= 0.01 * tol * scale:
-            lo, bottom = _ritz_near(ta, tb, 1, f * 2 * los[k - 1] - f * los[k - 2])
-            los[k] = lo = lo / f
-            scale = max(abs(lo), abs(hi))
-        if k == n or b <= _BREAKDOWN * scale:      # scale is exact where this can hold
+        if k == n or b <= _BREAKDOWN * hi:
             stop = "closure"
             break
-        if lo is None or k == 1:       # no stall: |hi - his[k - 1]| alone is past its bound
+        stall = stall + 1 if k > 1 and abs(hi - his[k - 1]) <= 0.01 * tol * hi else 0
+        if stall >= 2:
+            if b * last <= 0.5 * tol * hi:      # the rigorous bound beta * |last component|
+                stop = "residual"
+                break
             stall = 0
-        else:
-            if math.isnan(los[k - 1]):
-                los[k - 1] = _ritz_near(ta[:-1], tb[:-1], 1, math.nan)[0] / f
-            still = abs(lo - los[k - 1]) + abs(hi - his[k - 1]) <= 0.01 * tol * scale
-            stall = stall + 1 if still else 0
-            if stall >= 2:
-                # confirm with the rigorous bound beta * |last Ritz component|
-                res_ext = b * max(_last_components(ta, tb, (bottom, top)))
-                if res_ext <= 0.5 * tol * scale:
-                    stop = "residual"
-                    break
-                stall = 0
         betas[k - 1] = b
         bmax = max(bmax, b)
         prev, cur, new = cur, new, prev
@@ -459,10 +428,11 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> S
     the largest eigenvalue of the truncation once converged, and converged:
     false means the budget of max_iter steps ran out. stop says why the
     solve ended: "closure" (the Krylov subspace closed, or the operator is
-    zero), "residual" (the residual bound on the extreme Ritz values met
-    tol) or "budget".
-    radius_lower_bound is the Rayleigh quotient of the extreme Ritz vector,
-    recomputed in the original space, hence a rigorous lower bound.
+    zero), "residual" (the residual bound on the top Ritz value met tol) or
+    "budget".
+    radius_lower_bound is the |Rayleigh quotient| of the Ritz vector of the
+    largest |Ritz value|, recomputed in the original space, hence a rigorous
+    lower bound.
     """
     _check_solver_args(tol, max_iter)
     return _radius_report(op, _lanczos(op, tol, max_iter) if op.nnz else None)

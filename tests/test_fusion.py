@@ -68,8 +68,17 @@ def test_rule_decomposition_and_clipping():
     assert ring.decompose("a1", "a1") == {"a0": 1, "a2": 1}
     assert ring.decompose("a0", "a7") == {"a7": 1}
     assert ring.decompose("a5", "a7") == {f"a{k}": 1 for k in range(2, 11, 2)}
-    assert ring.clip_count(5, 7) == 1   # a12 falls past the level cut
-    assert ring.clip_count(1, 3) == 0
+    # a5 (x) a6 .. a5 (x) a10 drop 1, 1, 2, 2 and 3 summands past the level cut
+    assert fusion_operator(ring, "a5", 11).meta["dropped"] == 9
+    assert fusion_operator(ring, "a1", 11).meta["dropped"] == 1   # a1 (x) a10 drops a11
+
+
+@pytest.mark.parametrize("kappa, trunc, dropped", [("a2", 5, 2), ("a1", 5, 1), ("a3", 4, 4)])
+def test_clipped_summands_are_counted_at_either_parity(kappa, trunc, dropped):
+    # level 4: a2 (x) a3 = a1 + a3 + a5 clips a5, a2 (x) a4 clips a6, a1 (x) a4
+    # clips a5; a3 (x) a2 and a3 (x) a3 clip a5 and a6, and a4 falls past trunc 4
+    # in a3 (x) a1 and a3 (x) a3
+    assert fusion_operator(free_su2_ring(3, 4), kappa, trunc).meta["dropped"] == dropped
 
 
 def test_non_integral_parameter_keeps_float_dims():
@@ -165,14 +174,13 @@ def loop_fusion_operator(ring, kappa, trunc):
     ki = ring.index(kappa)
     rows, cols, vals, dropped = [], [], [], 0
     for j in range(trunc):
-        for i, m in ring.decompose_indices(ki, j):
+        for i, m in ring.decompose_indices(ki, j, clip=False):
             if i < trunc:
                 rows.append(i)
                 cols.append(j)
                 vals.append(m)
             else:
                 dropped += m
-        dropped += ring.clip_count(ki, j)
     return LinOp.from_entries(trunc, rows, cols, vals, symmetric=False).matrix, dropped
 
 

@@ -306,12 +306,13 @@ def test_solves_say_why_they_stopped():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60), st.data())
 def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
+    # with no guess the top Ritz value is bisected, as eigvalsh_tridiagonal does
     k = len(diag)
     off = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k - 1, max_size=k - 1))
     d, e = np.array(diag), np.array(off)
-    want = tuple(float(scipy.linalg.eigvalsh_tridiagonal(
-        d, e, select="i", select_range=(i, i))[0]) for i in (0, k - 1))
-    assert tuple(spectral._ritz_value(d, e, i)[0] for i in (1, k)) == want
+    want = float(scipy.linalg.eigvalsh_tridiagonal(d, e, select="i",
+                                                   select_range=(k - 1, k - 1))[0])
+    assert spectral._top_ritz(d, e, math.nan)[0] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -319,60 +320,42 @@ def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
        st.data())
 def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, constant, split,
                                                                  data):
+    # scaled as _lanczos scales it; from _INVERSE_FROM steps on the guess
+    # takes the inverse-iteration path, below it bisection. A stall test reads
+    # the component only after the top value moved by at most 0.01 tol of
+    # itself at each of two steps: at EIGEN_TOL the guess is within 2e-10 of
+    # it, relative, and the draws here go 50 times as far.
     rng = np.random.default_rng(seed)
     d = np.full(k, rng.standard_normal()) if constant else rng.standard_normal(k)
     e = rng.standard_normal(k - 1)
     if split:
         e[data.draw(st.integers(0, k - 2))] = 0.0
+    f = math.ldexp(1.0, -math.frexp(np.abs(d).max() + 2 * np.abs(e).max())[1])
+    d, e = d * f, e * f
     w, S = scipy.linalg.eigh_tridiagonal(d, e)
-    # an extreme eigenvalue that is (nearly) repeated has no one eigenvector
-    scale = max(1.0, float(np.abs(w).max()))
-    assume(min(w[1] - w[0], w[-1] - w[-2]) >= 1e-3 * scale)
-    got = spectral._last_components(d, e, [spectral._ritz_value(d, e, i)[1] for i in (1, k)])
-    assert np.allclose(got, (abs(S[-1, 0]), abs(S[-1, -1])), rtol=0, atol=1e-12)
+    # a top eigenvalue that is (nearly) repeated has no one eigenvector
+    assume(w[-1] - w[-2] >= 1e-3 * float(np.abs(w).max()))
+    guess = w[-1] + data.draw(st.floats(-1e-8, 1e-8)) * float(np.abs(w).max())
+    assert abs(spectral._top_ritz(d, e, guess)[1] - abs(S[-1, -1])) <= 1e-12
 
 
 @pytest.mark.parametrize("build", [SOLVES["pairs20"], SOLVES["Z2r20"]])
 def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeypatch):
     op = build()
     fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    calls = []
+    top_ritz = spectral._top_ritz
 
-    def full_solve(alphas, betas, found):
-        """The stall test's last components from every eigenvector of the tridiagonal."""
-        calls.append(len(alphas))
+    def full_solve(alphas, betas, guess):
+        """The stall test's last component from every eigenvector of the tridiagonal."""
         _, S = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        return abs(S[-1, 0]), abs(S[-1, -1])
+        return top_ritz(alphas, betas, guess)[0], abs(S[-1, -1])
 
-    monkeypatch.setattr(spectral, "_last_components", full_solve)
+    monkeypatch.setattr(spectral, "_top_ritz", full_solve)
     slow = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    assert calls and slow.stop == "residual"       # the stall test did run
+    assert slow.stop == "residual"       # the stall test did run
     assert (fast.iterations, fast.stop, fast.second_passes) == \
         (slow.iterations, slow.stop, slow.second_passes)
     assert np.array_equal(fast.thetas, slow.thetas)
-
-
-@pytest.mark.parametrize("build", SOLVES.values(), ids=SOLVES.keys())
-def test_lazy_low_end_stops_lanczos_where_bisecting_both_did(build, monkeypatch):
-    # bounds that know nothing of the scale make every step find the bottom
-    # Ritz value, as if every stop decision read it; _ritz_near finds each
-    # value, by bisection or by inverse iteration
-    op = build()
-    bottoms = []
-    ritz_near = spectral._ritz_near
-
-    def counting(alphas, betas, i, guess):
-        bottoms.append(i == 1 < len(alphas))
-        return ritz_near(alphas, betas, i, guess)
-
-    monkeypatch.setattr(spectral, "_ritz_near", counting)
-    lazy = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    lazy_bottoms, bottoms[:] = sum(bottoms), []
-    monkeypatch.setattr(spectral, "_scale_bound", lambda *bound: math.inf)
-    eager = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    assert sum(bottoms) == eager.iterations - 1 > lazy_bottoms
-    assert (lazy.iterations, lazy.stop) == (eager.iterations, eager.stop)
-    assert np.array_equal(lazy.thetas, eager.thetas)
 
 
 @pytest.mark.parametrize("build", [*SOLVES.values(),
@@ -409,17 +392,16 @@ def test_inverse_iteration_from_step_two_stops_where_bisection_did(n, density, s
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(spectral._INVERSE_FROM, 300), st.integers(0, 2 ** 32 - 1), st.booleans(),
+@given(st.integers(spectral._INVERSE_FROM, 300), st.integers(0, 2 ** 32 - 1),
        st.floats(-14, 0), st.booleans())
-def test_inverse_iteration_finds_the_bisected_value_or_bisects(k, seed, top, offset, below):
-    # a tridiagonal scaled as _lanczos scales it, a guess 10^offset off its value
+def test_inverse_iteration_finds_the_bisected_value_or_bisects(k, seed, offset, below):
+    # a tridiagonal scaled as _lanczos scales it, a guess 10^offset off its top value
     rng = np.random.default_rng(seed)
     d, e = rng.standard_normal(k), np.abs(rng.standard_normal(k - 1)) + 1e-3
     f = math.ldexp(1.0, -math.frexp(np.abs(d).max() + 2 * e.max())[1])
     d, e = d * f, e * f
-    i = k if top else 1
-    want = spectral._ritz_value(d, e, i)[0]
-    got = spectral._ritz_near(d, e, i, want + (-1) ** below * 10 ** offset)[0]
+    want = spectral._top_ritz(d, e, math.nan)[0]
+    got = spectral._top_ritz(d, e, want + (-1) ** below * 10 ** offset)[0]
     # within delta of it, up to the rounding of the check and of the bisection
     # (a few eps on a tridiagonal of norm below 1), or bisected and equal to it
     assert abs(got - want) <= (spectral._INERTIA + 8) * spectral._EPS
@@ -427,8 +409,8 @@ def test_inverse_iteration_finds_the_bisected_value_or_bisects(k, seed, top, off
 
 def test_inverse_iteration_leaves_bisection_to_the_first_steps(monkeypatch):
     calls = []
-    ritz_value = spectral._ritz_value
-    monkeypatch.setattr(spectral, "_ritz_value", lambda *args: calls.append(1) or ritz_value(*args))
+    dstebz = scipy.linalg.lapack.dstebz
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", lambda *args: calls.append(1) or dstebz(*args))
     res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300
     assert len(calls) <= spectral._INVERSE_FROM + 1
@@ -440,7 +422,7 @@ def test_stop_tests_are_relative_below_norm_one(scale):
     # at 1e-300 beta^2 underflows
     top = np.linalg.eigvalsh(scaled_draw())[-1]
     res = spectral._lanczos(LinOp(scaled_draw(scale), symmetric=True), 1e-10, 29)
-    assert res.stop == "closure" and res.iterations == 29
+    assert res.converged
     assert abs(res.thetas[-1] / scale - top) <= 1e-10 * top
 
 
@@ -859,7 +841,7 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 120), st.floats(0.005, 0.3), st.integers(0, 10 ** 6),
        st.sampled_from([1, 31, 32, 33, 63, 64, 65, None]))
-@example(n=5, density=0.03125, seed=0, max_iter=None)   # evs[0] is not main
+@example(n=5, density=0.03125, seed=0, max_iter=None)   # evs[0] is not main, evs[-1] is
 def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
     # max_iter None means n; 32 and 64 end a run on the first row of a new block
     rng = np.random.default_rng(seed)
@@ -875,8 +857,6 @@ def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
     assert basis.shape == (k, n)
     assert np.abs(basis @ basis.T - np.eye(k)).max() <= 1e-10
     if res.converged:
-        # the constant start reaches only the main eigenvalues, the top among them
-        assert abs(res.thetas[0] - min(main_eigenvalues(m))) <= 1e-10 * scale
         assert abs(res.thetas[-1] - evs[-1]) <= 1e-10 * scale
     for i in range(k):
         u = res.ritz_vector(i)
@@ -924,3 +904,21 @@ def test_partial_reorthogonalization_keeps_the_basis_and_the_radius(n, density, 
     if res.converged:
         assert abs(rep.radius_estimate - top) <= tol * max(1.0, top)
     assert rep.radius_lower_bound <= top * (1 + 1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 250), st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.booleans(),
+       st.sampled_from([1e-8, 1e-10]), st.integers(-200, 200))
+def test_converged_top_ritz_value_is_within_tol_of_the_radius(n, density, seed, graph, tol,
+                                                              decade):
+    # nonnegative symmetric, 0/1 or [0, 1) weights, at any scale: the stop
+    # tests read the top Ritz value alone, relative to itself
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr",
+                     data_rvs=np.ones if graph else None)
+    m = (sp.triu(half) + sp.triu(half, 1).T).toarray() * 10.0 ** decade
+    assume(m.any())
+    res = spectral._lanczos(LinOp(m, symmetric=True), tol, n)
+    top = float(np.linalg.eigvalsh(m)[-1])
+    if res.converged:
+        assert abs(res.thetas[-1] - top) <= tol * top
