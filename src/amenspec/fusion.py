@@ -377,8 +377,7 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
         dropped = int((np.maximum(ki + j - ring.level + 1, 0) // 2).sum())
     keep = rows < trunc
     dropped += int(vals[~keep].sum())
-    symmetric = ring.conj(kappa) == kappa
-    return LinOp.from_entries(trunc, rows[keep], cols[keep], vals[keep], symmetric=symmetric,
+    return LinOp.from_entries(trunc, rows[keep], cols[keep], vals[keep],
                               meta={"kappa": kappa, "trunc": trunc,
                                     "dropped": dropped, "ring": ring.describe()})
 
@@ -396,13 +395,12 @@ def window_operator(ring: FusionRing, omega: Sequence[str], trunc: int) -> LinOp
     mat = ops[0].matrix
     for o in ops[1:]:
         mat = mat + o.matrix
-    symmetric = {ring.conj(s) for s in omega} == set(omega)
     target = float(sum(ring.dim(s) for s in omega))
     meta = {"omega": omega, "trunc": trunc, "target": target,
             "dropped": sum(o.meta["dropped"] for o in ops), "ring": ring.describe()}
     if ring.integral_dims:
         meta["target_exact"] = int(sum(ring.dim_exact(s) for s in omega))
-    return LinOp(mat, symmetric=symmetric, meta=meta)
+    return LinOp(mat, meta=meta)
 
 
 def dim_bookkeeping_check(ring: FusionRing, kappa: str, omega: Sequence[str]) -> bool:
@@ -436,13 +434,14 @@ def coamenability_test(ring: FusionRing, omega: Sequence[str], trunc: int = 2000
     m near trunc/8, trunc/4, trunc/2, plus the Ritz vector route inside
     in_spectrum. Certification is one-sided; a miss reports the gap to the
     nearest truncated eigenvalue instead. The verdict carries the window
-    operator it tested.
+    operator it tested. omega must be closed under conjugation, which makes
+    that operator symmetric.
     """
     if trunc < 10:
         raise InputError("trunc must be at least 10")
     omega = list(omega)
     op = window_operator(ring, omega, trunc)
-    if not op.symmetric:
+    if {ring.conj(s) for s in omega} != set(omega):
         raise InputError("window must be closed under conjugation")
     target = op.meta["target"]
     witnesses = []

@@ -81,12 +81,10 @@ def shift_operator(grid: HalfLineGrid, r: float) -> LinOp:
     if k >= grid.n:
         raise InputError(f"shift parameter {r} reaches past the grid extent")
     rows, cols = _reflection_bands(grid.n, k)
-    op = LinOp.from_entries(grid.n, rows, cols, np.ones(len(rows)),
-                            symmetric=True,
-                            meta={"r": float(r), "r_snapped": k * grid.h,
-                                  "snap_delta": k * grid.h - float(r),
-                                  "shift_cells": k})
-    return op
+    return LinOp.from_entries(grid.n, rows, cols, np.ones(len(rows)),
+                              meta={"r": float(r), "r_snapped": k * grid.h,
+                                    "snap_delta": k * grid.h - float(r),
+                                    "shift_cells": k})
 
 
 def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
@@ -102,7 +100,7 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
     if not 0 <= a <= b <= grid.max_r:
         raise InputError("interval must satisfy 0 <= a <= b <= max_r")
     if a == b:
-        return LinOp.from_entries(grid.n, [], [], [], symmetric=True,
+        return LinOp.from_entries(grid.n, [], [], [],
                                   meta={"a": float(a), "b": float(b),
                                         "snapped": [float(a), float(a)],
                                         "nodes": 0, "target": 0.0})
@@ -118,7 +116,7 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
     vals = np.full(len(rows), grid.cell_mass)
     a_s, b_s = k_lo * grid.h, k_hi * grid.h
     target = (b_s - a_s) / (2.0 * math.pi)
-    return LinOp.from_entries(grid.n, rows, cols, vals, symmetric=True,
+    return LinOp.from_entries(grid.n, rows, cols, vals,
                               meta={"a": float(a), "b": float(b),
                                     "snapped": [a_s, b_s],
                                     "nodes": k_hi - k_lo, "target": target})
@@ -183,12 +181,16 @@ class PairLattice:
     def __init__(self, bound: int):
         if not isinstance(bound, int) or bound < 1:
             raise InputError("bound must be a positive integer")
-        if bound * (2 * bound + 1) > _MAX_BUILD:      # the class count
+        size = bound * (2 * bound + 1)      # the class count
+        if size > _MAX_BUILD:
             raise InputError(f"the bound-{bound} box has more than {_MAX_BUILD} classes")
         self.bound = bound
-        rng = range(-bound, bound + 1)
-        self.classes = tuple((a, b) for a in rng for b in rng if a < b)
-        self.size = len(self.classes)
+        self.size = size
+
+    @property
+    def classes(self) -> tuple:
+        """Every class (g, g'), g < g', in class order, decoded on demand."""
+        return tuple(zip(*(c.tolist() for c in _class_coords(self.bound))))
 
 
 def pair_lattice(bound: int) -> PairLattice:
@@ -226,9 +228,7 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     rows = np.repeat(np.arange(len(g)), 2)[keep]
     cols = (i * m - i * (i + 1) // 2 + j - i - 1)[keep]     # the index of class (i, j)
     dropped = int(np.count_nonzero(~keep))
-    symmetric = {r, rp} == {-r, -rp}
     return LinOp.from_entries(pairs.size, rows, cols, np.ones(len(rows)),
-                              symmetric=symmetric,
                               meta={"shift": (r, rp), "bound": pairs.bound,
                                     "dropped": dropped})
 
@@ -247,9 +247,8 @@ def pair_window_operator(pairs: PairLattice, omega: Sequence) -> LinOp:
     mat = ops[0].matrix
     for o in ops[1:]:
         mat = mat + o.matrix
-    return LinOp(mat, symmetric=True,
-                 meta={"bound": pairs.bound, "omega": [list(s) for s in omega],
-                       "dropped": sum(o.meta["dropped"] for o in ops)})
+    return LinOp(mat, meta={"bound": pairs.bound, "omega": [list(s) for s in omega],
+                            "dropped": sum(o.meta["dropped"] for o in ops)})
 
 
 def _box_witness(pairs: PairLattice, m: int) -> np.ndarray:
@@ -289,11 +288,8 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     for b in bounds:
         pairs = pair_lattice(b)
         op = pair_window_operator(pairs, omega)
-        witnesses = []
-        for m in sorted({max(1, b // 4), max(1, b // 2), b}):
-            v = _box_witness(pairs, m)
-            if np.any(v):
-                witnesses.append((f"box-{m}", v))
+        witnesses = [(f"box-{m}", _box_witness(pairs, m))
+                     for m in sorted({max(1, b // 4), max(1, b // 2), b})]
         here = in_spectrum(op, target, tol=tol, witnesses=witnesses,
                            seed=seed, max_iter=max_iter)
         if cert is None or here.best_residual < cert.best_residual:

@@ -13,6 +13,7 @@ certified, only hinted at via the gap to the nearest truncated eigenvalue.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -52,13 +53,13 @@ class LinOp:
     """Finitely truncated operator: the n x n matrix on its builder's first n points.
 
     Stored as CSR, with finite nonnegative entries, which _lanczos's start
-    relies on. symmetric is asserted by the builder and then verified
-    exactly: every builder here produces an exactly symmetric matrix when it
-    asserts one. Shifts past the truncation edge are dropped (zero padding),
-    the compression semantics the certificates rely on.
+    relies on. symmetric is measured from the matrix, exactly, when it is
+    first read; the solvers need it true. Shifts past the truncation edge
+    are dropped (zero padding), the compression semantics the certificates
+    rely on.
     """
 
-    def __init__(self, matrix, symmetric: bool, meta: dict | None = None):
+    def __init__(self, matrix, meta: dict | None = None):
         matrix = sp.csr_matrix(matrix)
         matrix.sum_duplicates()
         if not 0 < matrix.shape[0] == matrix.shape[1]:
@@ -66,22 +67,16 @@ class LinOp:
         if matrix.nnz and not (np.all(np.isfinite(matrix.data)) and matrix.data.min() >= 0):
             raise InputError("operator entries must be finite and nonnegative")
         self.matrix = matrix
-        self.symmetric = bool(symmetric)
         self.meta = dict(meta or {})
-        if self.symmetric:
-            defect = self.symmetry_defect()
-            if defect > 0:
-                raise InputError(
-                    f"operator asserted symmetric but max |A_ij - A_ji| = {defect:g}")
 
     @classmethod
-    def from_entries(cls, n: int, rows, cols, vals, **kw) -> "LinOp":
+    def from_entries(cls, n: int, rows, cols, vals, meta: dict | None = None) -> "LinOp":
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.size and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n):
             raise InputError("entry index outside the operator")
         m = sp.coo_matrix((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n))
-        return cls(m.tocsr(), **kw)
+        return cls(m.tocsr(), meta)
 
     @property
     def n(self) -> int:
@@ -90,6 +85,10 @@ class LinOp:
     @property
     def nnz(self) -> int:
         return self.matrix.nnz
+
+    @functools.cached_property
+    def symmetric(self) -> bool:
+        return self.symmetry_defect() == 0
 
     def symmetry_defect(self) -> float:
         d = (self.matrix - self.matrix.T).tocoo()
@@ -103,13 +102,15 @@ class LinOp:
 
     def leading_block(self, n: int) -> "LinOp":
         """The compression to the first n points, the leading n x n block, or
-        self when n == self.n; its meta is empty, as a builder's describes its size."""
+        self when n == self.n; its meta is empty, as a builder's describes its size.
+        It is symmetric when self is, and measured otherwise."""
         if not 1 <= n <= self.n:
             raise InputError(f"block size must be in [1, {self.n}], got {n}")
         if n == self.n:
             return self
-        block = LinOp(self.matrix[:n, :n], symmetric=False)
-        block.symmetric = self.symmetric    # a block of an exactly symmetric matrix is one
+        block = LinOp(self.matrix[:n, :n])
+        if self.symmetric:      # a block of an exactly symmetric matrix is one
+            block.symmetric = True
         return block
 
     def to_dense(self, limit: int = 2000) -> np.ndarray:
@@ -332,7 +333,12 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
     new block is allocated when the last one fills, so k steps hold about
     8 * n * (k rounded up to _BLOCK) bytes and no row is ever copied.
+
+    Every solve runs here, and each of these facts holds only for a
+    symmetric matrix, so an asymmetric op is an InputError.
     """
+    if not op.symmetric:
+        raise InputError("the eigensolvers need a symmetric operator; this one is not")
     n = op.n
     A = op.matrix
     budget = min(max_iter, n)
@@ -420,15 +426,16 @@ def _check_solver_args(tol: float, max_iter: int) -> None:
 
 
 def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> SpectralReport:
-    """Spectral radius of the truncated operator.
+    """Spectral radius of the truncated operator, which must be symmetric:
+    an asymmetric one is an InputError.
 
     Lanczos from the constant vector, which meets the nonnegative Perron
     eigenvector of the radius and closes at the number of main eigenvalues
-    (see _lanczos). For a symmetric operator the estimate is within tol of
-    the largest eigenvalue of the truncation once converged, and converged:
-    false means the budget of max_iter steps ran out. stop says why the
-    solve ended: "closure" (the Krylov subspace closed, or the operator is
-    zero), "residual" (the residual bound on the top Ritz value met tol) or
+    (see _lanczos). The estimate is within tol of the largest eigenvalue
+    of the truncation once converged, and converged: false means the
+    budget of max_iter steps ran out. stop says why the solve ended:
+    "closure" (the Krylov subspace closed, or the operator is zero),
+    "residual" (the residual bound on the top Ritz value met tol) or
     "budget".
     radius_lower_bound is the |Rayleigh quotient| of the Ritz vector of the
     largest |Ritz value|, recomputed in the original space, hence a rigorous
@@ -456,8 +463,8 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
 
 
 def fingerprint(op: LinOp) -> dict:
-    """Report-ready summary of an operator: size, fill, symmetry check (made
-    exactly when a symmetric LinOp was). boundary_policy is always zero-pad:
+    """Report-ready summary of an operator: size, fill, its measured
+    symmetry, and the defect when it is not. boundary_policy is always zero-pad:
     no builder keeps what leaves the truncation."""
     return {"size": int(op.n), "nnz": int(op.nnz), "symmetric": op.symmetric,
             "max_asymmetry": 0.0 if op.symmetric else op.symmetry_defect(),
@@ -481,21 +488,22 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 witnesses: Iterable | None = None, seed: int = DEFAULT_SEED,
                 max_iter: int = 300,
                 reuse: MembershipCertificate | None = None) -> MembershipCertificate:
-    """Residual-based membership certificate for target in the spectrum.
+    """Residual-based membership certificate for target in the spectrum of
+    op, which must be symmetric: an asymmetric one is an InputError.
 
     Residuals are evaluated over three routes, in order: the supplied
     witness family, the Lanczos Ritz vector nearest to target
     ("lanczos-ritz"), and, when neither is within tol, four steps of
     inverse iteration with one sparse LU factor of A - shift, shift just
     off target ("shift-invert"). certified means some witness has residual
-    <= tol, which for a symmetric operator places a point of the truncated
-    spectrum within that residual of target; best_residual is always
-    measured against op itself, so it is rigorous whichever route found
-    it. Non-membership is never certified. gap_hint is only a hint: the
-    distance from target to the nearest Ritz value found, the Rayleigh
-    quotient of the shift-invert vector counting as one. errors lists, as
-    "route: message", each route that produced no vector: a LinAlgError
-    from the eigensolver, an exactly singular factor.
+    <= tol, which places a point of the truncated spectrum within that
+    residual of target; best_residual is always measured against op
+    itself, so it is rigorous whichever route found it. Non-membership is
+    never certified. gap_hint is only a hint: the distance from target to
+    the nearest Ritz value found, the Rayleigh quotient of the shift-invert
+    vector counting as one. errors lists, as "route: message", each route
+    that produced no vector: a LinAlgError from the eigensolver, an exactly
+    singular factor.
 
     The certificate's spectral is the SpectralReport of its Lanczos run,
     equal to spectral_radius(op, max_iter=max_iter). seed picks only the
@@ -504,8 +512,6 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     on op with the same max_iter, whatever its seed, supplies that run (or
     its failure) instead of a new solve; any other is an InputError.
     """
-    if not op.symmetric:
-        raise InputError("membership certificates require a symmetric operator")
     _check_solver_args(tol, max_iter)
     if not math.isfinite(target):       # a window mass past float range
         raise InputError(f"target must be finite, got {target!r}")
@@ -579,9 +585,11 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
                      max_iter: int = 300) -> SpectralReport:
     """Solve the leading n x n block of op at each size n; record the estimates.
 
-    sizes must be strictly increasing and lie in [1, op.n]. The returned
-    report is the one for the largest size, with truncation_trace filled;
-    its stop is that of the largest size's solve.
+    sizes must be strictly increasing and lie in [1, op.n]. Every block of
+    a symmetric op is symmetric; a block that is not is an InputError, as
+    in any solve. The returned report is the one for the largest size,
+    with truncation_trace filled; its stop is that of the largest size's
+    solve.
     converged requires the solve at every size to have converged and, given
     two sizes or more, the Cauchy-style flag (the last two estimates differ
     by less than tol).

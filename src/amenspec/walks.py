@@ -266,8 +266,6 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
             raise InputError(f"unknown generator {nm!r}")
         if not (isinstance(w, (int, float)) and np.isfinite(w) and w > 0):
             raise InputError(f"weight for {nm!r} must be a positive number")
-    symmetric = all(weights.get(group.inverse_name(nm)) == w
-                    for nm, w in weights.items())
     column = {nm: c for c, nm in enumerate(group.generator_names)}
     left = np.empty((ball.size, len(weights)), dtype=np.int64)
     left[0] = ball.right[0, [column[group.inverse_name(nm)] for nm in weights]]
@@ -277,7 +275,6 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
     rows = np.repeat(np.arange(ball.size), len(weights))[kept]
     vals = np.tile(np.array([float(w) for w in weights.values()]), ball.size)[kept]
     return LinOp.from_entries(ball.size, rows, left.ravel()[kept], vals,
-                              symmetric=symmetric,
                               meta={"group": group.describe(), "radius": ball.radius,
                                     "weights": dict(weights),
                                     "dropped": int(kept.size - kept.sum())})
@@ -301,7 +298,6 @@ def modular_weight_operator(group, p: float, density: dict,
             raise InputError(f"density support point {z!r} lies outside the ball")
         if not (isinstance(w, (int, float)) and np.isfinite(w) and w > 0):
             raise InputError(f"density weight for {z!r} must be a positive number")
-    symmetric = all(density.get(group.inv(z)) == w for z, w in density.items())
     shifts = np.empty((ball.size, len(density)), dtype=np.int64)   # x z^-1, or -1 outside
     for c, z in enumerate(density):
         zi = group.inv(z)
@@ -317,7 +313,7 @@ def modular_weight_operator(group, p: float, density: dict,
     kept = shifts.ravel() >= 0
     rows = np.repeat(np.arange(ball.size), len(density))[kept]
     vals = np.tile(np.array([float(w) for w in density.values()]), ball.size)[kept]
-    return LinOp.from_entries(ball.size, rows, shifts.ravel()[kept], vals, symmetric=symmetric,
+    return LinOp.from_entries(ball.size, rows, shifts.ravel()[kept], vals,
                               meta={"group": group.describe(), "radius": ball.radius,
                                     "p": float(p), "support": len(density),
                                     "dropped": int(kept.size - kept.sum())})
@@ -346,7 +342,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
 
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}
-        op = LinOp(np.eye(1), symmetric=True)
+        op = LinOp(np.eye(1))
         rep = spectral_radius(op)
         notes = {"radii": [0], "ball_sizes": [1],
                  "radius_estimates": [rep.radius_estimate],

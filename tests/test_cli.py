@@ -127,6 +127,17 @@ def test_reports_say_why_the_solve_stopped(capsys, argv, stop):
     assert 0 < rep["spectral"]["reorthogonalized"] < rep["spectral"]["iterations"]
 
 
+def test_sweep_of_a_window_not_closed_under_conjugation_is_an_input_error(capsys, tmp_path):
+    # omega g on the cyclic ring: its size-2 block [[0, 0], [1, 0]] is
+    # nilpotent, radius 0, which a symmetric solve would report as 0.7071
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(cyclic3_obj()))
+    code, rep = run(capsys, "sweep", "--ring", str(path), "--omega", "g", "--sizes", "2,3")
+    assert code == 2
+    assert rep["error"]["type"] == "input"
+    assert "symmetric" in rep["error"]["message"]
+
+
 def test_sweep_builds_each_truncation_once(capsys, monkeypatch):
     built = []
     window_operator = fusion.window_operator
@@ -599,9 +610,13 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
 # -- documentation ------------------------------------------------------------
 
 
-def test_readme_commands_parse_and_name_every_flag():
+def readme_commands():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    lines = [l for l in readme.splitlines() if l.startswith("amenspec ")]
+    return readme, [l for l in readme.splitlines() if l.startswith("amenspec ")]
+
+
+def test_readme_commands_parse_and_name_every_flag():
+    readme, lines = readme_commands()
     assert {shlex.split(l)[1] for l in lines} == set(_COMMANDS)
     parser = _build_parser()
     for line in lines:
@@ -610,3 +625,20 @@ def test_readme_commands_parse_and_name_every_flag():
         for spelling, *_ in _flags(cmd):
             if spelling.startswith("--"):
                 assert f"`{spelling}" in readme or f" {spelling} " in readme, spelling
+
+
+def test_readme_commands_run(capsys, tmp_path, monkeypatch):
+    # run in tmp_path, where my_ring.json is the README's table-form example
+    # and relative --csv and --output paths land
+    readme, lines = readme_commands()
+    blocks = readme.split("```json\n")[1:]
+    table = next(b.split("```")[0] for b in blocks if '"kind": "table"' in b)
+    (tmp_path / "my_ring.json").write_text(table)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(CONFIG_ENV, raising=False)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert main(argv) == 0, line
+        out = capsys.readouterr().out
+        json.loads(Path(argv[argv.index("--output") + 1]).read_text()
+                   if "--output" in argv else out)

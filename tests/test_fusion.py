@@ -181,7 +181,7 @@ def loop_fusion_operator(ring, kappa, trunc):
                 vals.append(m)
             else:
                 dropped += m
-    return LinOp.from_entries(trunc, rows, cols, vals, symmetric=False).matrix, dropped
+    return LinOp.from_entries(trunc, rows, cols, vals).matrix, dropped
 
 
 @pytest.mark.parametrize("ring, kappa, trunc", [
@@ -258,6 +258,16 @@ def test_coamenability_input_checks():
     cyc = load_ring(parse_descriptor(cyclic3_descriptor()))
     with pytest.raises(InputError):
         coamenability_test(cyc, ["g"], trunc=2000)
+    # the cyclic group of order 10: g1 and g9 are dual, so {g1} is not closed
+    labels = ["e"] + [f"g{i}" for i in range(1, 10)]
+    cyc10 = load_ring(parse_descriptor({
+        "kind": "table", "labels": labels, "dims": [1] * 10,
+        "conj": [labels[-i % 10] for i in range(10)],
+        "fusion": [[[int(k == (i + j) % 10) for k in range(10)] for j in range(10)]
+                   for i in range(10)]}))
+    with pytest.raises(InputError, match="closed under conjugation"):
+        coamenability_test(cyc10, ["g1"], trunc=10)
+    assert coamenability_test(cyc10, ["g1", "g9"], trunc=10).target == 2.0
 
 
 # -- descriptors and validation -----------------------------------------------

@@ -181,7 +181,7 @@ def test_reflection_bands_match_the_entry_loop(n, k):
     rows, cols = loop_reflection_bands(n, k)
     bands = semidirect._reflection_bands(n, k)
     assert bands.dtype == np.int64 and np.array_equal(bands, [rows, cols])
-    got = LinOp.from_entries(n, *bands, np.ones(bands.shape[1]), symmetric=True)
+    got = LinOp.from_entries(n, *bands, np.ones(bands.shape[1]))
     want = sp.coo_matrix((np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
     want.sum_duplicates()
     assert_same_csr(got.matrix, want)

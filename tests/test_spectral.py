@@ -27,8 +27,7 @@ def path_operator(n):
     """0/1 adjacency of the path graph on n vertices."""
     rows = list(range(n - 1)) + list(range(1, n))
     cols = list(range(1, n)) + list(range(n - 1))
-    return LinOp.from_entries(n, rows, cols, np.ones(2 * (n - 1)),
-                              symmetric=True)
+    return LinOp.from_entries(n, rows, cols, np.ones(2 * (n - 1)))
 
 
 def scaled_draw(scale=1.0):
@@ -103,20 +102,14 @@ def test_entry_lookup_and_iteration():
 
 
 def test_duplicate_entries_are_summed():
-    op = LinOp.from_entries(2, [0, 0], [1, 1], [1.0, 2.0], symmetric=False)
+    op = LinOp.from_entries(2, [0, 0], [1, 1], [1.0, 2.0])
     assert op.matrix[0, 1] == 3.0 and op.nnz == 1
 
 
-def test_symmetry_claim_is_verified():
-    with pytest.raises(InputError):
-        LinOp.from_entries(2, [0], [1], [1.0], symmetric=True)
-    op = LinOp.from_entries(2, [0], [1], [1.0], symmetric=False)
-    assert op.symmetry_defect() == 1.0
-
-
 def test_symmetry_is_checked_once_per_build(monkeypatch):
-    # a leading block and the fingerprint of an exactly symmetric operator
-    # read the check its construction made; an asymmetric one reports its defect
+    # the leading blocks and the fingerprint of an exactly symmetric operator
+    # share the one check its flag's first read makes; an asymmetric one
+    # reports its defect
     calls = []
     check = LinOp.symmetry_defect
     monkeypatch.setattr(LinOp, "symmetry_defect", lambda self: calls.append(1) or check(self))
@@ -124,16 +117,32 @@ def test_symmetry_is_checked_once_per_build(monkeypatch):
     blocks = [op.leading_block(m) for m in (1, 10, 29)]
     assert all(b.symmetric for b in blocks) and len(calls) == 1
     assert fingerprint(blocks[-1])["max_asymmetry"] == 0.0 and len(calls) == 1
-    asym = LinOp.from_entries(2, [0], [1], [2.0], symmetric=False)
+    asym = LinOp.from_entries(2, [0], [1], [2.0])
     assert fingerprint(asym)["max_asymmetry"] == 2.0
-    assert not asym.leading_block(1).symmetric
+    assert asym.leading_block(1).symmetric     # [[0]]: measured, not inherited
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.integers(0, 10 ** 6), st.booleans())
+def test_symmetry_is_measured_from_the_matrix(n, density, seed, mirror):
+    # random nonnegative sparse m, mirrored to be symmetric or not; every
+    # leading block is measured from its own entries or marked by its parent
+    rng = np.random.default_rng(seed)
+    m = sp.random(n, n, density=density, random_state=rng,
+                  data_rvs=lambda k: rng.integers(1, 3, k)).toarray()
+    if mirror:
+        m = np.triu(m) + np.triu(m, 1).T
+    op = LinOp(m)
+    assert op.symmetric == (m == m.T).all()
+    for k in range(1, n + 1):
+        assert op.leading_block(k).symmetric == (m[:k, :k] == m[:k, :k].T).all()
 
 
 def test_operator_input_errors():
     with pytest.raises(InputError):
-        LinOp.from_entries(3, [0], [5], [1.0], symmetric=False)
+        LinOp.from_entries(3, [0], [5], [1.0])
     with pytest.raises(InputError):
-        LinOp.from_entries(3, [0], [0], [np.nan], symmetric=False)
+        LinOp.from_entries(3, [0], [0], [np.nan])
     op = path_operator(3)
     with pytest.raises(InputError):
         op.apply(np.ones(5))
@@ -145,10 +154,10 @@ def test_operator_matrix_must_be_square_and_nonempty():
     # the matrix alone sets the size n, so it must be n x n with n >= 1
     for m in (np.ones((2, 3)), np.ones((3, 2)), np.zeros((0, 0)), sp.csr_matrix((0, 4))):
         with pytest.raises(InputError, match="square and nonempty"):
-            LinOp(m, symmetric=False)
+            LinOp(m)
     with pytest.raises(InputError, match="square and nonempty"):
-        LinOp.from_entries(0, [], [], [], symmetric=True)
-    op = LinOp(np.ones((1, 1)), symmetric=True)
+        LinOp.from_entries(0, [], [], [])
+    op = LinOp(np.ones((1, 1)))
     assert op.n == 1 and op.leading_block(1) is op
 
 
@@ -166,9 +175,9 @@ def test_radius_path5_closed_form():
 
 
 def test_radius_identity_and_zero():
-    ident = LinOp.from_entries(7, range(7), range(7), np.ones(7), symmetric=True)
+    ident = LinOp.from_entries(7, range(7), range(7), np.ones(7))
     assert abs(spectral_radius(ident).radius_estimate - 1.0) < 1e-12
-    zero = LinOp.from_entries(7, [], [], [], symmetric=True)
+    zero = LinOp.from_entries(7, [], [], [])
     rep = spectral_radius(zero)
     assert rep.radius_estimate == 0.0 and rep.converged
 
@@ -178,27 +187,36 @@ def test_radius_matches_dense_on_random_symmetric():
     for n in (3, 17, 60):
         m = np.abs(rng.standard_normal((n, n)))
         m = m + m.T
-        op = LinOp(m, symmetric=True)
+        op = LinOp(m)
         want = float(np.abs(np.linalg.eigvalsh(m)).max())
         rep = spectral_radius(op)
         assert abs(rep.radius_estimate - want) < 1e-8
         assert rep.radius_lower_bound <= want + 1e-8
 
 
+def test_radius_of_an_asymmetric_operator_is_an_input_error():
+    # [[0, 0], [1, 0]] is nilpotent: radius 0, but a symmetric solve reads
+    # 0.707 from it, with a "rigorous" lower bound of 0.354
+    with pytest.raises(InputError, match="symmetric"):
+        spectral_radius(LinOp([[0, 0], [1, 0]]))
+    with pytest.raises(InputError, match="symmetric"):
+        truncation_sweep(LinOp(np.triu(np.ones((3, 3)))), [2, 3])
+
+
 def test_radius_negative_dominant_eigenvalue():
     # the star K_{1,3} is bipartite: its negative end -sqrt(3) is as large as rho
     m = np.zeros((4, 4))
     m[0, 1:] = m[1:, 0] = 1.0
-    rep = spectral_radius(LinOp(m, symmetric=True))
+    rep = spectral_radius(LinOp(m))
     assert abs(rep.radius_estimate - math.sqrt(3)) < 1e-10
     assert abs(min(rep.top_eigenvalues) + math.sqrt(3)) < 1e-10
 
 
 def test_negative_entries_are_input_errors():
     with pytest.raises(InputError, match="nonnegative"):
-        LinOp(np.diag([-5.0, 1.0, 2.0]), symmetric=True)
+        LinOp(np.diag([-5.0, 1.0, 2.0]))
     with pytest.raises(InputError, match="nonnegative"):
-        LinOp.from_entries(3, [0, 1], [1, 0], [-1.0, -1.0], symmetric=True)
+        LinOp.from_entries(3, [0, 1], [1, 0], [-1.0, -1.0])
 
 
 def test_rayleigh_quotients_never_beat_radius():
@@ -274,7 +292,7 @@ def test_basis_stays_orthonormal_across_sixteen_decades():
     # Ritz values converge at both ends at once, where plain Lanczos loses
     # orthogonality first
     n = 600
-    op = LinOp(sp.diags(np.geomspace(1e-8, 1e8, n)), symmetric=True)
+    op = LinOp(sp.diags(np.geomspace(1e-8, 1e8, n)))
     res = spectral._lanczos(op, spectral.EIGEN_TOL, n)
     assert orthonormality_defect(res) <= 1e-12
 
@@ -294,7 +312,7 @@ def test_closure_takes_the_second_gram_schmidt_pass():
 def test_solves_say_why_they_stopped():
     assert spectral_radius(path_operator(50), max_iter=50).stop == "closure"
     assert spectral_radius(path_operator(400), max_iter=12).stop == "budget"
-    zero = LinOp.from_entries(3, [], [], [], symmetric=True)
+    zero = LinOp.from_entries(3, [], [], [])
     assert spectral_radius(zero).stop == "closure"
     # the 20-point block closes, the 100-point one (50 main eigenvalues)
     # spends its budget of 30
@@ -380,7 +398,7 @@ def test_inverse_iteration_from_step_two_stops_where_bisection_did(n, density, s
     rng = np.random.default_rng(seed)
     half = sp.random(n, n, density=density, random_state=rng, format="csr",
                      data_rvs=np.ones if graph else None)
-    op = LinOp(sp.triu(half) + sp.triu(half, 1).T, symmetric=True)
+    op = LinOp(sp.triu(half) + sp.triu(half, 1).T)
     runs = []
     for k0 in (2, math.inf):
         with pytest.MonkeyPatch.context() as mp:
@@ -421,19 +439,19 @@ def test_stop_tests_are_relative_below_norm_one(scale):
     # at 1e-150 the closure test once read beta against 1, not the norm, and
     # at 1e-300 beta^2 underflows
     top = np.linalg.eigvalsh(scaled_draw())[-1]
-    res = spectral._lanczos(LinOp(scaled_draw(scale), symmetric=True), 1e-10, 29)
+    res = spectral._lanczos(LinOp(scaled_draw(scale)), 1e-10, 29)
     assert res.converged
     assert abs(res.thetas[-1] / scale - top) <= 1e-10 * top
 
 
 @pytest.mark.parametrize("build", [lambda: path_operator(2000), lambda: z2_ball_operator(20),
-                                   lambda: LinOp(scaled_draw(), symmetric=True)],
+                                   lambda: LinOp(scaled_draw())],
                          ids=["path2000", "Z2r20", "draw29"])
 @pytest.mark.parametrize("e", [-300, 300])
 def test_power_of_two_scalings_run_the_same_solve(build, e):
     op = build()
     res = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    scaled = spectral._lanczos(LinOp(op.matrix * math.ldexp(1.0, e), symmetric=True),
+    scaled = spectral._lanczos(LinOp(op.matrix * math.ldexp(1.0, e)),
                                spectral.EIGEN_TOL, 300)
     assert (scaled.iterations, scaled.stop, scaled.second_passes) == \
         (res.iterations, res.stop, res.second_passes)
@@ -455,7 +473,8 @@ class CountingMatrix:
 def test_overflowing_product_fails_at_its_first_step(solve):
     # the first product overflows, so the first beta is inf: the solve stops
     # there instead of running on NaNs until its budget is spent
-    op = LinOp(np.full((4, 4), 1e308), symmetric=True)
+    op = LinOp(np.full((4, 4), 1e308))
+    assert op.symmetric         # measured before the stand-in, which has no transpose
     op.matrix = CountingMatrix(op.matrix)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(InputError, match="step 1: .* operator overflows"):
@@ -563,8 +582,8 @@ def test_in_spectrum_skips_zero_and_unnamed_witnesses():
 
 
 def test_in_spectrum_input_errors():
-    asym = LinOp.from_entries(2, [0], [1], [1.0], symmetric=False)
-    with pytest.raises(InputError):
+    asym = LinOp.from_entries(2, [0], [1], [1.0])
+    with pytest.raises(InputError, match="symmetric"):
         in_spectrum(asym, 1.0)
     op = path_operator(5)
     with pytest.raises(InputError):
@@ -651,7 +670,7 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
         return orig(op, tol, max_iter)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
-    zero = LinOp.from_entries(5, [], [], [], symmetric=True)
+    zero = LinOp.from_entries(5, [], [], [])
     for op, target in ((path_operator(400), 3.0), (path_operator(400), 1.0), (zero, 0.5)):
         solved.clear()
         cert = in_spectrum(op, target, max_iter=120)
@@ -717,7 +736,7 @@ def test_membership_certificate_soundness_against_dense():
         n = int(rng.integers(5, 40))
         m = np.abs(rng.standard_normal((n, n)))
         m = m + m.T
-        op = LinOp(m, symmetric=True)
+        op = LinOp(m)
         evs = np.linalg.eigvalsh(m)
         target = float(rng.uniform(evs.min() - 1, evs.max() + 1))
         cert = in_spectrum(op, target, tol=0.1)
@@ -787,7 +806,7 @@ def test_radius_bounded_by_max_row_sum(n, seed):
     rng = np.random.default_rng(seed)
     m = np.abs(rng.standard_normal((n, n)))
     m = m + m.T
-    op = LinOp(m, symmetric=True)
+    op = LinOp(m)
     bound = float(np.abs(m).sum(axis=1).max())
     rep = spectral_radius(op)
     assert rep.radius_estimate <= bound + 1e-8
@@ -799,7 +818,7 @@ def test_residual_scale_invariance(n, seed):
     rng = np.random.default_rng(seed)
     m = np.abs(rng.standard_normal((n, n)))
     m = m + m.T
-    op = LinOp(m, symmetric=True)
+    op = LinOp(m)
     v = rng.standard_normal(n)
     if np.linalg.norm(v) < 1e-9:
         return
@@ -817,7 +836,7 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
     rng = np.random.default_rng(seed)
     half = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = (half + half.T).toarray()
-    op = LinOp(m, symmetric=True)
+    op = LinOp(m)
     evs = np.linalg.eigvalsh(m)
     i = pick % n
     if kind == "eigenvalue":
@@ -848,7 +867,7 @@ def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
     half = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = (half + half.T).toarray()
     budget = n if max_iter is None else max_iter
-    res = spectral._lanczos(LinOp(m, symmetric=True), 1e-10, budget)
+    res = spectral._lanczos(LinOp(m), 1e-10, budget)
     evs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(np.abs(evs).max()))
     k = res.iterations
@@ -871,7 +890,7 @@ def test_constant_start_closes_at_the_main_eigenvalues(n, density, seed, graph):
     half = sp.random(n, n, density=density, random_state=rng, format="csr",
                      data_rvs=np.ones if graph else None)
     m = (half + half.T).toarray()
-    res = spectral._lanczos(LinOp(m, symmetric=True), 1e-14, n)
+    res = spectral._lanczos(LinOp(m), 1e-14, n)
     evs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(np.abs(evs).max()))
     if res.converged:
@@ -894,7 +913,7 @@ def test_partial_reorthogonalization_keeps_the_basis_and_the_radius(n, density, 
                      data_rvs=np.ones if graph else None)
     m = (sp.triu(half) + sp.triu(half, 1).T).toarray()
     assume(m.any())
-    op = LinOp(m, symmetric=True)
+    op = LinOp(m)
     tol = 1e-10
     res = spectral._lanczos(op, tol, n)
     assert orthonormality_defect(res) <= 1e-12
@@ -918,7 +937,7 @@ def test_converged_top_ritz_value_is_within_tol_of_the_radius(n, density, seed, 
                      data_rvs=np.ones if graph else None)
     m = (sp.triu(half) + sp.triu(half, 1).T).toarray() * 10.0 ** decade
     assume(m.any())
-    res = spectral._lanczos(LinOp(m, symmetric=True), tol, n)
+    res = spectral._lanczos(LinOp(m), tol, n)
     top = float(np.linalg.eigvalsh(m)[-1])
     if res.converged:
         assert abs(res.thetas[-1] - top) <= tol * top
