@@ -3,9 +3,9 @@
 Reports are deterministic for a fixed command line and seed: keys are
 sorted, wall time is omitted unless requested with --timings, and the
 seed picks only the shift-invert start vector. Exit status 0 means the run
-completed (certified or not); 2 means bad input or a failed ring axiom;
-3 means an eigensolver failed to stabilize. Errors are emitted as JSON
-objects on stdout so pipelines can parse both outcomes the same way.
+completed (certified or not); 2 means bad input or a failed ring axiom; 3
+means an eigensolver failed to stabilize or left NaN or infinity, which
+JSON cannot hold. Every error, a parser error too, is a JSON object on stdout.
 
 A JSON config file named by the environment variable AMENSPEC_CONFIG
 supplies defaults: top-level keys apply to every command, per-command
@@ -311,8 +311,26 @@ def _options(cmd: str, args, config: dict) -> dict:
     return opts
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):       # a JSON input error, not usage on stderr
+        raise InputError(message)
+
+
+def _glued(argv: list) -> list:
+    """argv with each value flag joined to its value, which may start with '-'."""
+    valued = {f for cmd in _COMMANDS for f, _, cast, _ in _flags(cmd)
+              if f.startswith("--") and cast is not _as_bool}
+    out = []
+    for word in argv:
+        if out and out[-1] in valued:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="amenspec",
         description="Spectral membership tests for fusion rings, group walks, "
                     "and half-line reflection families.")
@@ -328,7 +346,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as e:         # NaN or infinity, which JSON has no word for
+        raise ConvergenceError(f"the report holds a non-finite number: {e}") from None
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -345,19 +366,17 @@ def _emit_csv(payload, path: str) -> None:
 
 
 def _emit_error(kind: str, message: str) -> None:
-    sys.stdout.write(json.dumps(
-        {"schema": 1, "error": {"type": kind, "message": message}},
-        indent=2, sort_keys=True) + "\n")
+    _emit({"schema": 1, "error": {"type": kind, "message": message}}, None)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    cmd = args.command
     try:
+        args = parser.parse_args(_glued(sys.argv[1:] if argv is None else argv))
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            return 2
+        cmd = args.command
         o = _options(cmd, args, _load_env_config())
         started = time.monotonic()
         out = _COMMANDS[cmd][2](o)

@@ -53,10 +53,10 @@ class LinOp:
     """Finitely truncated operator: the n x n matrix on its builder's first n points.
 
     Stored as CSR, with finite nonnegative entries, which _lanczos's start
-    relies on. symmetric is measured from the matrix, exactly, when it is
-    first read; the solvers need it true. Shifts past the truncation edge
-    are dropped (zero padding), the compression semantics the certificates
-    rely on.
+    relies on. symmetric is measured from the matrix, exactly, as
+    max_asymmetry, when either is first read; the solvers need it true.
+    Shifts past the truncation edge are dropped (zero padding), the
+    compression semantics the certificates rely on.
     """
 
     def __init__(self, matrix, meta: dict | None = None):
@@ -87,8 +87,12 @@ class LinOp:
         return self.matrix.nnz
 
     @functools.cached_property
+    def max_asymmetry(self) -> float:
+        return self.symmetry_defect()
+
+    @property
     def symmetric(self) -> bool:
-        return self.symmetry_defect() == 0
+        return self.max_asymmetry == 0
 
     def symmetry_defect(self) -> float:
         d = (self.matrix - self.matrix.T).tocoo()
@@ -110,7 +114,7 @@ class LinOp:
             return self
         block = LinOp(self.matrix[:n, :n])
         if self.symmetric:      # a block of an exactly symmetric matrix is one
-            block.symmetric = True
+            block.max_asymmetry = 0.0
         return block
 
     def to_dense(self, limit: int = 2000) -> np.ndarray:
@@ -464,11 +468,10 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
 
 def fingerprint(op: LinOp) -> dict:
     """Report-ready summary of an operator: size, fill, its measured
-    symmetry, and the defect when it is not. boundary_policy is always zero-pad:
+    symmetry and defect, one measurement. boundary_policy is always zero-pad:
     no builder keeps what leaves the truncation."""
     return {"size": int(op.n), "nnz": int(op.nnz), "symmetric": op.symmetric,
-            "max_asymmetry": 0.0 if op.symmetric else op.symmetry_defect(),
-            "boundary_policy": "zero-pad"}
+            "max_asymmetry": op.max_asymmetry, "boundary_policy": "zero-pad"}
 
 
 def _norm(v: np.ndarray) -> float:    # dnrm2 scales as it sums: no square overflows

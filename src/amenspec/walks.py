@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import string
-from dataclasses import dataclass
 from collections.abc import Sequence
 from itertools import accumulate
 
 import numpy as np
+import scipy.sparse as sp
 
 from .spectral import (EIGEN_TOL, AmenabilityVerdict, InputError, LinOp, _MAX_BUILD,
                        _check_solver_args, spectral_radius)
@@ -147,7 +147,6 @@ class _BallWords(Sequence):
         return self.get(word) is not None
 
 
-@dataclass(eq=False, repr=False)
 class BallTruncation:
     """Word-metric ball enumerated breadth first; order is deterministic.
 
@@ -162,29 +161,31 @@ class BallTruncation:
 
     A lattice ball is searched with group multiplication and keeps a tuple
     of elements and an {element: position} dict. A free ball is closed-form,
-    the Cayley graph of F_k being a tree, and its elements and index are one
-    read-only sequence that decodes words on demand.
+    the Cayley graph of F_k being a tree. The search takes a word's children
+    in column order, so sphere m lists its reduced words lexicographically:
+    position p spells its word in digits, the first letter p // G^(m-1)
+    (G = 2k - 1), each later one among the G columns other than the inverse
+    of the one before. Its tables are built at the first read of one; its
+    elements and index are one read-only sequence that decodes words on demand.
     """
 
-    group: object
-    radius: int
-    elements: Sequence
-    index: object
-    sphere_ends: tuple
-    right: np.ndarray
-    parent: np.ndarray
-    step: np.ndarray
+    def __init__(self, group, radius: int, sphere_ends: tuple, **tables):
+        self.group, self.radius, self.sphere_ends = group, radius, sphere_ends
+        self.size = sphere_ends[-1]
+        self.__dict__.update(tables)
 
-    @property
-    def size(self) -> int:
-        return len(self.elements)
+    def __getattr__(self, name):    # a free ball's tables, at the first read of one
+        if name not in ("elements", "index", "right", "parent", "step"):
+            raise AttributeError(name)
+        self.__dict__.update(_free_tables(self.group, self.radius))
+        return self.__dict__[name]
 
 
-def _free_ball(group: FreeGroup, radius: int) -> BallTruncation:
-    """Ball of F_k in breadth-first order, one numpy pass per sphere: a
-    word's children are the columns other than the inverse of its last step,
-    in order. Column c ^ 1 is the inverse of column c; the identity's step
-    -1 excludes none."""
+def _free_tables(group: FreeGroup, radius: int) -> dict:
+    """Tables of the F_k ball, one numpy pass per sphere: a word's children
+    are the columns other than the inverse of its last step, in order, which
+    makes each sphere lexicographic (BallTruncation). Column c ^ 1 is the
+    inverse of column c; the identity's step -1 excludes none."""
     columns = np.arange(len(group.generator_names))
     parent, step, ends = [np.array([-1])], [np.array([-1])], [0, 1]
     for _ in range(radius):
@@ -200,7 +201,7 @@ def _free_ball(group: FreeGroup, radius: int) -> BallTruncation:
     right[inner, step[1:] ^ 1] = parent[1:]
     words = _BallWords(tuple(group.generators[nm][0] for nm in group.generator_names),
                        parent, step, right)
-    return BallTruncation(group, radius, words, words, tuple(ends[1:]), right, parent, step)
+    return {"elements": words, "index": words, "right": right, "parent": parent, "step": step}
 
 
 def _check_ball_size(group, radius: int) -> None:
@@ -221,8 +222,9 @@ def build_ball(group, radius: int) -> BallTruncation:
     if not isinstance(radius, int) or radius < 0:
         raise InputError("radius must be a nonnegative integer")
     _check_ball_size(group, radius)
-    if isinstance(group, FreeGroup):
-        return _free_ball(group, radius)
+    if isinstance(group, FreeGroup):   # spheres of 1, then 2k (2k - 1)^m words
+        return BallTruncation(group, radius, tuple(accumulate(
+            (2 * group.k * (2 * group.k - 1) ** m for m in range(radius)), initial=1)))
     order = [group.identity]
     index = {group.identity: 0}
     parent, step, right, ends = [-1], [-1], [], []
@@ -245,19 +247,25 @@ def build_ball(group, radius: int) -> BallTruncation:
                 right.append(-1 if j is None else j)
         start = end
     n = len(order)
-    return BallTruncation(group, radius, tuple(order), index, tuple(ends),
-                          np.array(right, dtype=np.int64).reshape(n, len(gens)),
-                          np.array(parent, dtype=np.int64), np.array(step, dtype=np.int64))
+    return BallTruncation(group, radius, tuple(ends), elements=tuple(order), index=index,
+                          right=np.array(right, dtype=np.int64).reshape(n, len(gens)),
+                          parent=np.array(parent, dtype=np.int64),
+                          step=np.array(step, dtype=np.int64))
 
 
 def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
     """Weighted left-convolution walk compressed to the ball.
 
     (A f)(x) = sum_s w(s) f(s^{-1} x). Exactly symmetric when the weight
-    function is symmetric under inversion of the generator set. The left
-    neighbours come from the ball's right-neighbour table through the BFS
-    parents: s^{-1} (p g) = (s^{-1} p) g, and s^{-1} p always lies in the
-    ball because p lies strictly inside it.
+    function is symmetric under inversion of the generator set. Z^d is
+    abelian, so s^{-1} x = x s^{-1}: its left neighbours are columns of the
+    ball's right-neighbour table. A free walk reads no table: the word x at
+    position p = c q + rem of sphere m >= 1, q = G^(m-1), has first letter c
+    (BallTruncation), and its tail, x without it, is the identity for m = 1,
+    else position rem + [rem // r >= c ^ 1] r of sphere m - 1, r = q / G.
+    Left convolution joins a word only to its tail, A[x, tail x] = w(c) and
+    A[tail x, x] = w(c^-1), so A = B + C^T for B and C of one entry per row;
+    a letter outside the window weighs 0, and the sum drops its entries.
     """
     if not weights:
         raise InputError("weights must be nonempty")
@@ -266,18 +274,28 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
             raise InputError(f"unknown generator {nm!r}")
         if not (isinstance(w, (int, float)) and np.isfinite(w) and w > 0):
             raise InputError(f"weight for {nm!r} must be a positive number")
-    column = {nm: c for c, nm in enumerate(group.generator_names)}
-    left = np.empty((ball.size, len(weights)), dtype=np.int64)
-    left[0] = ball.right[0, [column[group.inverse_name(nm)] for nm in weights]]
-    for lo, hi in zip(ball.sphere_ends, ball.sphere_ends[1:]):
-        left[lo:hi] = ball.right[left[ball.parent[lo:hi]], ball.step[lo:hi, None]]
-    kept = left.ravel() >= 0
-    rows = np.repeat(np.arange(ball.size), len(weights))[kept]
-    vals = np.tile(np.array([float(w) for w in weights.values()]), ball.size)[kept]
-    return LinOp.from_entries(ball.size, rows, left.ravel()[kept], vals,
-                              meta={"group": group.describe(), "radius": ball.radius,
-                                    "weights": dict(weights),
-                                    "dropped": int(kept.size - kept.sum())})
+    names, n, ends = group.generator_names, ball.size, (0,) + ball.sphere_ends
+    meta = {"group": group.describe(), "radius": ball.radius, "weights": dict(weights)}
+    if isinstance(group, FreeGroup):
+        g, (first, tail) = len(names) - 1, np.zeros((2, n), dtype=np.int64)
+        second = np.arange(g) + (np.arange(g) >= np.arange(g + 1)[:, None] ^ 1)  # [c, j]
+        for m in range(1, ball.radius + 1):
+            q, r, sphere = g ** (m - 1), g ** (m - 1) // g, slice(ends[m], ends[m + 1])
+            first[sphere] = np.repeat(np.arange(g + 1), q)
+            if m > 1:   # rem = j r + i, i < r: the tail sits at (j + [j >= c ^ 1]) r + i
+                tail[sphere] = (ends[m - 1] + second[..., None] * r + np.arange(r)).ravel()
+        w = np.array([float(weights.get(nm, 0.0)) for nm in names])
+        indptr = np.r_[0, np.arange(n)]     # row 0, the identity, has no tail
+        op = LinOp(sp.csr_matrix((w[first[1:]], tail[1:], indptr), shape=(n, n))
+                   + sp.csc_matrix((w[first[1:] ^ 1], tail[1:], indptr), shape=(n, n)), meta)
+    else:   # column c ^ 1 is the inverse of column c
+        left = ball.right[:, [names.index(nm) ^ 1 for nm in weights]]
+        kept = left.ravel() >= 0
+        rows = np.repeat(np.arange(n), len(weights))[kept]
+        vals = np.tile(np.array([float(w) for w in weights.values()]), n)[kept]
+        op = LinOp.from_entries(n, rows, left.ravel()[kept], vals, meta)
+    op.meta["dropped"] = n * len(weights) - op.nnz
+    return op
 
 
 def modular_weight_operator(group, p: float, density: dict,

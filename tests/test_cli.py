@@ -555,9 +555,61 @@ def test_no_subcommand_prints_usage(capsys):
 
 
 def test_unknown_subcommand_exits_2(capsys):
+    code, rep = run(capsys, "bogus")
+    assert code == 2
+    assert rep["error"]["type"] == "input"
+    assert "invalid choice: 'bogus'" in rep["error"]["message"]
+
+
+def test_negative_shift_is_a_flag_value(capsys):
+    # read as the value of --shift, as --shift=-1,0 always was
+    code, rep = run(capsys, "bicrossed", "--bound", "3", "--shift", "-1,0")
+    assert code == 0 and rep["config"]["shift"] == [-1, 0]
+    assert run(capsys, "bicrossed", "--bound", "3", "--shift=-1,0") == (code, rep)
+
+
+def test_negative_interval_is_a_flag_value(capsys):
+    # the interval reaches the runner, which refuses its negative end
+    code, rep = run(capsys, "semidirect", "--interval", "-1:1", "--grid", "0.25:8")
+    assert code == 2
+    assert rep["error"] == {"type": "input",
+                            "message": "interval must satisfy 0 <= a <= b <= max_r"}
+
+
+def test_unknown_flag_is_a_json_input_error(capsys):
+    assert main(["fusion", "--nope", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["error"] == {"type": "input",
+                                        "message": "unrecognized arguments: --nope 1"}
+    assert err == ""
+    code, rep = run(capsys, "walk", "--group", "F:2", "--radius")
+    assert code == 2
+    assert rep["error"] == {"type": "input", "message": "argument --radius: expected one argument"}
+
+
+def test_help_prints_usage_and_exits_0(capsys):
     with pytest.raises(SystemExit) as e:
-        main(["bogus"])
-    assert e.value.code == 2
+        main(["walk", "--help"])
+    assert e.value.code == 0
+    assert "--radius" in capsys.readouterr().out
+
+
+def test_non_finite_report_value_is_a_convergence_error(capsys, monkeypatch, tmp_path):
+    # NaN is not JSON: the report is refused, and nothing is written
+    text, tol, runner, flags = _COMMANDS["walk"]
+
+    def nan_runner(o):
+        echo, op, verdict = runner(o)
+        verdict.notes["limit_estimate"] = math.nan
+        return echo, op, verdict
+
+    monkeypatch.setitem(_COMMANDS, "walk", (text, tol, nan_runner, flags))
+    out = tmp_path / "report.json"
+    code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "3", "--output", str(out))
+    assert code == 3
+    assert rep["error"]["type"] == "convergence"
+    assert "non-finite" in rep["error"]["message"]
+    assert not out.exists()
 
 
 def test_verdict_lists_route_errors(capsys, monkeypatch):

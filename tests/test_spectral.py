@@ -109,7 +109,7 @@ def test_duplicate_entries_are_summed():
 def test_symmetry_is_checked_once_per_build(monkeypatch):
     # the leading blocks and the fingerprint of an exactly symmetric operator
     # share the one check its flag's first read makes; an asymmetric one
-    # reports its defect
+    # reports its defect from its one check
     calls = []
     check = LinOp.symmetry_defect
     monkeypatch.setattr(LinOp, "symmetry_defect", lambda self: calls.append(1) or check(self))
@@ -118,7 +118,9 @@ def test_symmetry_is_checked_once_per_build(monkeypatch):
     assert all(b.symmetric for b in blocks) and len(calls) == 1
     assert fingerprint(blocks[-1])["max_asymmetry"] == 0.0 and len(calls) == 1
     asym = LinOp.from_entries(2, [0], [1], [2.0])
-    assert fingerprint(asym)["max_asymmetry"] == 2.0
+    calls.clear()
+    assert fingerprint(asym)["max_asymmetry"] == 2.0 and len(calls) == 1
+    assert not asym.symmetric and len(calls) == 1
     assert asym.leading_block(1).symmetric     # [[0]]: measured, not inherited
 
 

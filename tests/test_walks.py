@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amenspec import (FreeGroup, InputError, ZLattice, build_ball,
@@ -165,14 +165,21 @@ def test_free_ball_finds_only_its_own_reduced_words():
 
 
 def test_free_ball_keeps_no_words():
+    # a free ball counts its spheres and builds its tables at the first read
+    # of one, which the walk never makes; its words are never stored
+    tables = {"elements", "index", "right", "parent", "step"}
     tracemalloc.start()
     try:
         ball = build_ball(FreeGroup(2), 10)
-        live = tracemalloc.get_traced_memory()[0]
+        counted = tracemalloc.get_traced_memory()[0]
+        cayley_operator(FreeGroup(2), dict.fromkeys("aAbB", 1.0), ball)
+        assert not tables & set(vars(ball))
+        assert ball.right.shape == (118_097, 4) and tables <= set(vars(ball))
+        built = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert ball.size == 118_097
-    assert live <= 12e6
+    assert ball.size == len(ball.elements) == 118_097
+    assert counted <= 1e5 and built <= 12e6
 
 
 @pytest.mark.parametrize("group", [ZLattice(d) for d in (0, 1, 2, 3)]
@@ -506,6 +513,33 @@ def test_kesten_operators_match_fresh_builds(inputs):
             got, ref = getattr(op.matrix, name), getattr(want, name)
             assert got.dtype == ref.dtype and np.array_equal(got, ref), name
         assert op.meta["dropped"] == dropped
+
+
+@st.composite
+def cayley_inputs(draw):
+    """A small group, a radius 0-6, and any nonempty window, closed under
+    inversion or not, with weights that need not be symmetric."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    window = draw(st.lists(st.sampled_from(group.generator_names), min_size=1, unique=True))
+    weights = {nm: draw(st.sampled_from([0.25, 1.0, 3.0])) for nm in window}
+    return group, draw(st.integers(0, 6)), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(cayley_inputs())
+@example((FreeGroup(2), 6, {"a": 3.0, "B": 1.0}))
+@example((FreeGroup(3), 6, {"a": 1.0, "A": 2.0, "c": 0.5}))
+@example((ZLattice(2), 6, {"x1": 3.0, "X2": 1.0}))
+def test_cayley_operator_matches_reference_walk(inputs):
+    # the free walk comes from sphere positions, the lattice walk from
+    # right-table columns: both give the reference's arrays, dtypes included
+    group, radius, weights = inputs
+    op = cayley_operator(group, weights, build_ball(group, radius))
+    _, want, dropped = reference_walk(group, weights, radius)
+    for name in ("indptr", "indices", "data"):
+        got, ref = getattr(op.matrix, name), getattr(want, name)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), name
+    assert op.meta["dropped"] == dropped
 
 
 def test_kesten_builds_one_ball_and_one_operator(monkeypatch):
