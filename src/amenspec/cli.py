@@ -333,10 +333,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = _Parser(
         prog="amenspec",
         description="Spectral membership tests for fusion rings, group walks, "
-                    "and half-line reflection families.")
+                    "and half-line reflection families.", allow_abbrev=False)
     sub = p.add_subparsers(dest="command")
     for cmd, (text, *_) in _COMMANDS.items():
-        s = sub.add_parser(cmd, help=text)
+        s = sub.add_parser(cmd, help=text, allow_abbrev=False)   # one spelling per flag
         for spelling, help_, cast, _ in _flags(cmd):
             # flags default to None, so that the config file can fill them in
             kw = ({"action": "store_true", "default": None} if cast is _as_bool

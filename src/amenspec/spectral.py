@@ -30,6 +30,7 @@ _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
 _REORTH = 1e-13      # reorthogonalize once an estimate of some |q_j . q_k+1| passes this
+_CHECK = 8           # steps between the checkpoints where _lanczos reads its top Ritz value
 _INVERSE_FROM = 48   # k0: Ritz values by inverse iteration from this many steps on
 _INERTIA = 32        # its margin delta, in eps of the scaled tridiagonal (see _lanczos)
 _EPS = float(np.finfo(float).eps)
@@ -253,22 +254,25 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray, guess: float) -> tuple:
     From _INVERSE_FROM steps on, by inverse iteration (LAPACK dstein) from
     guess, proven within delta by inertia (see _lanczos); otherwise, or when
     that fails, by eigvalsh_tridiagonal(select='i')'s bisection called
-    directly, so bit-identical, and one dstein for its vector, O(k) each.
-    The caller checks that the entries are finite."""
+    directly, so bit-identical. Either way the vector comes from one more
+    dstein at that value, not at the guess, which may be 8 steps old. O(k)
+    each. The caller checks that the entries are finite."""
     k = len(alphas)
     if k == 1:
         return float(alphas[0]), 1.0
+    w = None
     if k >= _INVERSE_FROM and math.isfinite(guess):
-        block, split = np.ones(k, np.int32), np.full(k, k, np.int32)
-        z, info = scipy.linalg.lapack.dstein(alphas, betas, [guess], block, split)
+        iblock, isplit = np.ones(k, np.int32), np.full(k, k, np.int32)
+        z, info = scipy.linalg.lapack.dstein(alphas, betas, [guess], iblock, isplit)
         rho = float(alphas @ z[:, 0] ** 2 + 2 * (betas @ (z[:-1, 0] * z[1:, 0])))
         if info == 0 and scipy.linalg.lapack.dpttrf(rho - alphas + _INERTIA * _EPS,
                                                     betas)[2] == 0:
-            return rho, abs(float(z[-1, 0]))
-    _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
-                                                            k, k, 0.0, "E")
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
+            w = [rho]
+    if w is None:
+        _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
+                                                                k, k, 0.0, "E")
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
     # one value (m = 1) keeps dstein's block right when the tridiagonal splits
     z, info = scipy.linalg.lapack.dstein(alphas, betas, w[:1], iblock, isplit)
     if info != 0:
@@ -300,27 +304,31 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007), so
     it closes (breakdown, or dimension n) after as many steps as there are
     main eigenvalues, holding each exactly. No stop decision needs more
-    than the radius, so each step finds only the top Ritz value hi, with
-    the last component of its eigenvector (_top_ritz), and every test is
+    than the radius, so the run reads only the top Ritz value hi, with the
+    last component of its eigenvector (_top_ritz), and every test is
     relative to hi: hi >= alpha_1 = 1'A1/n > 0 for a nonzero operator, and a
-    run of 2^e A is that of A, scaled. A stall of hi for two steps is
-    confirmed by the rigorous bound beta * |last component| <= tol * hi / 2.
-    stop says why the run ended: the subspace closed ("closure"), that bound
-    held ("residual"), or the budget ran out ("budget"); converged means one
-    of the first two.
+    run of 2^e A is that of A, scaled. It reads them only at checkpoints,
+    as ARPACK tests convergence only at restarts: every _CHECK = 8 steps,
+    at the budget's last step, and where closure, beta <= 1e-13 hi, is
+    possible: beta <= 1e-13 G, G = max|alpha| + 2 max beta >= hi being the
+    Gershgorin bound. At a checkpoint the run stops on closure or on the
+    rigorous bound beta * |last component| <= tol * hi / 2 (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 13). stop says why the run ended: the
+    subspace closed ("closure"), that bound held ("residual"), or the
+    budget ran out ("budget"); converged means one of the first two.
 
-    hi is found on T times the power of two that puts max|alpha| + 2 max
-    beta in [1/2, 1): exact, and beta^2 stays in range. From _INVERSE_FROM
-    = 48 steps on, it is the Rayleigh quotient rho of the eigenvector dstein
-    finds by inverse iteration at the last value plus its last increment.
+    hi is found on T times the power of two that puts G in [1/2, 1): exact,
+    and beta^2 stays in range. From _INVERSE_FROM = 48 steps on, it is the
+    Rayleigh quotient rho of the eigenvector dstein finds by inverse
+    iteration at the value extrapolated from the last two checkpoints.
     One LDL^T (dpttrf) of (rho + delta) I - T with positive pivots proves no
     eigenvalue above rho + delta (Sylvester; Kahan, Stanford CS-41, 1966,
     for rounding), and a Rayleigh quotient lies in the spectrum: rho is the
-    value within delta = 32 eps (Parlett, The Symmetric Eigenvalue Problem,
-    ch. 4-5, 3.3). Otherwise it is bisected (dstebz, 53 O(k) halvings) and
-    its eigenvector found by one dstein. 48 is the measured crossover of
-    the value alone: 21.9 us a call against 20.3 (158 against 38 at
-    k = 300, Xeon).
+    value within delta = 32 eps (Parlett, ch. 4-5, 3.3). Otherwise it is
+    bisected (dstebz, 53 O(k) halvings). 48 is the measured crossover with
+    checkpoint guesses: 30 us a call against 31-33 at step 48, while at
+    step 40 the guess fails its proof on two of three operators measured
+    (80 against 170-205 at step 296; shared 2-core host).
 
     Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
     recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
@@ -352,10 +360,10 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     betas = np.empty(budget)
     prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
     cur[0] = 1.0
-    his = np.full(budget + 1, math.nan)    # the top Ritz values, by step
+    h0 = h1 = math.nan       # the top Ritz values at the last two checkpoints
     amax = bmax = 0.0
     stop = "budget"
-    second_passes = reorthogonalized = stall = k = pending = 0
+    second_passes = reorthogonalized = k = pending = 0
     while k < budget:
         q = blocks[-1][k % _BLOCK]
         w = A @ q
@@ -393,19 +401,17 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         new[k + 1] = 1.0
         pending = reorth and not pending
         k += 1
-        f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
-        hi, last = _top_ritz(alphas[:k] * f, betas[:k - 1] * f,
-                             f * 2 * his[k - 1] - f * his[k - 2])      # no overflow
-        his[k] = hi = hi / f
-        if k == n or b <= _BREAKDOWN * hi:
-            stop = "closure"
-            break
-        stall = stall + 1 if k > 1 and abs(hi - his[k - 1]) <= 0.01 * tol * hi else 0
-        if stall >= 2:
+        if k % _CHECK == 0 or k == budget or b <= _BREAKDOWN * (amax + 2 * bmax):
+            f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
+            hi, last = _top_ritz(alphas[:k] * f, betas[:k - 1] * f, f * 2 * h1 - f * h0)
+            hi /= f
+            if k == n or b <= _BREAKDOWN * hi:
+                stop = "closure"
+                break
             if b * last <= 0.5 * tol * hi:      # the rigorous bound beta * |last component|
                 stop = "residual"
                 break
-            stall = 0
+            h0, h1 = h1, hi
         betas[k - 1] = b
         bmax = max(bmax, b)
         prev, cur, new = cur, new, prev

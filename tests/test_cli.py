@@ -568,6 +568,19 @@ def test_negative_shift_is_a_flag_value(capsys):
     assert run(capsys, "bicrossed", "--bound", "3", "--shift=-1,0") == (code, rep)
 
 
+def test_abbreviated_flag_before_its_value_is_a_json_input_error(capsys):
+    # --sh once ran as --shift with =, and failed without: no spelling runs now
+    code, rep = run(capsys, "bicrossed", "--bound", "3", "--sh", "-1,0")
+    assert code == 2
+    assert rep["error"] == {"type": "input", "message": "unrecognized arguments: --sh -1,0"}
+
+
+def test_abbreviated_flag_glued_to_its_value_is_a_json_input_error(capsys):
+    code, rep = run(capsys, "bicrossed", "--bound", "3", "--sh=-1,0")
+    assert code == 2
+    assert rep["error"] == {"type": "input", "message": "unrecognized arguments: --sh=-1,0"}
+
+
 def test_negative_interval_is_a_flag_value(capsys):
     # the interval reaches the runner, which refuses its negative end
     code, rep = run(capsys, "semidirect", "--interval", "-1:1", "--grid", "0.25:8")

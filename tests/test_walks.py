@@ -205,6 +205,29 @@ def test_balls_past_the_size_limit_are_input_errors(spec, radius):
         build_ball(parse_group(spec), radius)
 
 
+def test_lattice_ball_past_the_work_limit_is_refused_before_building(monkeypatch):
+    # a build takes n elements times 2d^2 coordinate steps: Z^d:1448 at radius 1
+    # would take minutes; Z^d:101 (4,141,606 steps) passes and Z^d:102 does not
+    def mul(x, y):
+        raise AssertionError("the refused build multiplied")
+
+    for d in (102, 1448):
+        group = ZLattice(d)
+        monkeypatch.setattr(group, "mul", mul)
+        with pytest.raises(InputError, match="more than 4194304 coordinate steps"):
+            build_ball(group, 1)
+    walks._check_ball_size(ZLattice(101), 1)
+    # at the limit exactly, with the limit lowered to a small lattice ball's work
+    group = ZLattice(3)
+    steps = build_ball(group, 4).size * 2 * 3 ** 2
+    monkeypatch.setattr(walks, "_MAX_STEPS", steps)
+    assert build_ball(group, 4).size * 18 == steps
+    monkeypatch.setattr(walks, "_MAX_STEPS", steps - 1)
+    monkeypatch.setattr(group, "mul", mul)
+    with pytest.raises(InputError, match=f"more than {steps - 1} coordinate steps"):
+        build_ball(group, 4)
+
+
 @pytest.mark.parametrize("group", [FreeGroup(0), ZLattice(0)], ids=lambda g: g.name)
 def test_trivial_ball_past_the_sphere_limit_is_an_input_error(group):
     # one point at every radius, but radius + 1 sphere ends: refused before the
