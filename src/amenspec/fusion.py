@@ -437,8 +437,6 @@ def coamenability_test(ring: FusionRing, omega: Sequence[str], trunc: int = 2000
     operator it tested. omega must be closed under conjugation, which makes
     that operator symmetric.
     """
-    if trunc < 10:
-        raise InputError("trunc must be at least 10")
     omega = list(omega)
     op = window_operator(ring, omega, trunc)
     if {ring.conj(s) for s in omega} != set(omega):

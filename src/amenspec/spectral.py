@@ -30,11 +30,10 @@ _BREAKDOWN = 1e-13
 _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
 _REORTH = 1e-13      # reorthogonalize once an estimate of some |q_j . q_k+1| passes this
-_CHECK = 8           # steps between the checkpoints where _lanczos reads its top Ritz value
-_INVERSE_FROM = 48   # k0: Ritz values by inverse iteration from this many steps on
-_INERTIA = 32        # its margin delta, in eps of the scaled tridiagonal (see _lanczos)
+_CHECK = 16          # steps between the checkpoints where _lanczos reads its top Ritz value
 _EPS = float(np.finfo(float).eps)
 _MAX_BUILD = 2 ** 22  # most elements, cells, entries, classes or labels a build makes
+_MAX_BASIS = 2 ** 28  # most entries a Krylov basis holds (2 GiB): steps are capped at this / n
 
 
 class InputError(ValueError):
@@ -248,31 +247,20 @@ class _LanczosResult:
         return self.vectors[which]
 
 
-def _top_ritz(alphas: np.ndarray, betas: np.ndarray, guess: float) -> tuple:
+def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
     """The top eigenvalue of the tridiagonal (alphas, betas), scaled to a
     Gershgorin bound < 1, and the |last component| of its unit eigenvector.
-    From _INVERSE_FROM steps on, by inverse iteration (LAPACK dstein) from
-    guess, proven within delta by inertia (see _lanczos); otherwise, or when
-    that fails, by eigvalsh_tridiagonal(select='i')'s bisection called
-    directly, so bit-identical. Either way the vector comes from one more
-    dstein at that value, not at the guess, which may be 8 steps old. O(k)
-    each. The caller checks that the entries are finite."""
+    The value is bisected by the dstebz call eigvalsh_tridiagonal(select='i')
+    makes, called directly, so bit-identical; the vector comes from one
+    inverse iteration (dstein) at that value. O(k) each. The caller checks
+    that the entries are finite."""
     k = len(alphas)
     if k == 1:
         return float(alphas[0]), 1.0
-    w = None
-    if k >= _INVERSE_FROM and math.isfinite(guess):
-        iblock, isplit = np.ones(k, np.int32), np.full(k, k, np.int32)
-        z, info = scipy.linalg.lapack.dstein(alphas, betas, [guess], iblock, isplit)
-        rho = float(alphas @ z[:, 0] ** 2 + 2 * (betas @ (z[:-1, 0] * z[1:, 0])))
-        if info == 0 and scipy.linalg.lapack.dpttrf(rho - alphas + _INERTIA * _EPS,
-                                                    betas)[2] == 0:
-            w = [rho]
-    if w is None:
-        _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
-                                                                k, k, 0.0, "E")
-        if info != 0:
-            raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
+    _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(alphas, betas, 2, 0.0, 1.0,
+                                                            k, k, 0.0, "E")
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
     # one value (m = 1) keeps dstein's block right when the tridiagonal splits
     z, info = scipy.linalg.lapack.dstein(alphas, betas, w[:1], iblock, isplit)
     if info != 0:
@@ -294,7 +282,8 @@ def _gram_schmidt(basis: list, w: np.ndarray) -> None:
 
 
 def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
-    """Lanczos with partial reorthogonalization, at most min(max_iter, n) steps.
+    """Lanczos with partial reorthogonalization, at most
+    min(max_iter, n, _MAX_BASIS // n) steps.
 
     The start is the constant vector 1/sqrt(n). A LinOp is nonnegative, so
     its radius is its largest eigenvalue, with a nonnegative eigenvector
@@ -308,7 +297,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     last component of its eigenvector (_top_ritz), and every test is
     relative to hi: hi >= alpha_1 = 1'A1/n > 0 for a nonzero operator, and a
     run of 2^e A is that of A, scaled. It reads them only at checkpoints,
-    as ARPACK tests convergence only at restarts: every _CHECK = 8 steps,
+    as ARPACK tests convergence only at restarts: every _CHECK = 16 steps,
     at the budget's last step, and where closure, beta <= 1e-13 hi, is
     possible: beta <= 1e-13 G, G = max|alpha| + 2 max beta >= hi being the
     Gershgorin bound. At a checkpoint the run stops on closure or on the
@@ -317,18 +306,8 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     subspace closed ("closure"), that bound held ("residual"), or the
     budget ran out ("budget"); converged means one of the first two.
 
-    hi is found on T times the power of two that puts G in [1/2, 1): exact,
-    and beta^2 stays in range. From _INVERSE_FROM = 48 steps on, it is the
-    Rayleigh quotient rho of the eigenvector dstein finds by inverse
-    iteration at the value extrapolated from the last two checkpoints.
-    One LDL^T (dpttrf) of (rho + delta) I - T with positive pivots proves no
-    eigenvalue above rho + delta (Sylvester; Kahan, Stanford CS-41, 1966,
-    for rounding), and a Rayleigh quotient lies in the spectrum: rho is the
-    value within delta = 32 eps (Parlett, ch. 4-5, 3.3). Otherwise it is
-    bisected (dstebz, 53 O(k) halvings). 48 is the measured crossover with
-    checkpoint guesses: 30 us a call against 31-33 at step 48, while at
-    step 40 the guess fails its proof on two of three operators measured
-    (80 against 170-205 at step 296; shared 2-core host).
+    hi is bisected (dstebz, 53 O(k) halvings) on T times the power of two
+    that puts G in [1/2, 1): exact, and beta^2 stays in range.
 
     Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
     recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
@@ -344,7 +323,10 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
 
     Each Krylov vector is a contiguous row of a block of _BLOCK rows, and a
     new block is allocated when the last one fills, so k steps hold about
-    8 * n * (k rounded up to _BLOCK) bytes and no row is ever copied.
+    8 * n * (k rounded up to _BLOCK) bytes and no row is ever copied. The
+    steps are capped at _MAX_BASIS // n, _MAX_BASIS = 2^28 entries (2 GiB),
+    so a basis that cannot fit is never started; at the 2^22 build cap that
+    is 64 steps, and a run the cap cuts short stops on "budget".
 
     Every solve runs here, and each of these facts holds only for a
     symmetric matrix, so an asymmetric op is an InputError.
@@ -353,14 +335,13 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         raise InputError("the eigensolvers need a symmetric operator; this one is not")
     n = op.n
     A = op.matrix
-    budget = min(max_iter, n)
+    budget = min(max_iter, n, _MAX_BASIS // n)
     blocks = [np.empty((min(_BLOCK, budget + 1), n))]
     blocks[0][0] = 1 / math.sqrt(n)
     alphas = np.empty(budget)
     betas = np.empty(budget)
     prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
     cur[0] = 1.0
-    h0 = h1 = math.nan       # the top Ritz values at the last two checkpoints
     amax = bmax = 0.0
     stop = "budget"
     second_passes = reorthogonalized = k = pending = 0
@@ -403,7 +384,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         k += 1
         if k % _CHECK == 0 or k == budget or b <= _BREAKDOWN * (amax + 2 * bmax):
             f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
-            hi, last = _top_ritz(alphas[:k] * f, betas[:k - 1] * f, f * 2 * h1 - f * h0)
+            hi, last = _top_ritz(alphas[:k] * f, betas[:k - 1] * f)
             hi /= f
             if k == n or b <= _BREAKDOWN * hi:
                 stop = "closure"
@@ -411,7 +392,6 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
             if b * last <= 0.5 * tol * hi:      # the rigorous bound beta * |last component|
                 stop = "residual"
                 break
-            h0, h1 = h1, hi
         betas[k - 1] = b
         bmax = max(bmax, b)
         prev, cur, new = cur, new, prev
@@ -443,7 +423,8 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> S
     eigenvector of the radius and closes at the number of main eigenvalues
     (see _lanczos). The estimate is within tol of the largest eigenvalue
     of the truncation once converged, and converged: false means the
-    budget of max_iter steps ran out. stop says why the solve ended:
+    budget of max_iter steps, or fewer for a basis past _MAX_BASIS
+    entries, ran out. stop says why the solve ended:
     "closure" (the Krylov subspace closed, or the operator is zero),
     "residual" (the residual bound on the top Ritz value met tol) or
     "budget".
@@ -465,10 +446,9 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
     lower = abs(float(u @ op.apply(u)))
     estimate = max(float(np.abs(thetas).max()), lower)
 
-    tops = {}                           # the top four, then the bottom four, once each
-    for t in list(thetas[::-1][:4]) + list(thetas[:4]):
-        tops.setdefault(round(float(t), 14), float(t))
-    return SpectralReport(estimate, min(lower, estimate), list(tops.values()),
+    ends = range(len(thetas))            # the top four, then the bottom four, each index once
+    tops = [float(thetas[i]) for i in dict.fromkeys([*ends[:-5:-1], *ends[:4]])]
+    return SpectralReport(estimate, min(lower, estimate), tops,
                           res.iterations, res.converged, res.stop, res.reorthogonalized)
 
 

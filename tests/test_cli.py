@@ -520,9 +520,12 @@ def test_non_finite_tol_is_an_input_error(capsys, argv, tol):
 def test_table_rings_smaller_than_min_truncation(capsys, tmp_path):
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(cyclic3_obj()))
+    # no minimum truncation: the 3-label ring is tested at trunc 3
     code, rep = run(capsys, "fusion", "--ring", str(path), "--omega", "g,h")
-    assert code == 2
-    assert "trunc" in rep["error"]["message"]
+    assert code == 0
+    assert rep["config"]["trunc"] == 3 and rep["verdict"]["target"] == 2.0
+    assert rep["verdict"]["certified"] and rep["verdict"]["witness_id"] == "lanczos-ritz"
+    assert rep["spectral"]["stop"] == "closure" and rep["spectral"]["iterations"] == 1
     # rule-only flags are rejected for descriptor paths
     code, rep = run(capsys, "fusion", "--ring", str(path), "--N", "2",
                     "--omega", "g,h")

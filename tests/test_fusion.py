@@ -254,7 +254,7 @@ def test_coamenability_reports_gap_for_free_ring():
 def test_coamenability_input_checks():
     ring = free_su2_ring(2, 30)
     with pytest.raises(InputError):
-        coamenability_test(ring, ["a1"], trunc=5)
+        coamenability_test(ring, ["a1"], trunc=0)
     cyc = load_ring(parse_descriptor(cyclic3_descriptor()))
     with pytest.raises(InputError):
         coamenability_test(cyc, ["g"], trunc=2000)

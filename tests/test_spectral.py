@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 
 import amenspec
 from amenspec import (CERT_TOL, InputError, LinOp, ZLattice, build_ball,
-                      cayley_operator, fingerprint, free_su2_ring, in_spectrum,
-                      pair_lattice, pair_window_operator, residual, spectral,
-                      spectral_radius, truncation_sweep, window_operator)
+                      cayley_operator, fingerprint, in_spectrum, pair_lattice,
+                      pair_window_operator, residual, spectral, spectral_radius,
+                      truncation_sweep)
 
 
 def path_operator(n):
@@ -41,12 +41,6 @@ def scaled_draw(scale=1.0):
 def z2_ball_operator(radius):
     return cayley_operator(ZLattice(2), {g: 1.0 for g in ZLattice(2).generator_names},
                            build_ball(ZLattice(2), radius))
-
-
-# the solves whose stop decisions are compared across ways of finding Ritz values
-SOLVES = {"path50": lambda: path_operator(50), "path2000": lambda: path_operator(2000),
-          "pairs20": lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
-          "Z2r20": lambda: z2_ball_operator(20)}
 
 
 def path_top(n):
@@ -251,6 +245,17 @@ def test_spent_budget_reports_unconverged_lanczos():
     assert not loose.converged or err <= 1e-3 * path_top(400)
 
 
+def test_basis_past_its_memory_cap_is_never_started(monkeypatch):
+    # a basis of _MAX_BASIS entries holds 50 vectors of 2000: the budget of
+    # 300 steps is cut to 50, and the run says it spent its budget
+    monkeypatch.setattr(spectral, "_MAX_BASIS", 50 * 2000 + 1999)
+    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    assert (res.iterations, res.stop) == (50, "budget")
+    assert sum(len(B) for B in res.blocks) == 50
+    rep = spectral_radius(path_operator(2000))
+    assert (rep.iterations, rep.stop, rep.converged) == (50, "budget", False)
+
+
 def test_closure_takes_one_run_on_repeated_eigenvalues():
     # the constant start stays in the ball's symmetric sector: the run closes
     # at the 3 main eigenvalues, not at the 7 distinct ones
@@ -333,13 +338,13 @@ def test_solves_say_why_they_stopped():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=60), st.data())
 def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
-    # with no guess the top Ritz value is bisected, as eigvalsh_tridiagonal does
+    # the top Ritz value is bisected, as eigvalsh_tridiagonal does
     k = len(diag)
     off = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=k - 1, max_size=k - 1))
     d, e = np.array(diag), np.array(off)
     want = float(scipy.linalg.eigvalsh_tridiagonal(d, e, select="i",
                                                    select_range=(k - 1, k - 1))[0])
-    assert spectral._top_ritz(d, e, math.nan)[0] == want
+    assert spectral._top_ritz(d, e)[0] == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -347,11 +352,8 @@ def test_extreme_ritz_values_are_those_of_eigvalsh_tridiagonal(diag, data):
        st.data())
 def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, constant, split,
                                                                  data):
-    # scaled as _lanczos scales it; from _INVERSE_FROM steps on the guess
-    # takes the inverse-iteration path, below it bisection. _lanczos guesses
-    # by extrapolating its last two checkpoints, 8 steps apart, which lands
-    # within 1e-2 of the norm on the solves measured; the draws go that far,
-    # and the component comes from a dstein at the proven value, not at the guess.
+    # scaled as _lanczos scales it; the component comes from one dstein at
+    # the bisected value, and a split tridiagonal keeps it in its own block
     rng = np.random.default_rng(seed)
     d = np.full(k, rng.standard_normal()) if constant else rng.standard_normal(k)
     e = rng.standard_normal(k - 1)
@@ -362,8 +364,7 @@ def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, consta
     w, S = scipy.linalg.eigh_tridiagonal(d, e)
     # a top eigenvalue that is (nearly) repeated has no one eigenvector
     assume(w[-1] - w[-2] >= 1e-3 * float(np.abs(w).max()))
-    guess = w[-1] + data.draw(st.floats(-1e-2, 1e-2)) * float(np.abs(w).max())
-    assert abs(spectral._top_ritz(d, e, guess)[1] - abs(S[-1, -1])) <= 1e-12
+    assert abs(spectral._top_ritz(d, e)[1] - abs(S[-1, -1])) <= 1e-12
 
 
 def checkpoint_calls(monkeypatch, op, tol, budget):
@@ -372,10 +373,10 @@ def checkpoint_calls(monkeypatch, op, tol, budget):
     tridiagonal (alphas, betas) of the last one, scaled as _lanczos scales it."""
     top_ritz, calls = spectral._top_ritz, []
 
-    def full_solve(alphas, betas, guess):
+    def full_solve(alphas, betas):
         calls.append((alphas, betas))
         _, S = scipy.linalg.eigh_tridiagonal(alphas, betas)
-        return top_ritz(alphas, betas, guess)[0], abs(S[-1, -1])
+        return top_ritz(alphas, betas)[0], abs(S[-1, -1])
 
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "_top_ritz", full_solve)
@@ -383,11 +384,13 @@ def checkpoint_calls(monkeypatch, op, tol, budget):
     return res, [len(a) for a, _ in calls], calls[-1]
 
 
-@pytest.mark.parametrize("build", [SOLVES["pairs20"], SOLVES["Z2r20"]])
-def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeypatch):
-    # with each top Ritz pair read from every eigenvector, the run stops where
-    # inverse iteration stopped it: at the first checkpoint where
-    # beta |s| <= tol theta / 2
+@pytest.mark.parametrize("build", [
+    lambda: pair_window_operator(pair_lattice(20), [(-1, 0), (0, 1)]),
+    lambda: z2_ball_operator(20)], ids=["pairs20", "Z2r20"])
+def test_lanczos_stops_at_the_first_checkpoint_where_the_residual_bound_holds(build,
+                                                                             monkeypatch):
+    # the run stops at the first checkpoint where beta |s| <= tol theta / 2,
+    # and where it stops when each s is read from every eigenvector instead
     op = build()
     fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
     slow, steps, _ = checkpoint_calls(monkeypatch, op, spectral.EIGEN_TOL, 300)
@@ -409,72 +412,26 @@ def test_inverse_iteration_stops_lanczos_where_the_full_solve_did(build, monkeyp
 
 
 def test_lanczos_reads_the_top_ritz_pair_only_at_checkpoints(monkeypatch):
-    # a run that spends its budget of 300: checkpoints 8, 16, ..., 296 and
+    # a run that spends its budget of 300: checkpoints 16, 32, ..., 288 and
     # the budget's last step
     res, steps, _ = checkpoint_calls(monkeypatch, path_operator(2000), spectral.EIGEN_TOL, 300)
-    assert res.stop == "budget" and len(steps) <= 38
+    assert res.stop == "budget" and len(steps) == 19
     assert steps == list(range(spectral._CHECK, 300, spectral._CHECK)) + [300]
 
 
-@pytest.mark.parametrize("build", [*SOLVES.values(),
-                                   lambda: window_operator(free_su2_ring(3, 1999), ["a1"], 2000)],
-                         ids=[*SOLVES, "fusionN3"])
-def test_inverse_iteration_stops_lanczos_where_bisection_did(build, monkeypatch):
-    op = build()
-    fast = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    monkeypatch.setattr(spectral, "_INVERSE_FROM", math.inf)     # bisection only
-    slow = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
-    assert (fast.iterations, fast.stop, fast.second_passes) == \
-        (slow.iterations, slow.stop, slow.second_passes)
-    assert np.array_equal(fast.thetas, slow.thetas)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.integers(2, 250), st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.booleans(),
-       st.sampled_from([1e-8, 1e-10]))
-def test_inverse_iteration_from_step_two_stops_where_bisection_did(n, density, seed, graph,
-                                                                   tol):
-    # nonnegative symmetric, 0/1 or [0, 1) weights
-    rng = np.random.default_rng(seed)
-    half = sp.random(n, n, density=density, random_state=rng, format="csr",
-                     data_rvs=np.ones if graph else None)
-    op = LinOp(sp.triu(half) + sp.triu(half, 1).T)
-    runs = []
-    for k0 in (2, math.inf):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_INVERSE_FROM", k0)
-            runs.append(spectral._lanczos(op, tol, n))
-    fast, slow = runs
-    assert (fast.iterations, fast.stop) == (slow.iterations, slow.stop)
-    assert np.array_equal(fast.thetas, slow.thetas)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(spectral._INVERSE_FROM, 300), st.integers(0, 2 ** 32 - 1),
-       st.floats(-14, 0), st.booleans())
-def test_inverse_iteration_finds_the_bisected_value_or_bisects(k, seed, offset, below):
-    # a tridiagonal scaled as _lanczos scales it, a guess 10^offset off its top value
-    rng = np.random.default_rng(seed)
-    d, e = rng.standard_normal(k), np.abs(rng.standard_normal(k - 1)) + 1e-3
-    f = math.ldexp(1.0, -math.frexp(np.abs(d).max() + 2 * e.max())[1])
-    d, e = d * f, e * f
-    want = spectral._top_ritz(d, e, math.nan)[0]
-    got = spectral._top_ritz(d, e, want + (-1) ** below * 10 ** offset)[0]
-    # within delta of it, up to the rounding of the check and of the bisection
-    # (a few eps on a tridiagonal of norm below 1), or bisected and equal to it
-    assert abs(got - want) <= (spectral._INERTIA + 8) * spectral._EPS
-
-
-def test_inverse_iteration_leaves_bisection_to_the_first_steps(monkeypatch):
-    # bisection runs at the checkpoints below _INVERSE_FROM, and no later
-    # checkpoint falls back to it
-    calls = []
-    dstebz = scipy.linalg.lapack.dstebz
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz",
-                        lambda *args: calls.append(len(args[0])) or dstebz(*args))
+def test_top_ritz_values_are_bisected_once_per_checkpoint(monkeypatch):
+    # one dstebz bisection at each of the 19 checkpoints, and no inertia
+    # factorization (dpttrf) anywhere
+    calls = {"dstebz": [], "dpttrf": []}
+    for name, log in calls.items():
+        lapack = getattr(scipy.linalg.lapack, name)
+        monkeypatch.setattr(scipy.linalg.lapack, name,
+                            lambda *args, lapack=lapack, log=log: log.append(len(args[0]))
+                            or lapack(*args))
     res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300
-    assert calls == list(range(spectral._CHECK, spectral._INVERSE_FROM, spectral._CHECK))
+    assert calls["dstebz"] == list(range(16, 300, 16)) + [300]
+    assert calls["dpttrf"] == []
 
 
 @pytest.mark.parametrize("scale", [1e-150, 1e-300])
@@ -499,6 +456,16 @@ def test_power_of_two_scalings_run_the_same_solve(build, e):
     assert (scaled.iterations, scaled.stop, scaled.second_passes) == \
         (res.iterations, res.stop, res.second_passes)
     assert np.array_equal(scaled.thetas, np.ldexp(res.thetas, e))
+
+
+@pytest.mark.parametrize("e", [-60, 60])
+def test_top_eigenvalues_keep_every_value_at_any_scale(e):
+    # the 12-point path meets its constant start in 6 main eigenvalues; at
+    # 2^-60 an absolute rounding of the values once merged them into one
+    want = spectral_radius(path_operator(12)).top_eigenvalues
+    scaled = spectral_radius(LinOp(path_operator(12).matrix * math.ldexp(1.0, e)))
+    assert len(want) == 6
+    assert scaled.top_eigenvalues == [math.ldexp(t, e) for t in want]
 
 
 class CountingMatrix:
