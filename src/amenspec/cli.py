@@ -345,28 +345,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(report: dict, out_path: str | None) -> None:
+def _json(report: dict) -> str:
     try:
-        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as e:         # NaN or infinity, which JSON has no word for
         raise ConvergenceError(f"the report holds a non-finite number: {e}") from None
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+
+
+def _write(path: str, text: str, what: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_csv(payload, path: str) -> None:
-    header, rows = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(x) for x in row) + "\n")
+    except OSError as e:            # an empty path, a directory, no permission
+        raise InputError(f"cannot write the {what}: {e}") from None
 
 
 def _emit_error(kind: str, message: str) -> None:
-    _emit({"schema": 1, "error": {"type": kind, "message": message}}, None)
+    sys.stdout.write(_json({"schema": 1, "error": {"type": kind, "message": message}}))
 
 
 def main(argv=None) -> int:
@@ -386,9 +381,14 @@ def main(argv=None) -> int:
             report["wall_time_s"] = round(elapsed, 6)
         if o["csv"] is not None and csv_payload is None:
             raise InputError(f"{cmd} emits no CSV")
-        _emit(report, o["output"])
+        text = _json(report)        # the CSV first: stdout gets the report or one error
         if o["csv"] is not None:
-            _emit_csv(csv_payload, o["csv"])
+            header, rows = csv_payload
+            _write(o["csv"], "".join(f"{','.join(map(str, r))}\n" for r in [[header], *rows]), "CSV")
+        if o["output"]:
+            _write(o["output"], text, "report")
+        else:
+            sys.stdout.write(text)
         return 0
     except (ConvergenceError, LinAlgError) as e:     # LAPACK non-convergence included
         _emit_error("convergence", str(e))

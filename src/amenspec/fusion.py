@@ -18,6 +18,7 @@ keeps every truncation a compression of the full operator.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from typing import Iterable, Sequence
@@ -177,28 +178,31 @@ class FusionRing:
             self.level = desc.level
             self.N = int(desc.N) if float(desc.N).is_integer() else float(desc.N)
             self.integral_dims = isinstance(self.N, int)
-            self.labels = tuple(f"a{k}" for k in range(self.level + 1))
-            self._index = {s: i for i, s in enumerate(self.labels)}
-            self._conj = None
-            self._fusion = None
             self._dims_exact = [1, self.N] if self.level >= 1 else [1]
             self.unit_label = "a0"
 
     # -- label plumbing ----------------------------------------------------
 
+    @functools.cached_property
+    def labels(self) -> tuple:      # a rule ring's, at first read; a table ring sets its own
+        return tuple(f"a{k}" for k in range(self.level + 1))
+
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return len(self.labels) if self.kind == "table" else self.level + 1
 
-    def index(self, label: str) -> int:
-        try:
+    def index(self, label: str) -> int:     # a rule ring's label a<k>, k in ASCII digits, is k
+        if self.kind == "table" and label in self._index:
             return self._index[label]
-        except KeyError:
-            raise InputError(f"unknown label {label!r}") from None
+        k = label[1:] if self.kind == "rule" and isinstance(label, str) and label[:1] == "a" else ""
+        if (k.isascii() and k.isdigit() and len(k) <= len(str(self.level))
+                and str(int(k)) == k and int(k) <= self.level):
+            return int(k)
+        raise InputError(f"unknown label {label!r}")
 
     def conj(self, label: str) -> str:
         i = self.index(label)
-        return self._conj[label] if self.kind == "table" else self.labels[i]
+        return self._conj[label] if self.kind == "table" else f"a{i}"
 
     # -- dimensions ---------------------------------------------------------
 
@@ -222,8 +226,8 @@ class FusionRing:
 
     def decompose(self, kappa: str, alpha: str) -> dict:
         """Multiplicities of the closed labels inside kappa (x) alpha."""
-        return {self.labels[k]: m
-                for k, m in self.decompose_indices(self.index(kappa), self.index(alpha))}
+        pairs = self.decompose_indices(self.index(kappa), self.index(alpha))
+        return {(self.labels[k] if self.kind == "table" else f"a{k}"): m for k, m in pairs}
 
     def decompose_indices(self, i: int, j: int, clip: bool = True):
         """Index pairs (k, mult). With clip=False, rule rings extend past level."""

@@ -223,11 +223,13 @@ class AmenabilityVerdict:
 
 @dataclass
 class _LanczosResult:
-    """Ritz data from one Lanczos run."""
+    """Ritz data from one Lanczos run, with f * T as (d, e), f a power of two."""
 
     blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
-    S: np.ndarray           # eigenvectors of the tridiagonal, one per column
+    d: np.ndarray           # f * the diagonal of T
+    e: np.ndarray           # f * its off-diagonal, all positive: T does not split
+    f: float
     iterations: int
     stop: str               # "closure", "residual" or "budget"
     second_passes: int      # steps that took the second Gram-Schmidt pass
@@ -239,21 +241,34 @@ class _LanczosResult:
         return self.stop != "budget"
 
     def ritz_vector(self, which: int) -> np.ndarray:
+        """The unit Ritz vector of thetas[which], formed at its first read
+        from its eigenvector of T, one dstein at f * thetas[which]."""
         if which not in self.vectors:
-            s = self.S[:, which]
-            u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, len(s), _BLOCK), self.blocks))
+            k = len(self.d)
+            s = _eigenvector(self.d, self.e, self.thetas[which:which + 1] * self.f,
+                             np.ones(k), np.full(k, k)) if k > 1 else np.ones(1)
+            u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, k, _BLOCK), self.blocks))
             nrm = np.linalg.norm(u)
             self.vectors[which] = u / nrm if nrm > 0 else u
         return self.vectors[which]
+
+
+def _eigenvector(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock, isplit) -> np.ndarray:
+    """The unit eigenvector of the tridiagonal (d, e), k > 1, at its eigenvalue
+    w[0]: one inverse iteration (dstein), m = 1, so in its block iblock[0]."""
+    z, info = scipy.linalg.lapack.dstein(d, e, w[:1], iblock, isplit)
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"dstein (Ritz vector) failed with info={info}")
+    return z[:, 0]
 
 
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
     """The top eigenvalue of the tridiagonal (alphas, betas), scaled to a
     Gershgorin bound < 1, and the |last component| of its unit eigenvector.
     The value is bisected by the dstebz call eigvalsh_tridiagonal(select='i')
-    makes, called directly, so bit-identical; the vector comes from one
-    inverse iteration (dstein) at that value. O(k) each. The caller checks
-    that the entries are finite."""
+    makes, called directly, so bit-identical; the vector comes from
+    _eigenvector at that value. O(k) each. The caller checks that the
+    entries are finite."""
     k = len(alphas)
     if k == 1:
         return float(alphas[0]), 1.0
@@ -261,11 +276,7 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
                                                             k, k, 0.0, "E")
     if info != 0:
         raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
-    # one value (m = 1) keeps dstein's block right when the tridiagonal splits
-    z, info = scipy.linalg.lapack.dstein(alphas, betas, w[:1], iblock, isplit)
-    if info != 0:
-        raise scipy.linalg.LinAlgError(f"dstein (top Ritz vector) failed with info={info}")
-    return float(w[0]), abs(float(z[-1, 0]))
+    return float(w[0]), abs(float(_eigenvector(alphas, betas, w, iblock, isplit)[-1]))
 
 
 def _beta(w: np.ndarray) -> float:     # ||w||: dnrm2 where the sum of squares leaves range
@@ -307,7 +318,9 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     budget ran out ("budget"); converged means one of the first two.
 
     hi is bisected (dstebz, 53 O(k) halvings) on T times the power of two
-    that puts G in [1/2, 1): exact, and beta^2 stays in range.
+    f that puts G in [1/2, 1): exact, and beta^2 stays in range. A run ends
+    at a checkpoint, with the values alone of its f * T (dsterf, QR without
+    vectors; Parlett, ch. 8) over f; ritz_vector forms a vector when read.
 
     Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
     recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
@@ -384,7 +397,8 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         k += 1
         if k % _CHECK == 0 or k == budget or b <= _BREAKDOWN * (amax + 2 * bmax):
             f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
-            hi, last = _top_ritz(alphas[:k] * f, betas[:k - 1] * f)
+            d, e = alphas[:k] * f, betas[:k - 1] * f
+            hi, last = _top_ritz(d, e)
             hi /= f
             if k == n or b <= _BREAKDOWN * hi:
                 stop = "closure"
@@ -398,13 +412,10 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         if k % _BLOCK == 0:
             blocks.append(np.empty((min(_BLOCK, budget + 1 - k), n)))
         np.divide(w, b, out=blocks[-1][k % _BLOCK])
-    if k == 1:
-        thetas, S = alphas[:1].copy(), np.ones((1, 1))
-    else:
-        thetas, S = scipy.linalg.eigh_tridiagonal(alphas[:k], betas[:k - 1])
+    thetas = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf") / f
     if k % _BLOCK:
         blocks[-1] = blocks[-1][:k % _BLOCK]
-    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, S, k, stop, second_passes,
+    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, d, e, f, k, stop, second_passes,
                           reorthogonalized)
 
 

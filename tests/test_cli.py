@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -17,7 +19,7 @@ import scipy.sparse.linalg
 import amenspec
 from amenspec import (AmenabilityVerdict, __version__, fingerprint, fusion, semidirect,
                       spectral, spectral_radius, walks)
-from amenspec.cli import _COMMANDS, CONFIG_ENV, _build_parser, _flags, main
+from amenspec.cli import _COMMANDS, CONFIG_ENV, _as_bool, _build_parser, _flags, main
 
 
 def run(capsys, *argv):
@@ -673,6 +675,102 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     where, loaded = done.stdout.split()
     assert Path(where).resolve().is_relative_to(src)
     assert loaded == "False"
+
+
+# -- fuzz ---------------------------------------------------------------------
+
+FUZZ_EDGES = ("-1", "0", "1", "2", "1.5", "nan", "inf", "1e400", "", "x", "1,2",
+              str(2 ** 22 + 1), str(10 ** 30))
+# small valid command lines, so that an edge value meets otherwise good input
+FUZZ_BASE = {
+    "fusion": {"--ring": "free-su2", "--N": "3", "--omega": "a1", "--trunc": "64"},
+    "sweep": {"--ring": "free-su2", "--N": "3", "--omega": "a1", "--sizes": "8,16"},
+    "walk": {"--group": "Z^d:2", "--radius": "3"},
+    "semidirect": {"--interval": "0:1", "--grid": "0.25:16"},
+    "bicrossed": {"--bound": "3,5", "--shift": "0,1"},
+    "validate": {"descriptor": "ring.json"},
+}
+# each case runs through main with its own stdout; one JSON list of results
+FUZZ_CHILD = """
+import contextlib, io, json, sys, traceback
+from amenspec.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    except BaseException:
+        code = traceback.format_exc()
+    results.append({"argv": argv, "code": code, "stdout": out.getvalue()})
+print(json.dumps(results))
+"""
+
+
+def fuzz_cases(count: int, seed: int) -> list:
+    """count command lines, each command in turn: its FUZZ_BASE line with one
+    to three of its flags, drawn by a seeded generator, set to edge values."""
+    rng = random.Random(seed)
+    cases = []
+    for i in range(count):
+        cmd = list(_COMMANDS)[i % len(_COMMANDS)]
+        flags = {spelling: cast for spelling, _, cast, _ in _flags(cmd)}
+        values = dict(FUZZ_BASE[cmd])
+        for spelling in rng.sample(sorted(flags), rng.randint(1, 3)):
+            values[spelling] = rng.choice(FUZZ_EDGES)
+        argv = [cmd]
+        for spelling, value in values.items():
+            argv += ([value] if not spelling.startswith("--")
+                     else [spelling] if flags[spelling] is _as_bool else [spelling, value])
+        cases.append(argv)
+    return cases
+
+
+def one_json_object(text: str) -> bool:
+    try:
+        obj, end = json.JSONDecoder().raw_decode(text)
+    except ValueError:
+        return False
+    return isinstance(obj, dict) and not text[end:].strip()
+
+
+@pytest.mark.parametrize("flags", [("--csv", ""), ("--csv", "missing/balls.csv"), ("--output", "."),
+                                   ("--output", "report.json", "--csv", "")])
+def test_unwritable_paths_are_json_input_errors(capsys, tmp_path, monkeypatch, flags):
+    # an empty --csv path once ended in a FileNotFoundError traceback, after
+    # the report was written; now nothing is, and stdout holds only the error
+    monkeypatch.chdir(tmp_path)
+    code = main(["walk", "--group", "Z^d:1", "--radius", "3", *flags])
+    out = capsys.readouterr().out
+    assert code == 2 and one_json_object(out)
+    error = json.loads(out)["error"]
+    assert error["type"] == "input" and error["message"].startswith("cannot write the ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_fuzzed_command_lines_exit_0_2_or_3_with_one_json_object(tmp_path):
+    # every command line, whatever its flags and values, gets one JSON object,
+    # on stdout or, for a report, in its --output file, and exit status 0, 2
+    # or 3; run in one child under a 3 GiB address-space limit
+    (tmp_path / "ring.json").write_text(json.dumps(cyclic3_obj()))
+    cases = fuzz_cases(60, seed=2024)
+    src = Path(amenspec.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", FUZZ_CHILD], input=json.dumps(cases), cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60, check=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
+    results = json.loads(done.stdout)
+    assert [r["argv"] for r in results] == cases
+    bad = []
+    for r in results:
+        argv, text = r["argv"], r["stdout"]
+        if not text and r["code"] == 0 and "--output" in argv:
+            text = (tmp_path / argv[argv.index("--output") + 1]).read_text()
+        if r["code"] not in (0, 2, 3) or not one_json_object(text):
+            bad.append(r)
+    assert bad == []
 
 
 # -- documentation ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,33 @@ def test_rank_one_rule_ring_shape():
     assert ring.conj("a4") == "a4"
     assert ring.integral_dims
     assert [ring.dim(f"a{k}") for k in range(5)] == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+
+def test_rule_ring_keeps_no_label_table():
+    # a label's index is its digits: the largest ring the build cap admits
+    # makes no string or dict per label, until its labels are read
+    tracemalloc.start()
+    try:
+        ring = free_su2_ring(3, 2 ** 22 - 1)
+        assert ring.size == 2 ** 22
+        assert ring.index("a4194303") == 2 ** 22 - 1 and ring.index("a0") == 0
+        assert ring.conj("a17") == "a17"
+        assert ring.decompose("a1", "a4194303") == {"a4194302": 1}
+        assert tracemalloc.get_traced_memory()[1] < 2 ** 20
+    finally:
+        tracemalloc.stop()
+    small = free_su2_ring(2, 3)
+    assert small.labels == ("a0", "a1", "a2", "a3") and small.size == 4
+
+
+@pytest.mark.parametrize("label", ["a01", "a00", "a-1", "a+1", "a１", "a٣", "a4",
+                                   "A1", " a1", "a1 ", "a", "", "1", "a" + "9" * 5000, 1, None])
+def test_rule_ring_labels_are_spelled_one_way(label):
+    # a0 ... a<level>: ASCII digits, no sign, no leading zero; anything else,
+    # a fullwidth or Arabic-Indic digit or a number past int's digit limit
+    # included, is an unknown label
+    with pytest.raises(InputError, match="unknown label"):
+        free_su2_ring(2, 3).index(label)
 
 
 def test_free_orthogonal_dims_match_fibonacci():

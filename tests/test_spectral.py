@@ -367,6 +367,77 @@ def test_last_components_are_those_of_the_full_tridiagonal_solve(k, seed, consta
     assert abs(spectral._top_ritz(d, e)[1] - abs(S[-1, -1])) <= 1e-12
 
 
+def random_lanczos_run(n, density, seed, graph):
+    """The _lanczos run, budget n, tol 1e-10, on a random nonnegative
+    symmetric matrix with 0/1 or [0, 1) weights, or None for the zero matrix."""
+    rng = np.random.default_rng(seed)
+    half = sp.random(n, n, density=density, random_state=rng, format="csr",
+                     data_rvs=np.ones if graph else None)
+    m = (sp.triu(half) + sp.triu(half, 1).T).toarray()
+    return spectral._lanczos(LinOp(m), 1e-10, n) if m.any() else None
+
+
+def full_tridiagonal_solve(res):
+    """Every eigenpair of the run's tridiagonal T, unscaled, by scipy's full solve."""
+    return scipy.linalg.eigh_tridiagonal(res.d / res.f, res.e / res.f)
+
+
+def assert_ritz_values_are_those_of_the_full_solve(res):
+    # values-only QR moves each value by a few k eps ||T||
+    w, _ = full_tridiagonal_solve(res)
+    k = res.iterations
+    assert res.thetas.shape == (k,)
+    assert np.abs(res.thetas - w).max() <= 4 * k * spectral._EPS * np.abs(w).max()
+
+
+def assert_ritz_vectors_are_those_of_the_full_solve(res):
+    # up to sign, wherever theta_i is apart from the others by 1e-3 ||T||
+    w, S = full_tridiagonal_solve(res)
+    basis = np.vstack(res.blocks)
+    gaps = np.abs(w[:, None] - w[None, :]) + np.diag(np.full(len(w), np.inf))
+    for i in np.flatnonzero(gaps.min(axis=1) >= 1e-3 * np.abs(w).max()):
+        v = S[:, i] @ basis
+        v /= np.linalg.norm(v)
+        u = res.ritz_vector(int(i))
+        assert min(np.linalg.norm(u - v), np.linalg.norm(u + v)) <= 1e-10
+
+
+def test_final_ritz_pairs_on_the_path_are_those_of_the_full_solve():
+    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    assert res.iterations == 300
+    assert_ritz_values_are_those_of_the_full_solve(res)
+    assert_ritz_vectors_are_those_of_the_full_solve(res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 200), st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.booleans())
+def test_final_ritz_pairs_are_those_of_the_full_solve(n, density, seed, graph):
+    res = random_lanczos_run(n, density, seed, graph)
+    assume(res is not None)
+    assert_ritz_values_are_those_of_the_full_solve(res)
+    assert_ritz_vectors_are_those_of_the_full_solve(res)
+
+
+def test_a_solve_forms_only_the_ritz_vectors_it_reads(monkeypatch):
+    # no full tridiagonal solve, and no k x k array kept: one dstein at each
+    # of the 19 checkpoints of the 300-step run, then one for the Ritz
+    # vector of the radius, which is also the one nearest to 3
+    def refused(*args, **kw):
+        raise AssertionError("full tridiagonal eigendecomposition")
+
+    calls = []
+    dstein = scipy.linalg.lapack.dstein
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refused)
+    monkeypatch.setattr(scipy.linalg.lapack, "dstein",
+                        lambda *args: calls.append(len(args[0])) or dstein(*args))
+    cert = in_spectrum(path_operator(2000), 3.0)
+    res = cert._run[2]
+    assert res.iterations == 300 and cert.spectral.radius_estimate > 1.99
+    assert calls == list(range(16, 300, 16)) + [300, 300]
+    assert list(res.vectors) == [299]
+    assert all(np.ndim(v) <= 1 for name, v in vars(res).items() if name != "blocks")
+
+
 def checkpoint_calls(monkeypatch, op, tol, budget):
     """The run _lanczos(op, tol, budget) with each top Ritz pair read from
     every eigenvector of the tridiagonal; the steps of those reads; and the
