@@ -3,9 +3,10 @@
 Reports are deterministic for a fixed command line and seed: keys are
 sorted, wall time is omitted unless requested with --timings, and the
 seed picks only the shift-invert start vector. Exit status 0 means the run
-completed (certified or not); 2 means bad input or a failed ring axiom; 3
-means an eigensolver failed to stabilize or left NaN or infinity, which
-JSON cannot hold. Every error, a parser error too, is a JSON object on stdout.
+completed (certified or not) with every eigensolve converged; 2 means bad
+input or a failed ring axiom; 3 means an eigensolve spent its budget, a
+LAPACK routine failed, or a report held NaN or infinity, which JSON cannot
+hold. Every error, a parser error too, is a JSON object on stdout.
 
 A JSON config file named by the environment variable AMENSPEC_CONFIG
 supplies defaults: top-level keys apply to every command, per-command
@@ -32,6 +33,13 @@ CONFIG_ENV = "AMENSPEC_CONFIG"
 
 class ConvergenceError(RuntimeError):
     """An eigensolver failed to stabilize within its iteration budget."""
+
+
+def _check_solved(items: list, solved: list, what: str) -> None:
+    """Raise ConvergenceError unless the solve at each item converged."""
+    bad = [x for x, ok in zip(items, solved) if not ok]
+    if bad:
+        raise ConvergenceError(f"eigensolver did not converge at {what} {bad}")
 
 
 def _load_env_config() -> dict:
@@ -167,10 +175,7 @@ def _run_walk(o: dict):
     group = walks.parse_group(o["group"])
     verdict = walks.kesten_test(group, o["radius"], omega=o["omega"], tol=o["tol"],
                                 weights=o["weight"])
-    notes = verdict.notes
-    if not all(notes["eigensolver_converged"]):
-        bad = [r for r, ok in zip(notes["radii"], notes["eigensolver_converged"]) if not ok]
-        raise ConvergenceError(f"eigensolver did not converge at radius {bad}")
+    _check_solved(verdict.notes["radii"], verdict.notes["eigensolver_converged"], "radius")
     return ({"group": group.name, "radius": o["radius"], "omega": o["omega"],
              "weight": o["weight"]}, verdict.operator, verdict)
 
@@ -192,6 +197,7 @@ def _run_bicrossed(o: dict):
     omega = sorted({fwd, semidirect.canonical_pair(-shift[0], -shift[1])})
     verdict = semidirect.bicrossed_amenability_test(bounds, omega, tol=o["tol"],
                                                     seed=o["seed"])
+    _check_solved(bounds, verdict.notes["eigensolver_converged"], "bound")
     # a sweep verdict carries no operator: rebuild the largest box, solve it, report on it
     op = semidirect.pair_window_operator(semidirect.pair_lattice(bounds[-1]), omega)
     verdict.spectral = spectral_radius(op)
@@ -221,6 +227,8 @@ def _report(cmd: str, o: dict, echo: dict, op, result):
         notes = result.notes                     # walk: one estimate per ball
         trace = (list(zip(notes["ball_sizes"], notes["radius_estimates"]))
                  if "ball_sizes" in notes else None)
+    if rep.stop == "budget":                     # a sweep's, at any of its sizes
+        raise ConvergenceError(f"the eigensolver spent its budget of {rep.iterations} steps")
     report["spectral"] = rep.to_dict()
     if trace is None:
         return report, ("index,eigenvalue", list(enumerate(rep.top_eigenvalues)))
@@ -232,11 +240,12 @@ def _report(cmd: str, o: dict, echo: dict, op, result):
 # A flag is (spelling, help, cast, default); a default of _REQUIRED makes it
 # required. Its config key is the spelling without dashes, the rest turned
 # into underscores; positionals come from the command line only. A command is
-# (help, --tol default, runner, flags).
+# (help, --tol default, runner, flags); one that solves nothing, with --tol
+# default None, takes no --tol and no --seed.
 
 _REQUIRED = object()
+_SEED = ("--seed", "seed of the shift-invert start vector", _as_seed, DEFAULT_SEED)
 _COMMON = (
-    ("--seed", "seed of the shift-invert start vector", _as_seed, DEFAULT_SEED),
     ("--output", "write the JSON report here instead of stdout", _as_str, None),
     ("--csv", "also write a CSV summary to this path", _as_str, None),
     ("--timings", "include wall time in the report (breaks byte determinism)", _as_bool, False),
@@ -272,7 +281,8 @@ _COMMANDS = {
 
 def _flags(cmd: str) -> tuple:
     _, tol, _, own = _COMMANDS[cmd]
-    return (("--tol", "certification tolerance", _as_float, tol),) + _COMMON + own
+    solve = () if tol is None else (("--tol", "certification tolerance", _as_float, tol), _SEED)
+    return solve + _COMMON + own
 
 
 def _key(spelling: str) -> str:

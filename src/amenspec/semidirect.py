@@ -268,9 +268,10 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     (fiber dimension times window count). Witnesses are normalized box
     indicators at three scales plus the Ritz route. notes additionally
     reports the plain window count |omega| as a secondary membership check
-    at the final bound, on that bound's Lanczos run. errors lists the route
-    errors of every certificate, each prefixed with its bound or with
-    "secondary".
+    at the final bound, on that bound's Lanczos run, and eigensolver_converged
+    says, per bound, whether its Lanczos run converged (a failed run did
+    not). errors lists the route errors of every certificate, each prefixed
+    with its bound or with "secondary".
     """
     if isinstance(bounds, int):
         bounds = [bounds]
@@ -282,6 +283,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     target = 2.0 * len(omega)
     trace = []
     errors = []
+    solved = []
     cert = None
     best_bound = None
     secondary = None
@@ -299,6 +301,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
                       "best_residual": here.best_residual,
                       "witness_id": here.witness_id})
         errors += [f"bound {b}: {e}" for e in here.errors]
+        solved.append(here.spectral is not None and here.spectral.converged)
         if b == bounds[-1]:
             sec = in_spectrum(op, float(len(omega)), tol=tol, seed=seed,
                               max_iter=max_iter, reuse=here)
@@ -307,5 +310,6 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
                          "gap_hint": sec.gap_hint}
             errors += [f"secondary: {e}" for e in sec.errors]
     notes = {"bounds": bounds, "best_bound": best_bound, "trace": trace,
-             "window": [list(s) for s in omega], "secondary": secondary}
+             "window": [list(s) for s in omega], "secondary": secondary,
+             "eigensolver_converged": solved}
     return AmenabilityVerdict.from_certificate(cert, notes, errors=errors)

@@ -31,7 +31,10 @@ _BLOCK = 32          # Krylov vectors per basis block in _lanczos
 _DGKS_ETA = 1 / math.sqrt(2)   # second Gram-Schmidt pass below this norm ratio
 _REORTH = 1e-13      # reorthogonalize once an estimate of some |q_j . q_k+1| passes this
 _CHECK = 16          # steps between the checkpoints where _lanczos reads its top Ritz value
+_SOLVES = 16         # most inverse solves the bracket finish makes
+_SETTLED = 2.0 ** -40    # a Rayleigh quotient rising less than this, relative, has settled
 _EPS = float(np.finfo(float).eps)
+_TINY = 2.0 ** -1074     # the smallest subnormal
 _MAX_BUILD = 2 ** 22  # most elements, cells, entries, classes or labels a build makes
 _MAX_BASIS = 2 ** 28  # most entries a Krylov basis holds (2 GiB): steps are capped at this / n
 
@@ -94,6 +97,14 @@ class LinOp:
     def symmetric(self) -> bool:
         return self.max_asymmetry == 0
 
+    @functools.cached_property
+    def bandwidth(self) -> int:
+        """max |i - j| over the stored entries (i, j): 0 for a diagonal."""
+        if not self.nnz:
+            return 0
+        rows = np.repeat(np.arange(self.n), np.diff(self.matrix.indptr))
+        return int(np.abs(self.matrix.indices - rows).max())
+
     def symmetry_defect(self) -> float:
         d = (self.matrix - self.matrix.T).tocoo()
         return float(np.abs(d.data).max()) if d.nnz else 0.0
@@ -127,10 +138,11 @@ class LinOp:
 class SpectralReport:
     radius_estimate: float
     radius_lower_bound: float
+    radius_upper_bound: float    # proven: by a Cholesky factor, or Gershgorin's row sums
     top_eigenvalues: list
     iterations: int
     converged: bool
-    stop: str                # why Lanczos stopped: closure, residual or budget
+    stop: str                # why the solve stopped: closure, residual, bracket or budget
     reorthogonalized: int    # of its iterations, those that ran Gram-Schmidt
     truncation_trace: list = field(default_factory=list)
     method: str = "lanczos"
@@ -139,6 +151,7 @@ class SpectralReport:
         return {
             "radius_estimate": self.radius_estimate,
             "radius_lower_bound": self.radius_lower_bound,
+            "radius_upper_bound": self.radius_upper_bound,
             "top_eigenvalues": list(self.top_eigenvalues),
             "iterations": self.iterations,
             "converged": self.converged,
@@ -223,7 +236,9 @@ class AmenabilityVerdict:
 
 @dataclass
 class _LanczosResult:
-    """Ritz data from one Lanczos run, with f * T as (d, e), f a power of two."""
+    """Ritz data from one Lanczos run, with f * T as (d, e), f a power of two.
+    After a "bracket" stop the top pair, thetas[-1] and its vector, is the
+    finish's refined one, and upper the bound its Cholesky factor proved."""
 
     blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
@@ -231,9 +246,10 @@ class _LanczosResult:
     e: np.ndarray           # f * its off-diagonal, all positive: T does not split
     f: float
     iterations: int
-    stop: str               # "closure", "residual" or "budget"
+    stop: str               # "closure", "residual", "bracket" or "budget"
     second_passes: int      # steps that took the second Gram-Schmidt pass
     reorthogonalized: int   # steps that ran Gram-Schmidt at all
+    upper: float | None = None     # the bracket's proven upper bound, after a "bracket" stop
     vectors: dict = field(default_factory=dict, repr=False)   # ritz_vector's, read-only
 
     @property
@@ -245,12 +261,19 @@ class _LanczosResult:
         from its eigenvector of T, one dstein at f * thetas[which]."""
         if which not in self.vectors:
             k = len(self.d)
-            s = _eigenvector(self.d, self.e, self.thetas[which:which + 1] * self.f,
-                             np.ones(k), np.full(k, k)) if k > 1 else np.ones(1)
-            u = sum(s[j:j + len(B)] @ B for j, B in zip(range(0, k, _BLOCK), self.blocks))
-            nrm = np.linalg.norm(u)
-            self.vectors[which] = u / nrm if nrm > 0 else u
+            self.vectors[which] = _ritz_vector(self.blocks, self.d, self.e,
+                                               self.thetas[which] * self.f)
         return self.vectors[which]
+
+
+def _ritz_vector(blocks: list, d: np.ndarray, e: np.ndarray, w: float) -> np.ndarray:
+    """The unit Ritz vector, in the basis of row blocks, of the eigenvalue w
+    of the unsplit tridiagonal (d, e): k = len(d) rows of blocks are read."""
+    k = len(d)
+    s = _eigenvector(d, e, np.array([w]), np.ones(k), np.full(k, k)) if k > 1 else np.ones(1)
+    u = sum(s[j:j + _BLOCK] @ B[:k - j] for j, B in zip(range(0, k, _BLOCK), blocks))
+    nrm = np.linalg.norm(u)
+    return u / nrm if nrm > 0 else u
 
 
 def _eigenvector(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock, isplit) -> np.ndarray:
@@ -277,6 +300,114 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
     if info != 0:
         raise scipy.linalg.LinAlgError(f"dstebz (top Ritz value) failed with info={info}")
     return float(w[0]), abs(float(_eigenvector(alphas, betas, w, iblock, isplit)[-1]))
+
+
+def _row_sum_bound(op: LinOp) -> float:
+    """Gershgorin's bound max_i sum_j A_ij >= lambda_max, rounded up: a sum
+    of m nonnegative terms is computed within gamma_m of itself (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), m the
+    most entries in a row, and the bound is raised by 2 m u = m eps, then
+    one ulp for the product's own rounding."""
+    m = int(np.diff(op.matrix.indptr).max())
+    return math.nextafter(float((op.matrix @ np.ones(op.n)).max()) * (1 + m * _EPS), math.inf)
+
+
+def _cholesky_bound(c: float, b: int, n: int) -> float:
+    """The bound on lambda_max(A) that a banded Cholesky factor of
+    fl(c I - A), run to completion, proves, for A of bandwidth b and size n
+    with a nonnegative diagonal and c > 0.
+
+    R'R = M + dM with |dM| <= g |R'| |R| (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., Thm 10.3; Rump, BIT 46, 2006, proves
+    definiteness so), g = gamma_{n+1} there for the n terms of the longest
+    inner product plus the square root; in a band of width b an inner
+    product has at most b + 1 terms, so g = gamma_{b+2}. dM lies in the
+    band, and |R'||R|_ij <= ||r_i|| ||r_j|| <= max_j M_jj / (1 - g)
+    (Demmel's bound, Higham ch. 10), so ||dM||_2 <= ||dM||_inf <= (2b + 1)
+    g / (1 - g) max_j M_jj, and M_jj <= c. Forming M's diagonal, c - A_jj,
+    rounds by u c more. R'R is positive semidefinite, so lambda_max(A) <=
+    c (1 + K u), K = 2 (b + 2)(2b + 1), which covers both terms:
+    (2b + 1)(b + 2)(1 + 1e-3) + 1 <= K. An underflow term 8 n (2 (b + 2) + c)
+    eta, eta the smallest subnormal, modelled on the one Rump adds (his
+    n + 1 being b + 2 here) and doubled, matters only for c within some
+    hundred binades of underflow. The sum is rounded up by one ulp."""
+    k = (b + 2) * (2 * b + 1)       # K u = k eps, and 1 + k eps is exact
+    return math.nextafter(c * (1 + k * _EPS) + 8.0 * n * (2 * (b + 2) + c) * _TINY, math.inf)
+
+
+def _upper_band(op: LinOp) -> np.ndarray:
+    """-A in LAPACK's upper band storage: row b + i - j, column j holds
+    -A_ij for i <= j, b the bandwidth."""
+    A, b = op.matrix, op.bandwidth
+    rows = np.repeat(np.arange(op.n), np.diff(A.indptr))
+    up = A.indices >= rows
+    band = np.zeros((b + 1, op.n))
+    band[b + rows[up] - A.indices[up], A.indices[up]] = -A.data[up]
+    return band
+
+
+def _banded_cholesky(band: np.ndarray, c: float) -> np.ndarray | None:
+    """The banded Cholesky factor (dpbtrf) of fl(c I - A), -A given as
+    _upper_band's band, or None where a pivot is not positive."""
+    m = band.copy()
+    m[-1] += c
+    r, info = scipy.linalg.lapack.dpbtrf(m, overwrite_ab=1)
+    return r if info == 0 else None
+
+
+def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
+    """Close [theta, upper] around lambda_max from the Ritz vector u, on an
+    operator whose banded factor is cheap: (theta, its unit vector, upper),
+    with upper - theta <= tol theta up to rounding, or None.
+
+    1. c = min(Collatz-Wielandt max_i (A|u|)_i / |u|_i, Gershgorin's row
+       sums), both >= lambda_max for a nonnegative A (Horn and Johnson,
+       Matrix Analysis, 8.1), raised by _cholesky_bound so
+       that a tight one still factors. The banded Cholesky of c I - A
+       (LAPACK dpbtrf, O(n b^2)) proves lambda_max <= _cholesky_bound(c).
+    2. Inverse iteration from u with that factor (dpbtrs), each solve giving
+       a unit v, theta = v'Av and r = ||Av - theta v||. A solve that cuts r
+       by less than 4 is slow: the shift is refactored at the smaller
+       theta + 2r, whose factor, if it runs, proves that bound in turn.
+    3. Once theta has settled, rising by less than _SETTLED relative in a
+       solve, a factor at theta (1 + tol / 2) that runs proves the upper
+       end, and theta, a Rayleigh quotient, is the lower end; one that
+       fails lets the iteration go on.
+    At most _SOLVES solves are made; a first factor that fails, a
+    non-finite residual or the spent solves leave the bracket open (None).
+    """
+    A, n, b = op.matrix, op.n, op.bandwidth
+    band = _upper_band(op)
+    x = np.abs(u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cw = float((A @ x / x).max()) if x.min() > 0 else math.inf
+        shift = _cholesky_bound(min(cw, _row_sum_bound(op)), b, n)
+        R = _banded_cholesky(band, shift)
+        if R is None:
+            return None
+        upper = _cholesky_bound(shift, b, n)
+        v, theta, r = u, -math.inf, math.inf
+        for _ in range(_SOLVES):
+            v = scipy.linalg.lapack.dpbtrs(R, v)[0]
+            v /= _norm(v)
+            w = A @ v
+            th = float(v @ w)
+            res = _norm(w - th * v)
+            if not math.isfinite(res):
+                return None
+            if th - theta <= _SETTLED * th:
+                close = th * (1 + 0.5 * tol)
+                if close >= upper:
+                    return th, v, upper
+                if _banded_cholesky(band, close) is not None:
+                    return th, v, _cholesky_bound(close, b, n)
+            elif res > 0.25 * r and th + 2 * res < shift:
+                tighter = _banded_cholesky(band, th + 2 * res)
+                if tighter is not None:
+                    R, shift = tighter, th + 2 * res
+                    upper = _cholesky_bound(shift, b, n)
+            theta, r = th, res
+    return None
 
 
 def _beta(w: np.ndarray) -> float:     # ||w||: dnrm2 where the sum of squares leaves range
@@ -313,9 +444,15 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     possible: beta <= 1e-13 G, G = max|alpha| + 2 max beta >= hi being the
     Gershgorin bound. At a checkpoint the run stops on closure or on the
     rigorous bound beta * |last component| <= tol * hi / 2 (Parlett, The
-    Symmetric Eigenvalue Problem, ch. 13). stop says why the run ended: the
-    subspace closed ("closure"), that bound held ("residual"), or the
-    budget ran out ("budget"); converged means one of the first two.
+    Symmetric Eigenvalue Problem, ch. 13). At the first checkpoint, step
+    _CHECK = 16, with neither stop met, an operator of bandwidth b with
+    n b^2 <= _CHECK nnz, whose banded factor costs about a checkpoint
+    interval of products, is handed to _bracket; if the bracket closes, the
+    run stops there ("bracket"), its top pair replaced by the finish's, and
+    else it goes on. stop says why the run ended: the subspace closed
+    ("closure"), the residual bound held ("residual"), the bracket closed
+    ("bracket"), or the budget ran out ("budget"); converged means one of
+    the first three.
 
     hi is bisected (dstebz, 53 O(k) halvings) on T times the power of two
     f that puts G in [1/2, 1): exact, and beta^2 stays in range. A run ends
@@ -398,14 +535,19 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         if k % _CHECK == 0 or k == budget or b <= _BREAKDOWN * (amax + 2 * bmax):
             f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
             d, e = alphas[:k] * f, betas[:k - 1] * f
-            hi, last = _top_ritz(d, e)
-            hi /= f
+            top, last = _top_ritz(d, e)
+            hi = top / f
             if k == n or b <= _BREAKDOWN * hi:
                 stop = "closure"
                 break
             if b * last <= 0.5 * tol * hi:      # the rigorous bound beta * |last component|
                 stop = "residual"
                 break
+            if k == _CHECK and n * op.bandwidth ** 2 <= _CHECK * op.nnz:
+                bracket = _bracket(op, _ritz_vector(blocks, d, e, top), tol)
+                if bracket:
+                    stop = "bracket"
+                    break
         betas[k - 1] = b
         bmax = max(bmax, b)
         prev, cur, new = cur, new, prev
@@ -415,8 +557,11 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     thetas = scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="sterf") / f
     if k % _BLOCK:
         blocks[-1] = blocks[-1][:k % _BLOCK]
-    return _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, d, e, f, k, stop, second_passes,
-                          reorthogonalized)
+    res = _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, d, e, f, k, stop, second_passes,
+                         reorthogonalized)
+    if stop == "bracket":
+        thetas[-1], res.vectors[k - 1], res.upper = bracket
+    return res
 
 
 def _check_solver_args(tol: float, max_iter: int) -> None:
@@ -432,16 +577,19 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> S
 
     Lanczos from the constant vector, which meets the nonnegative Perron
     eigenvector of the radius and closes at the number of main eigenvalues
-    (see _lanczos). The estimate is within tol of the largest eigenvalue
-    of the truncation once converged, and converged: false means the
-    budget of max_iter steps, or fewer for a basis past _MAX_BASIS
-    entries, ran out. stop says why the solve ended:
+    (see _lanczos), with a banded operator handed at step 16 to a finish
+    that brackets the radius between a Rayleigh quotient and a bound proven
+    by a banded Cholesky factor (see _bracket). The estimate is within tol
+    of the largest eigenvalue of the truncation once converged, and
+    converged: false means the budget of max_iter steps, or fewer for a
+    basis past _MAX_BASIS entries, ran out. stop says why the solve ended:
     "closure" (the Krylov subspace closed, or the operator is zero),
-    "residual" (the residual bound on the top Ritz value met tol) or
-    "budget".
+    "residual" (the residual bound on the top Ritz value met tol),
+    "bracket" (the finish's bracket closed) or "budget".
     radius_lower_bound is the |Rayleigh quotient| of the Ritz vector of the
     largest |Ritz value|, recomputed in the original space, hence a rigorous
-    lower bound.
+    lower bound. radius_upper_bound is proven: by the finish's last factor
+    (_cholesky_bound), or else by Gershgorin's row sums (_row_sum_bound).
     """
     _check_solver_args(tol, max_iter)
     return _radius_report(op, _lanczos(op, tol, max_iter) if op.nnz else None)
@@ -451,15 +599,16 @@ def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
     """The SpectralReport of the Lanczos run res on op. The zero operator
     has a fixed one, whatever run was made on it, if any."""
     if op.nnz == 0:
-        return SpectralReport(0.0, 0.0, [0.0], 0, True, "closure", 0)
+        return SpectralReport(0.0, 0.0, 0.0, [0.0], 0, True, "closure", 0)
     thetas = res.thetas
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
     lower = abs(float(u @ op.apply(u)))
     estimate = max(float(np.abs(thetas).max()), lower)
+    upper = _row_sum_bound(op) if res.upper is None else res.upper
 
     ends = range(len(thetas))            # the top four, then the bottom four, each index once
     tops = [float(thetas[i]) for i in dict.fromkeys([*ends[:-5:-1], *ends[:4]])]
-    return SpectralReport(estimate, min(lower, estimate), tops,
+    return SpectralReport(estimate, min(lower, estimate), upper, tops,
                           res.iterations, res.converged, res.stop, res.reorthogonalized)
 
 
@@ -495,7 +644,9 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     witness family, the Lanczos Ritz vector nearest to target
     ("lanczos-ritz"), and, when neither is within tol, four steps of
     inverse iteration with one sparse LU factor of A - shift, shift just
-    off target ("shift-invert"). certified means some witness has residual
+    off target ("shift-invert"); that factor is not made for a |target|
+    past radius_upper_bound + tol, which no vector can certify, as the
+    spectrum lies in [-upper, upper] for a nonnegative A. certified means some witness has residual
     <= tol, which places a point of the truncated spectrum within that
     residual of target; best_residual is always measured against op
     itself, so it is rigorous whichever route found it. Non-membership is
@@ -554,7 +705,8 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         if r < best_res:
             best_res, best_id = r, "lanczos-ritz"
 
-    if best_res > tol and op.nnz:
+    outside = spectral is not None and abs(target) > spectral.radius_upper_bound + tol
+    if best_res > tol and op.nnz and not outside:
         # interior targets: extremal Ritz pairs miss them, inverse iteration
         # does not. The shift sits 1e-7 (relative) off target so that a target
         # that is an exact eigenvalue does not give an exactly singular factor.
@@ -588,8 +740,8 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
     sizes must be strictly increasing and lie in [1, op.n]. Every block of
     a symmetric op is symmetric; a block that is not is an InputError, as
     in any solve. The returned report is the one for the largest size,
-    with truncation_trace filled; its stop is that of the largest size's
-    solve.
+    with truncation_trace filled; its stop is "budget" if the solve at any
+    size spent its budget, else that of the largest size's solve.
     converged requires the solve at every size to have converged and, given
     two sizes or more, the Cauchy-style flag (the last two estimates differ
     by less than tol).
@@ -609,6 +761,8 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
         solved = solved and report.converged
     report.truncation_trace = trace
     report.method = "sweep"
+    if not solved:
+        report.stop = "budget"
     if len(trace) >= 2:
         report.converged = solved and bool(abs(trace[-1][1] - trace[-2][1]) < tol)
     return report

@@ -56,6 +56,7 @@ def test_fusion_command(capsys):
     assert set(rep) == {"schema", "version", "command", "config", "operator",
                         "spectral", "verdict"}
     assert set(rep["spectral"]) == {"radius_estimate", "radius_lower_bound",
+                                    "radius_upper_bound",
                                     "top_eigenvalues", "iterations", "converged", "stop",
                                     "reorthogonalized", "truncation_trace", "method"}
 
@@ -112,14 +113,15 @@ def test_sweep_command_csv_matches_closed_form(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv, stop", [
+    # the path of bandwidth 1 is handed to the bracket finish at step 16
     (("fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--trunc", "2000"),
-     "budget"),
+     "bracket"),
     (("walk", "--group", "Z^d:2", "--radius", "20"), "residual"),
     (("walk", "--group", "F:2", "--radius", "3"), "closure"),
-    # the 50-label block closes; the report is that of the 1000-label block,
-    # whose 500 main eigenvalues outlast the budget of 300 steps
+    # the report is that of the 1000-label block, whose 500 main eigenvalues
+    # would outlast the budget of 300 steps; the bracket closes at step 16
     (("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--sizes", "50,1000"),
-     "budget"),
+     "bracket"),
 ])
 def test_reports_say_why_the_solve_stopped(capsys, argv, stop):
     code, rep = run(capsys, *argv)
@@ -342,11 +344,12 @@ def test_config_errors(capsys, tmp_path, monkeypatch):
         assert code == 2, obj
         assert rep["error"]["type"] == "input" and repr(key) in rep["error"]["message"], obj
 
-    # the common flags are valid in every section; a top-level key needs one
-    # command that declares it
+    # the common flags are valid in every section (validate, which solves
+    # nothing, has no --tol or --seed); a top-level key needs one command
+    # that declares it
     good = tmp_path / "good.json"
     good.write_text(json.dumps({"radius": 2, "seed": 3,
-                                "validate": {"seed": 4, "timings": False}}))
+                                "validate": {"output": None, "timings": False}}))
     monkeypatch.setenv(CONFIG_ENV, str(good))
     code, rep = run(capsys, "walk", "--group", "Z^d:1")
     assert code == 0 and rep["config"]["radius"] == 2 and rep["config"]["seed"] == 3
@@ -639,10 +642,14 @@ def test_verdict_lists_route_errors(capsys, monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    # the target 3 lies past radius_upper_bound + tol, where no route can
+    # certify it: no shift-invert factor is made, so none fails
     code, rep = run(capsys, "fusion", "--ring", "free-su2", "--N", "3", "--trunc", "64",
                     "--omega", "a1")
     assert code == 0
-    assert rep["verdict"]["errors"] == ["shift-invert: Factor is exactly singular"]
+    assert 3.0 > rep["spectral"]["radius_upper_bound"] + rep["verdict"]["tolerance"]
+    assert rep["verdict"]["errors"] == []
+    # the secondary target 2 is interior: every bound's factor is made, and fails
     code, rep = run(capsys, "bicrossed", "--bound", "3,5", "--shift", "0,1")
     assert code == 0
     assert rep["verdict"]["errors"] == [f"{where}: shift-invert: Factor is exactly singular"
@@ -661,6 +668,64 @@ def test_convergence_failure_exits_3(capsys, monkeypatch):
     assert code == 3
     assert rep["error"]["type"] == "convergence"
     assert "radius" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (("fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--trunc", "2000"), 12),
+    (("semidirect", "--grid", "0.015625:64", "--interval", "0:1"), 50),
+    (("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--sizes", "50,1000"), 12),
+])
+def test_a_solve_that_spends_its_budget_exits_3(capsys, monkeypatch, argv, steps):
+    # a basis capped at `steps` vectors of the largest operator cuts each
+    # solve short of the bracket finish (step 16) and of its residual stop
+    n = {"fusion": 2000, "semidirect": 4096, "sweep": 1000}[argv[0]]
+    monkeypatch.setattr(spectral, "_MAX_BASIS", steps * n)
+    code, rep = run(capsys, *argv)
+    assert code == 3
+    assert rep["error"] == {"type": "convergence", "message":
+                            f"the eigensolver spent its budget of {steps} steps"}
+
+
+def test_bicrossed_exits_3_when_the_solve_at_a_bound_spends_its_budget(capsys, monkeypatch):
+    # a 2^17-entry basis holds 40 steps of the 3240-class box of bound 40,
+    # whose run stops on its residual bound at step 160
+    monkeypatch.setattr(spectral, "_MAX_BASIS", 2 ** 17)
+    code, rep = run(capsys, "bicrossed", "--bound", "10,20,40", "--shift", "0,1")
+    assert code == 3
+    assert rep["error"] == {"type": "convergence",
+                            "message": "eigensolver did not converge at bound [40]"}
+
+
+def test_walk_on_the_line_converges_at_every_radius_to_500(capsys):
+    # each ball is a path of 2r + 1 points in bandwidth-2 order, which the
+    # bracket finish closes at step 16; 300 plain Lanczos steps did not
+    code, rep = run(capsys, "walk", "--group", "Z^d:1", "--radius", "500")
+    assert code == 0
+    notes = rep["verdict"]["notes"]
+    assert notes["radii"] == list(range(1, 501))
+    assert all(notes["eigensolver_converged"])
+    for r, est in zip(notes["radii"], notes["radius_estimates"]):
+        assert abs(est - 2 * math.cos(math.pi / (2 * r + 2))) <= 1e-8 * est
+    assert rep["spectral"]["stop"] == "bracket"
+
+
+def test_validate_takes_no_tol_or_seed(capsys, tmp_path, monkeypatch):
+    # validate solves nothing: --tol and --seed are unknown flags there, so a
+    # NaN tolerance is refused instead of ignored; a global tol key still loads
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(cyclic3_obj()))
+    for flag, value in (("--tol", "nan"), ("--tol", "0.1"), ("--seed", "3")):
+        code, rep = run(capsys, "validate", str(path), flag, value)
+        assert code == 2 and rep["error"]["type"] == "input"
+        assert flag in rep["error"]["message"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0.05, "seed": 11}))
+    monkeypatch.setenv(CONFIG_ENV, str(cfg))
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 0 and rep["all_passed"] is True
+    cfg.write_text(json.dumps({"validate": {"tol": 0.05}}))
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 2 and "'tol'" in rep["error"]["message"]
 
 
 def test_cli_import_leaves_sparse_linalg_unloaded():
@@ -690,7 +755,9 @@ FUZZ_BASE = {
     "bicrossed": {"--bound": "3,5", "--shift": "0,1"},
     "validate": {"descriptor": "ring.json"},
 }
-# each case runs through main with its own stdout; one JSON list of results
+# each case runs through main with its own stdout, which a report written
+# to --output stands for, read before a later case can overwrite that path;
+# one JSON list of results
 FUZZ_CHILD = """
 import contextlib, io, json, sys, traceback
 from amenspec.cli import main
@@ -702,7 +769,11 @@ for argv in json.load(sys.stdin):
             code = main(argv)
     except BaseException:
         code = traceback.format_exc()
-    results.append({"argv": argv, "code": code, "stdout": out.getvalue()})
+    text = out.getvalue()
+    if not text and code == 0 and "--output" in argv:
+        with open(argv[argv.index("--output") + 1], encoding="utf-8") as fh:
+            text = fh.read()
+    results.append({"argv": argv, "code": code, "stdout": text})
 print(json.dumps(results))
 """
 
@@ -763,13 +834,8 @@ def test_fuzzed_command_lines_exit_0_2_or_3_with_one_json_object(tmp_path):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)))
     results = json.loads(done.stdout)
     assert [r["argv"] for r in results] == cases
-    bad = []
-    for r in results:
-        argv, text = r["argv"], r["stdout"]
-        if not text and r["code"] == 0 and "--output" in argv:
-            text = (tmp_path / argv[argv.index("--output") + 1]).read_text()
-        if r["code"] not in (0, 2, 3) or not one_json_object(text):
-            bad.append(r)
+    bad = [r for r in results
+           if r["code"] not in (0, 2, 3) or not one_json_object(r["stdout"])]
     assert bad == []
 
 

@@ -7,6 +7,7 @@ eigensolve via numpy on the same matrix.
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import amenspec
 from amenspec import (CERT_TOL, InputError, LinOp, ZLattice, build_ball,
-                      cayley_operator, fingerprint, in_spectrum, pair_lattice,
+                      cayley_operator, fingerprint, fusion, in_spectrum, pair_lattice,
                       pair_window_operator, residual, spectral, spectral_radius,
                       truncation_sweep)
 
@@ -28,6 +29,17 @@ def path_operator(n):
     rows = list(range(n - 1)) + list(range(1, n))
     cols = list(range(1, n)) + list(range(n - 1))
     return LinOp.from_entries(n, rows, cols, np.ones(2 * (n - 1)))
+
+
+def shuffled_path_operator(n):
+    """path_operator(n) with its points in a fixed random order: the same
+    spectrum and the same Lanczos run from the constant start, up to
+    rounding, but a band too wide for the bracket finish, n b^2 > 16 nnz,
+    so that the run goes on past step 16."""
+    p = np.random.default_rng(n).permutation(n)
+    op = LinOp(path_operator(n).matrix[p][:, p])
+    assert op.n * op.bandwidth ** 2 > spectral._CHECK * op.nnz
+    return op
 
 
 def scaled_draw(scale=1.0):
@@ -249,10 +261,10 @@ def test_basis_past_its_memory_cap_is_never_started(monkeypatch):
     # a basis of _MAX_BASIS entries holds 50 vectors of 2000: the budget of
     # 300 steps is cut to 50, and the run says it spent its budget
     monkeypatch.setattr(spectral, "_MAX_BASIS", 50 * 2000 + 1999)
-    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    res = spectral._lanczos(shuffled_path_operator(2000), spectral.EIGEN_TOL, 300)
     assert (res.iterations, res.stop) == (50, "budget")
     assert sum(len(B) for B in res.blocks) == 50
-    rep = spectral_radius(path_operator(2000))
+    rep = spectral_radius(shuffled_path_operator(2000))
     assert (rep.iterations, rep.stop, rep.converged) == (50, "budget", False)
 
 
@@ -274,7 +286,7 @@ def test_lanczos_basis_grows_by_blocks_without_copies():
     # each step adds one row to a block of spectral._BLOCK rows; the basis is
     # never copied, so the peak is the rows allocated plus a few work vectors
     n = 50_000
-    op = path_operator(n)
+    op = shuffled_path_operator(n)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -293,7 +305,7 @@ def orthonormality_defect(res):
 
 
 def test_one_gram_schmidt_pass_keeps_the_basis_orthonormal():
-    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    res = spectral._lanczos(shuffled_path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300 and res.stop == "budget"
     assert res.second_passes == 0
     # partial reorthogonalization: 40 of the 300 steps run Gram-Schmidt; the
@@ -315,7 +327,7 @@ def test_closure_takes_the_second_gram_schmidt_pass():
     # at closure the new vector lies in the span of the basis, so the first
     # pass removes nearly all of its norm and the DGKS test asks for a second
     # one; the path's reflection halves its 50 eigenvalues to 25 main ones
-    op = path_operator(50)
+    op = shuffled_path_operator(50)
     res = spectral._lanczos(op, spectral.EIGEN_TOL, 50)
     assert res.stop == "closure"
     assert res.iterations == len(main_eigenvalues(op.to_dense())) == 25
@@ -324,15 +336,31 @@ def test_closure_takes_the_second_gram_schmidt_pass():
 
 
 def test_solves_say_why_they_stopped():
-    assert spectral_radius(path_operator(50), max_iter=50).stop == "closure"
+    # the path's 25 main eigenvalues would close its run at step 25; its band
+    # of 1 hands it to the bracket finish at step 16, a wide band does not
+    assert spectral_radius(path_operator(50), max_iter=50).stop == "bracket"
+    assert spectral_radius(shuffled_path_operator(50), max_iter=50).stop == "closure"
     assert spectral_radius(path_operator(400), max_iter=12).stop == "budget"
     zero = LinOp.from_entries(3, [], [], [])
     assert spectral_radius(zero).stop == "closure"
     # the 20-point block closes, the 100-point one (50 main eigenvalues)
     # spends its budget of 30
-    rep = truncation_sweep(path_operator(100), [20, 100], max_iter=30)
+    rep = truncation_sweep(shuffled_path_operator(100), [20, 100], max_iter=30)
     assert rep.stop == "budget" and rep.to_dict()["stop"] == "budget"
     assert truncation_sweep(path_operator(60), [20], max_iter=30).stop == "closure"
+
+
+def test_a_sweep_spends_its_budget_if_any_size_does():
+    # the leading 100 points are a wide-band path, whose 50 main eigenvalues
+    # outlast 30 steps; the full operator adds a 10-clique of weight 10, whose
+    # radius 90 stands so far from the rest that its run stops on the
+    # residual bound: the sweep still says a solve spent its budget
+    clique = sp.csr_matrix(10.0 * (np.ones((10, 10)) - np.eye(10)))
+    op = LinOp(sp.block_diag([shuffled_path_operator(100).matrix, clique], format="csr"))
+    assert spectral_radius(op, max_iter=30).stop == "residual"
+    rep = truncation_sweep(op, [100, 110], max_iter=30)
+    assert rep.stop == "budget" and not rep.converged
+    assert rep.truncation_trace[-1][1] == pytest.approx(90.0, rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,7 +431,7 @@ def assert_ritz_vectors_are_those_of_the_full_solve(res):
 
 
 def test_final_ritz_pairs_on_the_path_are_those_of_the_full_solve():
-    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    res = spectral._lanczos(shuffled_path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300
     assert_ritz_values_are_those_of_the_full_solve(res)
     assert_ritz_vectors_are_those_of_the_full_solve(res)
@@ -430,7 +458,7 @@ def test_a_solve_forms_only_the_ritz_vectors_it_reads(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refused)
     monkeypatch.setattr(scipy.linalg.lapack, "dstein",
                         lambda *args: calls.append(len(args[0])) or dstein(*args))
-    cert = in_spectrum(path_operator(2000), 3.0)
+    cert = in_spectrum(shuffled_path_operator(2000), 3.0)
     res = cert._run[2]
     assert res.iterations == 300 and cert.spectral.radius_estimate > 1.99
     assert calls == list(range(16, 300, 16)) + [300, 300]
@@ -485,7 +513,8 @@ def test_lanczos_stops_at_the_first_checkpoint_where_the_residual_bound_holds(bu
 def test_lanczos_reads_the_top_ritz_pair_only_at_checkpoints(monkeypatch):
     # a run that spends its budget of 300: checkpoints 16, 32, ..., 288 and
     # the budget's last step
-    res, steps, _ = checkpoint_calls(monkeypatch, path_operator(2000), spectral.EIGEN_TOL, 300)
+    res, steps, _ = checkpoint_calls(monkeypatch, shuffled_path_operator(2000),
+                                     spectral.EIGEN_TOL, 300)
     assert res.stop == "budget" and len(steps) == 19
     assert steps == list(range(spectral._CHECK, 300, spectral._CHECK)) + [300]
 
@@ -499,7 +528,7 @@ def test_top_ritz_values_are_bisected_once_per_checkpoint(monkeypatch):
         monkeypatch.setattr(scipy.linalg.lapack, name,
                             lambda *args, lapack=lapack, log=log: log.append(len(args[0]))
                             or lapack(*args))
-    res = spectral._lanczos(path_operator(2000), spectral.EIGEN_TOL, 300)
+    res = spectral._lanczos(shuffled_path_operator(2000), spectral.EIGEN_TOL, 300)
     assert res.iterations == 300
     assert calls["dstebz"] == list(range(16, 300, 16)) + [300]
     assert calls["dpttrf"] == []
@@ -1031,3 +1060,156 @@ def test_converged_top_ritz_value_is_within_tol_of_the_radius(n, density, seed, 
     top = float(np.linalg.eigvalsh(m)[-1])
     if res.converged:
         assert abs(res.thetas[-1] - top) <= tol * top
+
+
+# -- the bracket finish on banded operators ------------------------------------
+
+
+def random_banded(n, b, seed):
+    """A nonnegative symmetric matrix of bandwidth b: a first off-diagonal in
+    [0.1, 1.1), which keeps it connected, the farther ones and the diagonal
+    in [0, 1) with some entries zero."""
+    rng = np.random.default_rng(seed)
+    m = np.diag(rng.random(n) * (rng.random(n) < 0.5))
+    for d in range(1, min(b, n - 1) + 1):
+        w = 0.1 + rng.random(n - d) if d == 1 else rng.random(n - d) * (rng.random(n - d) < 0.8)
+        m += np.diag(w, d) + np.diag(w, -d)
+    return m
+
+
+def exactly_positive_definite(m, b, c):
+    """Whether c I - m, m of bandwidth b, is positive definite: LDL' in
+    exact rational arithmetic, every pivot positive."""
+    n = len(m)
+    rows = [{j: -Fraction(float(m[i, j])) for j in range(max(0, i - b), min(n, i + b + 1))}
+            for i in range(n)]
+    for i in range(n):
+        rows[i][i] += Fraction(c)
+    for k in range(n):
+        pivot = rows[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, min(n, k + b + 1)):
+            f = rows[i][k] / pivot
+            for j in range(k + 1, min(n, k + b + 1)):
+                rows[i][j] -= f * rows[k][j]
+    return True
+
+
+def test_the_bracket_closes_on_the_path_at_step_16():
+    # 16 Lanczos steps, then the banded finish: the 300-step run this
+    # replaces ended on its budget with 6 correct digits
+    op = path_operator(2000)
+    rep = spectral_radius(op)
+    top = path_top(2000)
+    assert (rep.stop, rep.iterations, rep.converged) == ("bracket", 16, True)
+    assert rep.radius_lower_bound <= top <= rep.radius_upper_bound
+    assert rep.radius_upper_bound - rep.radius_lower_bound <= spectral.EIGEN_TOL * top
+    assert abs(rep.radius_estimate - top) <= 1e-14 * top
+    assert rep.top_eigenvalues[0] == rep.radius_estimate
+
+
+@pytest.mark.parametrize("build, band, handed", [
+    (lambda: path_operator(2000), 1, True),
+    (lambda: cayley_operator(ZLattice(1), {"x1": 1.0, "X1": 1.0}, build_ball(ZLattice(1), 500)),
+     2, True),
+    (lambda: z2_ball_operator(20), 80, False),
+    (lambda: pair_window_operator(pair_lattice(10), [(-1, 0), (0, 1)]), 19, False),
+    (lambda: pair_window_operator(pair_lattice(40), [(-1, 0), (0, 1)]), 79, False),
+    (lambda: LinOp(sp.diags(np.geomspace(1e-8, 1e8, 600))), 0, True),
+], ids=["path2000", "Z1r500", "Z2r20", "pairs10", "pairs40", "diagonal"])
+def test_the_hand_off_rests_on_the_band(build, band, handed):
+    # handed off at step 16 when n b^2 <= 16 nnz: the factor costs about
+    # one checkpoint interval of products
+    op = build()
+    assert op.bandwidth == band
+    res = spectral._lanczos(op, spectral.EIGEN_TOL, 300)
+    assert (res.stop == "bracket") == handed
+    assert (res.upper is not None) == handed
+
+
+def test_a_slow_finish_refactors_at_a_tighter_shift(monkeypatch):
+    # the Collatz-Wielandt bound of this 16-step Ritz vector is 92, the row
+    # sums give 4.16 and the radius is 2.918, 1.8 % above the next eigenvalue:
+    # from 4.16 inverse iteration cuts the residual by 0.78 a solve, so the
+    # shift moves to theta + 2r, where it converges in time to close
+    m = random_banded(257, 2, 0)
+    factors = []
+    cholesky = spectral._banded_cholesky
+    monkeypatch.setattr(spectral, "_banded_cholesky",
+                        lambda band, c: factors.append(c) or cholesky(band, c))
+    rep = spectral_radius(LinOp(m))
+    top = float(np.linalg.eigvalsh(m)[-1])
+    assert (rep.stop, rep.iterations) == ("bracket", 16)
+    assert len(factors) >= 3 and factors[1] < factors[0]
+    assert rep.radius_lower_bound <= top * (1 + 1e-12) and top <= rep.radius_upper_bound
+    assert abs(rep.radius_estimate - top) <= spectral.EIGEN_TOL * top
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 30), st.integers(1, 3), st.integers(0, 10 ** 6))
+def test_a_banded_factor_that_runs_proves_its_bound(n, b, seed):
+    # at shifts within 4 ulps of the top eigenvalue, rounding lets dpbtrf run
+    # on some c I - A that is not positive definite; the margin of
+    # _cholesky_bound covers it, as exact arithmetic checks
+    m = random_banded(n, b, seed)
+    op = LinOp(m)
+    band = spectral._upper_band(op)
+    top = float(np.linalg.eigvalsh(m)[-1])
+    for k in range(-4, 5):
+        c = top * (1 + k * spectral._EPS)
+        if spectral._banded_cholesky(band, c) is not None:
+            bound = spectral._cholesky_bound(c, op.bandwidth, n)
+            assert exactly_positive_definite(m, op.bandwidth, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(17, 300), st.integers(1, 3), st.integers(0, 10 ** 6),
+       st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_the_bracket_holds_the_top_eigenvalue(n, b, seed, tol):
+    m = random_banded(n, b, seed)
+    rep = spectral_radius(LinOp(m), tol=tol)
+    top = float(np.linalg.eigvalsh(m)[-1])
+    assert rep.radius_lower_bound <= top * (1 + 1e-12)
+    assert top <= rep.radius_upper_bound
+    if rep.converged:
+        assert abs(rep.radius_estimate - top) <= tol * top
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 2000))
+def test_free_su2_path_radius_to_twelve_digits(n):
+    op = fusion.window_operator(fusion.free_su2_ring(3, n - 1), ["a1"], n)
+    rep = spectral_radius(op)
+    top = path_top(n)
+    assert rep.converged
+    assert abs(rep.radius_estimate - top) <= 1e-12 * top
+    assert rep.radius_lower_bound <= top * (1 + 1e-15) and top <= rep.radius_upper_bound
+
+
+def test_no_shift_invert_factor_for_a_target_past_the_upper_bound(monkeypatch):
+    # 3 lies past radius_upper_bound + tol: no point of the spectrum is
+    # within tol of it, so no route can certify it and no factor is made
+    def refused(matrix):
+        raise AssertionError("shift-invert factor")
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", refused)
+    for op in (path_operator(2000), shuffled_path_operator(400)):
+        cert = in_spectrum(op, 3.0)
+        assert not cert.certified and cert.errors == []
+        assert cert.best_residual >= 3.0 - path_top(op.n)
+        assert 3.0 > cert.spectral.radius_upper_bound + cert.tolerance
+        assert -3.0 < -cert.spectral.radius_upper_bound - cert.tolerance
+        assert in_spectrum(op, -3.0).errors == []
+    # inside the bound the factor is made
+    with pytest.raises(AssertionError, match="shift-invert"):
+        in_spectrum(path_operator(2000), 1.0)
+
+
+def test_the_upper_bound_of_an_unfinished_solve_is_gershgorin():
+    # a run that never reaches the finish reports the rounded-up row sums
+    op = z2_ball_operator(20)
+    rep = spectral_radius(op)
+    assert rep.stop == "residual"
+    assert 4.0 < rep.radius_upper_bound <= 4.0 * (1 + 8 * spectral._EPS)
+    assert spectral_radius(LinOp.from_entries(3, [], [], [])).radius_upper_bound == 0.0
