@@ -8,8 +8,7 @@ hinted at through spectral gaps of the truncation.
 """
 
 from .spectral import (CERT_TOL, DEFAULT_SEED, EIGEN_TOL, AmenabilityVerdict,
-                       InputError, LinOp, MembershipCertificate, SpectralReport,
-                       ValidationError, fingerprint,
+                       InputError, LinOp, SpectralReport, ValidationError, fingerprint,
                        in_spectrum, residual, spectral_radius, truncation_sweep)
 from .fusion import (FREE_SU2, FusionRing, RingDescriptor, coamenability_test,
                      dim_bookkeeping_check, free_su2_ring, fusion_operator,
@@ -29,7 +28,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AmenabilityVerdict", "BallTruncation", "CERT_TOL", "DEFAULT_SEED",
     "EIGEN_TOL", "FREE_SU2", "FreeGroup", "FusionRing", "HalfLineGrid",
-    "InputError", "LinOp", "MembershipCertificate", "PairLattice",
+    "InputError", "LinOp", "PairLattice",
     "RingDescriptor", "SpectralReport", "ValidationError",
     "ZLattice", "bicrossed_amenability_test", "build_ball", "canonical_pair",
     "cayley_operator", "coamenability_test", "conj_pair",

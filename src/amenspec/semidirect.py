@@ -19,6 +19,7 @@ so a window of w shifts has mass target 2 w.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Sequence
 
@@ -142,8 +143,7 @@ def interval_witness(grid: HalfLineGrid, m: float) -> np.ndarray:
 
 def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
                            witness_ms: Sequence[float] = (2.0, 4.0, 8.0),
-                           tol: float = 5e-2, seed: int = DEFAULT_SEED,
-                           max_iter: int = 300) -> AmenabilityVerdict:
+                           tol: float = 5e-2, seed: int = DEFAULT_SEED) -> AmenabilityVerdict:
     """Membership test for the interval mass, with banded witnesses.
 
     The verdict carries the interval operator it tested.
@@ -153,15 +153,14 @@ def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
     witnesses = []
     for m in witness_ms:
         witnesses.append((f"band-{m:g}", interval_witness(grid, m)))
-    cert = in_spectrum(op, target, tol=tol, witnesses=witnesses,
-                       seed=seed, max_iter=max_iter)
+    verdict = in_spectrum(op, target, tol=tol, witnesses=witnesses, seed=seed)
     per = {}
     for wid, v in witnesses:
         per[wid] = residual(op, target, v)
     notes = {"snapped": op.meta["snapped"], "nodes": op.meta["nodes"],
              "grid": {"h": grid.h, "max_r": grid.max_r, "cells": grid.n},
              "witness_residuals": per}
-    return AmenabilityVerdict.from_certificate(cert, notes, operator=op)
+    return dataclasses.replace(verdict, notes=notes, _run=())
 
 
 # -- integer pair classes ----------------------------------------------------
@@ -259,8 +258,7 @@ def _box_witness(pairs: PairLattice, m: int) -> np.ndarray:
 
 
 def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
-                               seed: int = DEFAULT_SEED,
-                               max_iter: int = 300) -> AmenabilityVerdict:
+                               seed: int = DEFAULT_SEED) -> AmenabilityVerdict:
     """Membership test for the window mass over a sweep of box bounds.
 
     omega is a conjugation-closed list of shift pairs; the window operator
@@ -292,8 +290,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
         op = pair_window_operator(pairs, omega)
         witnesses = [(f"box-{m}", _box_witness(pairs, m))
                      for m in sorted({max(1, b // 4), max(1, b // 2), b})]
-        here = in_spectrum(op, target, tol=tol, witnesses=witnesses,
-                           seed=seed, max_iter=max_iter)
+        here = in_spectrum(op, target, tol=tol, witnesses=witnesses, seed=seed)
         if cert is None or here.best_residual < cert.best_residual:
             cert = here
             best_bound = b
@@ -303,8 +300,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
         errors += [f"bound {b}: {e}" for e in here.errors]
         solved.append(here.spectral is not None and here.spectral.converged)
         if b == bounds[-1]:
-            sec = in_spectrum(op, float(len(omega)), tol=tol, seed=seed,
-                              max_iter=max_iter, reuse=here)
+            sec = in_spectrum(op, float(len(omega)), tol=tol, seed=seed, reuse=here)
             secondary = {"target": sec.target, "best_residual": sec.best_residual,
                          "certified": sec.certified, "witness_id": sec.witness_id,
                          "gap_hint": sec.gap_hint}
@@ -312,4 +308,5 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     notes = {"bounds": bounds, "best_bound": best_bound, "trace": trace,
              "window": [list(s) for s in omega], "secondary": secondary,
              "eigensolver_converged": solved}
-    return AmenabilityVerdict.from_certificate(cert, notes, errors=errors)
+    return dataclasses.replace(cert, notes=notes, errors=errors, operator=None,
+                               spectral=None, _run=())

@@ -5,10 +5,14 @@ builds a LinOp, a truncation's sparse matrix, and asks two questions: what
 is the spectral radius of the truncation, and does a given target value sit
 in the spectrum up to a certified residual. For a self-adjoint operator A
 and a unit vector v, dist(target, spec(A)) <= ||A v - target v||, so a
-small residual certifies membership. All truncations here are compressions
-of a fixed operator, so certification is one-sided: growing the truncation
-can only move the truncated spectrum outward, and non-membership is never
-certified, only hinted at via the gap to the nearest truncated eigenvalue.
+small residual certifies membership. The fusion, walk and pair
+truncations are compressions of a fixed operator, so certification is
+one-sided: growing the truncation can only move the truncated spectrum
+outward, and non-membership is never certified, only hinted at via the gap
+to the nearest truncated eigenvalue. The half-line interval operator is not
+one: it is a right-endpoint sum, full weight w = h/(4 pi) at nodes k_lo + 1
+.. k_hi, which differs from the trapezoid sum by (w/2)(S_k_lo - S_k_hi), of
+norm at most h/(2 pi) as ||S_k|| <= 2.
 """
 
 from __future__ import annotations
@@ -163,41 +167,16 @@ class SpectralReport:
 
 
 @dataclass
-class MembershipCertificate:
-    """Result of in_spectrum. spectral is the SpectralReport of its Lanczos
-    run, None when that run failed; to_dict leaves it out. _run keeps the
-    run, as (op, max_iter, run or route error), for in_spectrum's reuse=."""
-
-    target: float
-    tolerance: float
-    best_residual: float
-    witness_id: str | None
-    certified: bool
-    gap_hint: float
-    errors: list = field(default_factory=list)   # "route: message", one per failed route
-    spectral: SpectralReport | None = field(default=None, repr=False, compare=False)
-    _run: tuple = field(default=(), repr=False, compare=False)
-
-    def to_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "tolerance": self.tolerance,
-            "best_residual": self.best_residual,
-            "witness_id": self.witness_id,
-            "certified": self.certified,
-            "gap_hint": self.gap_hint,
-            "errors": list(self.errors),
-        }
-
-
-@dataclass
 class AmenabilityVerdict:
-    """Verdict of a membership test. errors lists, as "route: message",
-    every route error of the certificates the test ran. operator is the
-    LinOp it tested and spectral the SpectralReport of the one solve of
-    operator, when the test hands them back for reporting; a bicrossed
-    sweep tests several operators and leaves both None. to_dict leaves
-    both out."""
+    """Verdict of a membership test: of in_spectrum, with empty notes, or of
+    a family test, which adds its notes and errors to in_spectrum's. errors
+    lists, as "route: message", every route error of the certificates the
+    test ran. operator is the LinOp it tested and spectral the
+    SpectralReport of the one solve of operator, None when that solve
+    failed; a bicrossed sweep tests several operators and leaves both None.
+    to_dict leaves both out. _run keeps in_spectrum's run, as (op,
+    max_iter, run or route error), for its reuse=; a family test's verdict
+    keeps none, so the Krylov basis is freed when the test returns."""
 
     target: float
     tolerance: float
@@ -209,17 +188,7 @@ class AmenabilityVerdict:
     errors: list = field(default_factory=list)
     operator: LinOp | None = field(default=None, repr=False, compare=False)
     spectral: SpectralReport | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_certificate(cls, cert: MembershipCertificate, notes: dict,
-                         operator: LinOp | None = None,
-                         errors: list | None = None) -> "AmenabilityVerdict":
-        """The verdict of cert; errors defaults to the certificate's own.
-        Handed the operator cert tested, it also takes cert's SpectralReport."""
-        return cls(cert.target, cert.tolerance, cert.best_residual, cert.certified,
-                   cert.witness_id, cert.gap_hint, notes,
-                   list(cert.errors) if errors is None else errors, operator,
-                   None if operator is None else cert.spectral)
+    _run: tuple = field(default=(), repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -260,7 +229,6 @@ class _LanczosResult:
         """The unit Ritz vector of thetas[which], formed at its first read
         from its eigenvector of T, one dstein at f * thetas[which]."""
         if which not in self.vectors:
-            k = len(self.d)
             self.vectors[which] = _ritz_vector(self.blocks, self.d, self.e,
                                                self.thetas[which] * self.f)
         return self.vectors[which]
@@ -358,7 +326,7 @@ def _banded_cholesky(band: np.ndarray, c: float) -> np.ndarray | None:
 def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
     """Close [theta, upper] around lambda_max from the Ritz vector u, on an
     operator whose banded factor is cheap: (theta, its unit vector, upper),
-    with upper - theta <= tol theta up to rounding, or None.
+    with upper - theta <= tol theta, or None.
 
     1. c = min(Collatz-Wielandt max_i (A|u|)_i / |u|_i, Gershgorin's row
        sums), both >= lambda_max for a nonnegative A (Horn and Johnson,
@@ -374,7 +342,9 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
        end, and theta, a Rayleigh quotient, is the lower end; one that
        fails lets the iteration go on.
     At most _SOLVES solves are made; a first factor that fails, a
-    non-finite residual or the spent solves leave the bracket open (None).
+    non-finite residual, the spent solves, or a tol below the factor's
+    rounding margin (the bound it would prove past theta (1 + tol)) leave
+    the bracket open (None).
     """
     A, n, b = op.matrix, op.n, op.bandwidth
     band = _upper_band(op)
@@ -399,8 +369,11 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
                 close = th * (1 + 0.5 * tol)
                 if close >= upper:
                     return th, v, upper
+                proven = _cholesky_bound(close, b, n)
+                if proven - th > tol * th:      # theta has settled: it stays so
+                    return None
                 if _banded_cholesky(band, close) is not None:
-                    return th, v, _cholesky_bound(close, b, n)
+                    return th, v, proven
             elif res > 0.25 * r and th + 2 * res < shift:
                 tighter = _banded_cholesky(band, th + 2 * res)
                 if tighter is not None:
@@ -564,7 +537,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     return res
 
 
-def _check_solver_args(tol: float, max_iter: int) -> None:
+def _check_solver_args(tol: float, max_iter: int = 1) -> None:
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}")
     if max_iter < 1:
@@ -636,13 +609,14 @@ def residual(op: LinOp, target: float, v) -> float:
 def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 witnesses: Iterable | None = None, seed: int = DEFAULT_SEED,
                 max_iter: int = 300,
-                reuse: MembershipCertificate | None = None) -> MembershipCertificate:
-    """Residual-based membership certificate for target in the spectrum of
-    op, which must be symmetric: an asymmetric one is an InputError.
+                reuse: AmenabilityVerdict | None = None) -> AmenabilityVerdict:
+    """Residual-based membership verdict for target in the spectrum of op,
+    which must be symmetric: an asymmetric one is an InputError. Its notes
+    are empty and its operator is op.
 
-    Residuals are evaluated over three routes, in order: the supplied
-    witness family, the Lanczos Ritz vector nearest to target
-    ("lanczos-ritz"), and, when neither is within tol, four steps of
+    Residuals are evaluated over three routes, in order: the witnesses,
+    (id, vector) pairs, a zero vector skipped; the Lanczos Ritz vector
+    nearest to target ("lanczos-ritz"); and, when neither is within tol, four steps of
     inverse iteration with one sparse LU factor of A - shift, shift just
     off target ("shift-invert"); that factor is not made for a |target|
     past radius_upper_bound + tol, which no vector can certify, as the
@@ -656,26 +630,24 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     that produced no vector: a LinAlgError from the eigensolver, an exactly
     singular factor.
 
-    The certificate's spectral is the SpectralReport of its Lanczos run,
-    equal to spectral_radius(op, max_iter=max_iter). seed picks only the
+    The verdict's spectral is the SpectralReport of its Lanczos run, equal
+    to spectral_radius(op, max_iter=max_iter). seed picks only the
     shift-invert start, which must stay generic: an interior eigenvector
-    can be orthogonal to the constant vector. reuse, an earlier certificate
-    on op with the same max_iter, whatever its seed, supplies that run (or
-    its failure) instead of a new solve; any other is an InputError.
+    can be orthogonal to the constant vector. reuse, an earlier verdict of
+    in_spectrum on op with the same max_iter, whatever its seed, supplies
+    that run (or its failure) instead of a new solve; any other, a family
+    test's verdict too, is an InputError.
     """
     _check_solver_args(tol, max_iter)
     if not math.isfinite(target):       # a window mass past float range
         raise InputError(f"target must be finite, got {target!r}")
     if reuse is not None and reuse._run[:2] != (op, max_iter):
-        raise InputError("reuse needs a certificate on the same operator and max_iter")
+        raise InputError("reuse needs a verdict of in_spectrum on the same operator "
+                         "and max_iter")
 
     best_res = np.inf
     best_id = None
-    for i, item in enumerate(witnesses or ()):
-        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
-            wid, vec = item
-        else:
-            wid, vec = f"witness-{i}", item
+    for wid, vec in witnesses or ():
         vec = np.asarray(vec, dtype=float)
         if vec.shape != (op.n,):
             raise InputError(f"witness {wid} has wrong length")
@@ -694,7 +666,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
         try:
             run = _lanczos(op, EIGEN_TOL, max_iter)
         except scipy.linalg.LinAlgError as e:
-            run = f"lanczos-ritz: {e}"   # the certificate rests on the witnesses
+            run = f"lanczos-ritz: {e}"   # the verdict rests on the witnesses
     if isinstance(run, str):
         errors.append(run)
     else:
@@ -727,10 +699,9 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 if r < best_res:
                     best_res, best_id = r, "shift-invert"
 
-    certified = bool(best_res <= tol)
-    return MembershipCertificate(float(target), float(tol), float(best_res),
-                                 best_id, certified, float(gap), errors, spectral,
-                                 (op, max_iter, run))
+    return AmenabilityVerdict(float(target), float(tol), float(best_res),
+                              bool(best_res <= tol), best_id, float(gap), {}, errors, op,
+                              spectral, (op, max_iter, run))
 
 
 def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,

@@ -349,7 +349,7 @@ def modular_weight_operator(group, p: float, density: dict,
 
 
 def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0.05,
-                max_iter: int = 300, weights: dict | None = None) -> AmenabilityVerdict:
+                weights: dict | None = None) -> AmenabilityVerdict:
     """Growth test: does the compressed walk radius reach the total weight.
 
     radii may be a single radius (swept from 1) or an increasing sequence.
@@ -367,7 +367,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     if not radii or radii[0] <= 0 or isinstance(radii, list) and any(
             b <= a for a, b in zip(radii, radii[1:])):
         raise InputError("radii must be strictly increasing positive integers")
-    _check_solver_args(tol, max_iter)
+    _check_solver_args(tol)
 
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}
@@ -411,7 +411,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     for r in radii:
         op = full.leading_block(ball.sphere_ends[r])
         op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
-        rep = spectral_radius(op, tol=EIGEN_TOL, max_iter=max_iter)
+        rep = spectral_radius(op, tol=EIGEN_TOL)
         sizes.append(op.n)
         estimates.append(rep.radius_estimate)
         lowers.append(rep.radius_lower_bound)

@@ -8,13 +8,18 @@ import resource
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import amenspec
 from amenspec import (AmenabilityVerdict, __version__, fingerprint, fusion, semidirect,
@@ -253,6 +258,158 @@ def test_spectral_block_is_the_solve_of_the_reported_operator(capsys, argv):
     op = _rebuilt_operator(argv[0], rep["config"])
     assert fingerprint(op) == rep["operator"]
     assert rep["spectral"] == spectral_radius(op).to_dict()
+
+
+# -- reports against dense eigensolves ------------------------------------------
+
+
+def _rule_dims(N, k):
+    """d_0 .. d_k of the free-su2 rule: d_j+1 = N d_j - d_j-1, exact."""
+    d = [Fraction(1), Fraction(N)]
+    while len(d) <= k:
+        d.append(Fraction(N) * d[-1] - d[-2])
+    return d
+
+
+def _ball_count(group, r):
+    """Elements of the radius-r word ball, in closed form."""
+    kind, rank = group.split(":")
+    k = int(rank)
+    if kind == "Z^d":
+        return sum(2 ** j * math.comb(k, j) * math.comb(r, j) for j in range(k + 1))
+    return 2 * r + 1 if k == 1 else 1 + k * ((2 * k - 1) ** r - 1) // (k - 1)
+
+
+@st.composite
+def small_commands(draw):
+    """(argv, closed-form target) of a command on an operator of at most 300 points."""
+    cmd = draw(st.sampled_from(["fusion", "sweep", "walk", "semidirect", "bicrossed"]))
+    if cmd in ("fusion", "sweep"):
+        N = draw(st.sampled_from([2, 2.5, 3, 7]))
+        window = draw(st.lists(st.sampled_from(["a0", "a1", "a2", "a3"]), min_size=1,
+                               max_size=3, unique=True))
+        dims = _rule_dims(N, 3)
+        target = float(sum(dims[int(a[1:])] for a in window))
+        ring = ["--ring", "free-su2", "--N", repr(N), "--omega", ",".join(window)]
+        if cmd == "fusion":
+            trunc = draw(st.integers(8, 300))
+            return [cmd, *ring, "--trunc", str(trunc)], target
+        sizes = draw(st.lists(st.integers(4, 300), min_size=1, max_size=3, unique=True))
+        return [cmd, *ring, "--sizes", ",".join(map(str, sorted(sizes)))], None
+    if cmd == "walk":
+        group, top = draw(st.sampled_from([("Z^d:1", 30), ("Z^d:2", 10), ("F:1", 30),
+                                           ("F:2", 4)]))
+        letters = ["x1", "X1", "x2", "X2"] if group[0] == "Z" else ["a", "A", "b", "B"]
+        letters = letters[:2 * int(group[-1])]
+        argv = [cmd, "--group", group, "--radius", str(draw(st.integers(1, top)))]
+        if not draw(st.booleans()):
+            return argv, float(len(letters))
+        weights = {}
+        for x, inv in zip(letters[::2], letters[1::2]):
+            weights[x] = weights[inv] = draw(st.floats(0.125, 4.0))
+        for name, w in weights.items():
+            argv += ["--weight", f"{name}={w!r}"]
+        return argv, float(sum(weights.values()))
+    if cmd == "semidirect":
+        max_r = draw(st.sampled_from([4, 8, 16]))
+        h = max_r / 2 ** draw(st.integers(2, 8))          # 4 to 256 cells
+        a, b = sorted(draw(st.floats(0, max_r)) for _ in range(2))
+        ms = draw(st.lists(st.sampled_from([max_r / 8, max_r / 4, max_r / 2]), min_size=1,
+                           max_size=3, unique=True))
+        k_lo, k_hi = math.floor(a / h + 1e-9), math.ceil(b / h - 1e-9)
+        target = 0.0 if a == b else (k_hi * h - k_lo * h) / (2 * math.pi)
+        return [cmd, "--grid", f"{h!r}:{max_r}", "--interval", f"{a!r}:{b!r}",
+                "--witness-m", ",".join(map(repr, ms))], target
+    bounds = sorted(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True)))
+    r, rp = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=2, unique=True))
+    return ([cmd, "--bound", ",".join(map(str, bounds)), "--shift", f"{r},{rp}"],
+            2.0 * (1 if r == -rp else 2))
+
+
+def _dense_spectrum(op):
+    return np.linalg.eigvalsh(op.to_dense())
+
+
+def _check_radius(rep, ev, slack):
+    top = ev[-1]
+    assert rep["radius_lower_bound"] <= top + slack
+    assert top <= rep["radius_upper_bound"] + slack
+    if rep["stop"] != "budget":
+        assert abs(rep["radius_estimate"] - top) <= spectral.EIGEN_TOL * top + slack
+    for t in rep["top_eigenvalues"]:
+        assert ev[0] - slack <= t <= top + slack
+
+
+def _check_membership(residual, certified, target, tol, ev, slack):
+    """A residual bounds the distance to the spectrum it was measured on."""
+    dist = float(np.abs(ev - target).min())
+    assert residual >= dist - slack
+    assert not certified or dist <= tol + slack
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_commands())
+def test_reports_agree_with_dense_eigensolves(command):
+    argv, target = command
+    with tempfile.TemporaryDirectory() as tmp:
+        out, csv = Path(tmp) / "report.json", Path(tmp) / "report.csv"
+        code = main([*argv, "--output", str(out), "--csv", str(csv)])
+        if code == 3:      # a spent budget: no report to check
+            return
+        assert code == 0, argv
+        report = json.loads(out.read_text())
+        header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
+    cmd, config, rep = argv[0], report["config"], report["spectral"]
+    if cmd == "sweep":
+        ring = config["ring"]
+        op = fusion.window_operator(fusion.free_su2_ring(ring["N"], ring["level"]),
+                                    config["omega"], config["sizes"][-1])
+    else:
+        op = _rebuilt_operator(cmd, config)
+    assert fingerprint(op) == report["operator"]
+    ev = _dense_spectrum(op)
+    scale = max(float(np.abs(ev).max()), abs(target or 0.0))
+    slack = 1e-12 * scale
+    _check_radius(rep, ev, slack)
+
+    if cmd == "sweep":
+        assert "verdict" not in report and header == ["size", "radius_estimate"]
+        assert [[int(s), float(e)] for s, e in rows] == rep["truncation_trace"]
+        for s, est in rep["truncation_trace"]:
+            top = _dense_spectrum(op.leading_block(s))[-1]
+            assert abs(est - top) <= spectral.EIGEN_TOL * top + slack
+        return
+    v = report["verdict"]
+    assert v["target"] == pytest.approx(target, rel=1e-12, abs=0.0)
+    tol = v["tolerance"]
+    if cmd == "walk":
+        notes = v["notes"]
+        sizes = [_ball_count(config["group"], r) for r in notes["radii"]]
+        assert notes["ball_sizes"] == sizes
+        for n, low in zip(sizes, notes["lower_bounds"]):
+            assert low <= _dense_spectrum(op.leading_block(n))[-1] + slack
+        assert header == ["size", "radius_estimate"]
+        assert [[int(s), float(e)] for s, e in rows] == [
+            list(t) for t in zip(sizes, notes["radius_estimates"])]
+        _check_membership(v["best_residual"], v["certified"], target, tol, ev, slack)
+        return
+    assert header == ["index", "eigenvalue"]
+    assert [[int(i), float(e)] for i, e in rows] == [
+        list(t) for t in enumerate(rep["top_eigenvalues"])]
+    if cmd != "bicrossed":
+        _check_membership(v["best_residual"], v["certified"], target, tol, ev, slack)
+        return
+    # each bound's residual is measured on its own box, the verdict's on the
+    # best bound's; the secondary target's on the largest, the reported one
+    notes, window = v["notes"], [tuple(s) for s in config["window"]]
+    for entry in notes["trace"]:
+        box = semidirect.pair_window_operator(semidirect.pair_lattice(entry["bound"]), window)
+        best = entry["bound"] == notes["best_bound"]
+        assert not best or entry["best_residual"] == v["best_residual"]
+        _check_membership(entry["best_residual"], best and v["certified"], target, tol,
+                          _dense_spectrum(box), slack)
+    sec = notes["secondary"]
+    _check_membership(sec["best_residual"], sec["certified"], target / 2, tol, ev, slack)
 
 
 # -- determinism --------------------------------------------------------------

@@ -18,8 +18,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import amenspec
-from amenspec import (CERT_TOL, InputError, LinOp, ZLattice, build_ball,
-                      cayley_operator, fingerprint, fusion, in_spectrum, pair_lattice,
+from amenspec import (CERT_TOL, AmenabilityVerdict, InputError, LinOp, ZLattice,
+                      build_ball, cayley_operator, fingerprint, fusion, in_spectrum, pair_lattice,
                       pair_window_operator, residual, spectral, spectral_radius,
                       truncation_sweep)
 
@@ -685,10 +685,10 @@ def test_in_spectrum_certifies_exactly_representable_eigenvalue():
     assert cert.certified and cert.witness_id == "shift-invert"
 
 
-def test_in_spectrum_skips_zero_and_unnamed_witnesses():
+def test_in_spectrum_skips_zero_witnesses():
     op = path_operator(8)
-    cert = in_spectrum(op, 1.0, witnesses=[np.zeros(8), np.ones(8)])
-    assert cert.witness_id in ("witness-1", "lanczos-ritz", "shift-invert")
+    cert = in_spectrum(op, 1.0, witnesses=[("zero", np.zeros(8)), ("ones", np.ones(8))])
+    assert cert.witness_id in ("ones", "lanczos-ritz", "shift-invert")
 
 
 def test_in_spectrum_input_errors():
@@ -697,7 +697,7 @@ def test_in_spectrum_input_errors():
         in_spectrum(asym, 1.0)
     op = path_operator(5)
     with pytest.raises(InputError):
-        in_spectrum(op, 1.0, witnesses=[np.ones(3)])
+        in_spectrum(op, 1.0, witnesses=[("short", np.ones(3))])
     with pytest.raises(InputError):
         in_spectrum(op, 1.0, tol=-1.0)
 
@@ -815,7 +815,22 @@ def test_reuse_needs_the_same_operator_seed_and_budget():
     assert fresh.witness_id == "shift-invert"
     assert again.to_dict() == fresh.to_dict() != cert.to_dict()
     with pytest.raises(InputError, match="reuse"):
-        in_spectrum(op, 1.0, reuse=spectral.MembershipCertificate(1.0, 0.1, 0.0, None, True, 0.0))
+        in_spectrum(op, 1.0, reuse=AmenabilityVerdict(1.0, 0.1, 0.0, True, None, 0.0))
+
+
+def test_family_verdicts_extend_in_spectrum_and_keep_no_run():
+    op = path_operator(60)
+    plain = in_spectrum(op, 1.0)
+    assert isinstance(plain, AmenabilityVerdict)
+    assert plain.notes == {} and plain.operator is op and plain._run[0] is op
+    ring, grid = amenspec.free_su2_ring(2, 31), amenspec.half_line_grid(0.25, 8)
+    for verdict in (amenspec.coamenability_test(ring, ["a1"], trunc=32),
+                    amenspec.interval_spectrum_test(grid, 0.0, 1.0, (1.0, 2.0)),
+                    amenspec.bicrossed_amenability_test([3, 5], [(0, 1), (-1, 0)])):
+        assert verdict.notes and verdict._run == ()
+        if verdict.operator is not None:      # a bicrossed sweep carries none
+            with pytest.raises(InputError, match="reuse"):
+                in_spectrum(verdict.operator, 1.0, reuse=verdict)
 
 
 def test_reuse_carries_a_failed_run(monkeypatch):
@@ -1174,6 +1189,23 @@ def test_the_bracket_holds_the_top_eigenvalue(n, b, seed, tol):
     assert top <= rep.radius_upper_bound
     if rep.converged:
         assert abs(rep.radius_estimate - top) <= tol * top
+
+
+@pytest.mark.parametrize("tol", [1e-17, 1e-15, 1e-8])
+@pytest.mark.parametrize("build", [
+    lambda: fusion.window_operator(fusion.free_su2_ring(3, 99), ["a1"], 100),
+    lambda: path_operator(2000),
+    lambda: LinOp(random_banded(257, 2, 0)),
+    lambda: LinOp(random_banded(60, 3, 1)),
+], ids=["a1-100", "path2000", "band2", "band3"])
+def test_a_bracket_stop_is_no_wider_than_tol(build, tol):
+    # the closing factor's own rounding margin, K u = 2e-15 relative at band
+    # 1, comes on top of tol / 2: below that no bracket closes, and the
+    # Lanczos run goes on to another stop
+    rep = spectral_radius(build(), tol=tol)
+    assert (rep.stop == "bracket") == (tol == 1e-8)
+    if rep.stop == "bracket":
+        assert rep.radius_upper_bound - rep.radius_estimate <= tol * rep.radius_estimate
 
 
 @settings(max_examples=40, deadline=None)
