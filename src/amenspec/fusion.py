@@ -457,4 +457,4 @@ def coamenability_test(ring: FusionRing, omega: Sequence[str], trunc: int = 2000
              "witness_ids": [w for w, _ in witnesses] + ["lanczos-ritz"],
              "multiplicities_dropped": op.meta["dropped"],
              "ring": ring.describe()}
-    return dataclasses.replace(verdict, notes=notes, _run=())
+    return dataclasses.replace(verdict, notes=notes)

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .spectral import (DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       _MAX_BUILD, in_spectrum, residual)
+                       _MAX_BUILD, _increasing_ints, _is_int, in_spectrum, residual)
 
 _QUAD_DENSITY = 1.0 / (4.0 * math.pi)
 
@@ -160,7 +160,7 @@ def interval_spectrum_test(grid: HalfLineGrid, a: float, b: float,
     notes = {"snapped": op.meta["snapped"], "nodes": op.meta["nodes"],
              "grid": {"h": grid.h, "max_r": grid.max_r, "cells": grid.n},
              "witness_residuals": per}
-    return dataclasses.replace(verdict, notes=notes, _run=())
+    return dataclasses.replace(verdict, notes=notes)
 
 
 # -- integer pair classes ----------------------------------------------------
@@ -271,11 +271,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
     not). errors lists the route errors of every certificate, each prefixed
     with its bound or with "secondary".
     """
-    if isinstance(bounds, int):
-        bounds = [bounds]
-    bounds = [int(b) for b in bounds]
-    if not bounds or any(b <= a for a, b in zip(bounds, bounds[1:])):
-        raise InputError("bounds must be strictly increasing and nonempty")
+    bounds = _increasing_ints([bounds] if _is_int(bounds) else bounds, "bounds")
     omega = [tuple(s) for s in omega]
 
     target = 2.0 * len(omega)
@@ -309,4 +305,4 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
              "window": [list(s) for s in omega], "secondary": secondary,
              "eigensolver_converged": solved}
     return dataclasses.replace(cert, notes=notes, errors=errors, operator=None,
-                               spectral=None, _run=())
+                               spectral=None)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ _EPS = float(np.finfo(float).eps)
 _TINY = 2.0 ** -1074     # the smallest subnormal
 _MAX_BUILD = 2 ** 22  # most elements, cells, entries, classes or labels a build makes
 _MAX_BASIS = 2 ** 28  # most entries a Krylov basis holds (2 GiB): steps are capped at this / n
+_STEPS = 300         # the Lanczos budget of every solve
 
 
 class InputError(ValueError):
@@ -152,18 +153,7 @@ class SpectralReport:
     method: str = "lanczos"
 
     def to_dict(self) -> dict:
-        return {
-            "radius_estimate": self.radius_estimate,
-            "radius_lower_bound": self.radius_lower_bound,
-            "radius_upper_bound": self.radius_upper_bound,
-            "top_eigenvalues": list(self.top_eigenvalues),
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "stop": self.stop,
-            "reorthogonalized": self.reorthogonalized,
-            "truncation_trace": [list(t) for t in self.truncation_trace],
-            "method": self.method,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -174,9 +164,10 @@ class AmenabilityVerdict:
     test ran. operator is the LinOp it tested and spectral the
     SpectralReport of the one solve of operator, None when that solve
     failed; a bicrossed sweep tests several operators and leaves both None.
-    to_dict leaves both out. _run keeps in_spectrum's run, as (op,
-    max_iter, run or route error), for its reuse=; a family test's verdict
-    keeps none, so the Krylov basis is freed when the test returns."""
+    to_dict leaves both out. _run keeps in_spectrum's Lanczos run, or its
+    route error, for its reuse=; dataclasses.replace, as a family test
+    makes its verdict, resets it to None, so the Krylov basis is freed when
+    the test returns."""
 
     target: float
     tolerance: float
@@ -188,7 +179,7 @@ class AmenabilityVerdict:
     errors: list = field(default_factory=list)
     operator: LinOp | None = field(default=None, repr=False, compare=False)
     spectral: SpectralReport | None = field(default=None, repr=False, compare=False)
-    _run: tuple = field(default=(), repr=False, compare=False)
+    _run: _LanczosResult | str | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -396,9 +387,9 @@ def _gram_schmidt(basis: list, w: np.ndarray) -> None:
         w -= c @ B
 
 
-def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
+def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     """Lanczos with partial reorthogonalization, at most
-    min(max_iter, n, _MAX_BASIS // n) steps.
+    min(steps, n, _MAX_BASIS // n) steps; the solvers pass _STEPS.
 
     The start is the constant vector 1/sqrt(n). A LinOp is nonnegative, so
     its radius is its largest eigenvalue, with a nonnegative eigenvector
@@ -458,7 +449,7 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
         raise InputError("the eigensolvers need a symmetric operator; this one is not")
     n = op.n
     A = op.matrix
-    budget = min(max_iter, n, _MAX_BASIS // n)
+    budget = min(steps, n, _MAX_BASIS // n)
     blocks = [np.empty((min(_BLOCK, budget + 1), n))]
     blocks[0][0] = 1 / math.sqrt(n)
     alphas = np.empty(budget)
@@ -537,14 +528,26 @@ def _lanczos(op: LinOp, tol: float, max_iter: int) -> _LanczosResult:
     return res
 
 
-def _check_solver_args(tol: float, max_iter: int = 1) -> None:
+def _check_tol(tol: float) -> None:
     if not 0 < tol < math.inf:
         raise InputError(f"tol must be positive and finite, got {tol!r}")
-    if max_iter < 1:
-        raise InputError("max_iter must be at least 1")
 
 
-def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> SpectralReport:
+def _is_int(v) -> bool:     # a Python or numpy integer, and not a bool
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _increasing_ints(values, what: str) -> list:
+    """values, a nonempty, strictly increasing sequence of Python or numpy
+    integers, as a list of ints; anything else, with a float or a bool in
+    it too, is an InputError naming what."""
+    ints = list(values) if isinstance(values, Iterable) else [None]
+    if not (ints and all(map(_is_int, ints)) and all(a < b for a, b in zip(ints, ints[1:]))):
+        raise InputError(f"{what} must be strictly increasing integers, nonempty")
+    return [int(v) for v in ints]
+
+
+def spectral_radius(op: LinOp, tol: float = EIGEN_TOL) -> SpectralReport:
     """Spectral radius of the truncated operator, which must be symmetric:
     an asymmetric one is an InputError.
 
@@ -554,8 +557,8 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> S
     that brackets the radius between a Rayleigh quotient and a bound proven
     by a banded Cholesky factor (see _bracket). The estimate is within tol
     of the largest eigenvalue of the truncation once converged, and
-    converged: false means the budget of max_iter steps, or fewer for a
-    basis past _MAX_BASIS entries, ran out. stop says why the solve ended:
+    converged: false means the budget of _STEPS = 300 steps, or fewer for
+    a basis past _MAX_BASIS entries, ran out. stop says why the solve ended:
     "closure" (the Krylov subspace closed, or the operator is zero),
     "residual" (the residual bound on the top Ritz value met tol),
     "bracket" (the finish's bracket closed) or "budget".
@@ -564,13 +567,13 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL, max_iter: int = 300) -> S
     lower bound. radius_upper_bound is proven: by the finish's last factor
     (_cholesky_bound), or else by Gershgorin's row sums (_row_sum_bound).
     """
-    _check_solver_args(tol, max_iter)
-    return _radius_report(op, _lanczos(op, tol, max_iter) if op.nnz else None)
+    _check_tol(tol)
+    return _radius_report(op, _lanczos(op, tol, _STEPS))
 
 
-def _radius_report(op: LinOp, res: _LanczosResult | None) -> SpectralReport:
-    """The SpectralReport of the Lanczos run res on op. The zero operator
-    has a fixed one, whatever run was made on it, if any."""
+def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
+    """The SpectralReport of the Lanczos run res on op. The zero operator,
+    whose run closes at step 1, has a fixed one."""
     if op.nnz == 0:
         return SpectralReport(0.0, 0.0, 0.0, [0.0], 0, True, "closure", 0)
     thetas = res.thetas
@@ -608,7 +611,6 @@ def residual(op: LinOp, target: float, v) -> float:
 
 def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 witnesses: Iterable | None = None, seed: int = DEFAULT_SEED,
-                max_iter: int = 300,
                 reuse: AmenabilityVerdict | None = None) -> AmenabilityVerdict:
     """Residual-based membership verdict for target in the spectrum of op,
     which must be symmetric: an asymmetric one is an InputError. Its notes
@@ -631,19 +633,17 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     singular factor.
 
     The verdict's spectral is the SpectralReport of its Lanczos run, equal
-    to spectral_radius(op, max_iter=max_iter). seed picks only the
-    shift-invert start, which must stay generic: an interior eigenvector
-    can be orthogonal to the constant vector. reuse, an earlier verdict of
-    in_spectrum on op with the same max_iter, whatever its seed, supplies
-    that run (or its failure) instead of a new solve; any other, a family
-    test's verdict too, is an InputError.
+    to spectral_radius(op). seed picks only the shift-invert start, which
+    must stay generic: an interior eigenvector can be orthogonal to the
+    constant vector. reuse, an earlier verdict of in_spectrum on op,
+    whatever its seed, supplies that run (or its failure) instead of a new
+    solve; any other, a family test's verdict too, is an InputError.
     """
-    _check_solver_args(tol, max_iter)
+    _check_tol(tol)
     if not math.isfinite(target):       # a window mass past float range
         raise InputError(f"target must be finite, got {target!r}")
-    if reuse is not None and reuse._run[:2] != (op, max_iter):
-        raise InputError("reuse needs a verdict of in_spectrum on the same operator "
-                         "and max_iter")
+    if reuse is not None and (reuse.operator is not op or reuse._run is None):
+        raise InputError("reuse needs a verdict of in_spectrum on the same operator")
 
     best_res = np.inf
     best_id = None
@@ -661,10 +661,10 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     errors = []
     spectral = None
     if reuse is not None:
-        run = reuse._run[2]
+        run = reuse._run
     else:
         try:
-            run = _lanczos(op, EIGEN_TOL, max_iter)
+            run = _lanczos(op, EIGEN_TOL, _STEPS)
         except scipy.linalg.LinAlgError as e:
             run = f"lanczos-ritz: {e}"   # the verdict rests on the witnesses
     if isinstance(run, str):
@@ -699,16 +699,17 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 if r < best_res:
                     best_res, best_id = r, "shift-invert"
 
-    return AmenabilityVerdict(float(target), float(tol), float(best_res),
-                              bool(best_res <= tol), best_id, float(gap), {}, errors, op,
-                              spectral, (op, max_iter, run))
+    verdict = AmenabilityVerdict(float(target), float(tol), float(best_res),
+                                 bool(best_res <= tol), best_id, float(gap), {}, errors, op,
+                                 spectral)
+    verdict._run = run
+    return verdict
 
 
-def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
-                     max_iter: int = 300) -> SpectralReport:
+def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL) -> SpectralReport:
     """Solve the leading n x n block of op at each size n; record the estimates.
 
-    sizes must be strictly increasing and lie in [1, op.n]. Every block of
+    sizes must be strictly increasing integers in [1, op.n]. Every block of
     a symmetric op is symmetric; a block that is not is an InputError, as
     in any solve. The returned report is the one for the largest size,
     with truncation_trace filled; its stop is "budget" if the solve at any
@@ -717,17 +718,14 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL,
     two sizes or more, the Cauchy-style flag (the last two estimates differ
     by less than tol).
     """
-    _check_solver_args(tol, max_iter)
-    sizes = [int(s) for s in sizes]
-    if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise InputError("sizes must be strictly increasing and nonempty")
+    _check_tol(tol)
+    sizes = _increasing_ints(sizes, "sizes")
     if sizes[0] < 1 or sizes[-1] > op.n:
         raise InputError(f"sizes must lie in [1, {op.n}]")
     trace = []
     solved = True
     for s in sizes:
-        report = spectral_radius(op.leading_block(s), tol=min(tol, EIGEN_TOL),
-                                 max_iter=max_iter)
+        report = spectral_radius(op.leading_block(s), tol=min(tol, EIGEN_TOL))
         trace.append((s, report.radius_estimate))
         solved = solved and report.converged
     report.truncation_trace = trace

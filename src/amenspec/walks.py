@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .spectral import (EIGEN_TOL, AmenabilityVerdict, InputError, LinOp, _MAX_BUILD,
-                       _check_solver_args, spectral_radius)
+                       _check_tol, _increasing_ints, _is_int, spectral_radius)
 
 _MAX_STEPS = 2 ** 22   # most coordinate steps a lattice ball build takes (_check_ball_size)
 
@@ -352,7 +352,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
                 weights: dict | None = None) -> AmenabilityVerdict:
     """Growth test: does the compressed walk radius reach the total weight.
 
-    radii may be a single radius (swept from 1) or an increasing sequence.
+    radii may be one integer radius (swept from 1) or an increasing sequence of them.
     The ball is built once, at the largest radius; breadth-first order makes
     each smaller ball a prefix of it, so each smaller radius is solved on a
     leading principal block of that one operator. With unit weights the
@@ -363,11 +363,10 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     verdict carries the largest ball's operator and its SpectralReport.
     """
     # a range increases by construction; build_ball bounds it before it is listed
-    radii = range(1, radii + 1) if isinstance(radii, int) else [int(r) for r in radii]
-    if not radii or radii[0] <= 0 or isinstance(radii, list) and any(
-            b <= a for a, b in zip(radii, radii[1:])):
+    radii = range(1, int(radii) + 1) if _is_int(radii) else _increasing_ints(radii, "radii")
+    if not radii or radii[0] <= 0:
         raise InputError("radii must be strictly increasing positive integers")
-    _check_solver_args(tol)
+    _check_tol(tol)
 
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}

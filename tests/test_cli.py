@@ -200,9 +200,9 @@ def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch
     solves, builds = [], []
     lanczos = spectral._lanczos
 
-    def counting_lanczos(op, tol, max_iter):
-        solves.append((op, tol, max_iter))
-        return lanczos(op, tol, max_iter)
+    def counting_lanczos(op, tol, steps):
+        solves.append((op, tol, steps))
+        return lanczos(op, tol, steps)
 
     def counting(name, build):
         def wrapped(*args, **kwargs):
@@ -224,7 +224,7 @@ def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch
         code, rep = run(capsys, *argv)
         assert code == 0 and rep["spectral"]["iterations"] > 0
         assert builds == built, argv
-        keys = [(id(op), tol, max_iter) for op, tol, max_iter in solves]
+        keys = [(id(op), tol, steps) for op, tol, steps in solves]
         assert len(keys) == len(set(keys)), argv
 
 
@@ -638,7 +638,7 @@ def test_overflowing_walk_is_an_input_error(capsys):
 
 
 def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
-    def failing(op, tol, max_iter):
+    def failing(op, tol, steps):
         raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -654,7 +654,7 @@ def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
 ])
 def test_certificate_solver_failure_is_a_convergence_error(capsys, monkeypatch, argv):
     # the certificate falls back to its witnesses, but the report has no solve
-    def failing(op, tol, max_iter):
+    def failing(op, tol, steps):
         raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -1031,3 +1031,9 @@ def test_readme_commands_run(capsys, tmp_path, monkeypatch):
         out = capsys.readouterr().out
         json.loads(Path(argv[argv.index("--output") + 1]).read_text()
                    if "--output" in argv else out)
+
+
+def test_readme_library_snippet_runs():
+    readme, _ = readme_commands()
+    snippet = readme.split("```python\n")[1].split("```")[0]
+    exec(compile(snippet, "README.md", "exec"), {})

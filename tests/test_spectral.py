@@ -8,6 +8,7 @@ eigensolve via numpy on the same matrix.
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,15 +245,16 @@ def test_rayleigh_quotients_never_beat_radius():
         assert rq <= rep.radius_estimate + 1e-9
 
 
-def test_spent_budget_reports_unconverged_lanczos():
+def test_spent_budget_reports_unconverged_lanczos(monkeypatch):
+    monkeypatch.setattr(spectral, "_STEPS", 12)
     op = path_operator(400)
-    rep = spectral_radius(op, max_iter=12)
+    rep = spectral_radius(op)
     assert rep.method == "lanczos"
     assert rep.iterations == 12
     assert rep.converged is False
     assert rep.radius_estimate <= 2.0 + 1e-9
     # converged promises an estimate within tol, even for a loose tol
-    loose = spectral_radius(op, max_iter=12, tol=1e-3)
+    loose = spectral_radius(op, tol=1e-3)
     err = abs(loose.radius_estimate - path_top(400))
     assert not loose.converged or err <= 1e-3 * path_top(400)
 
@@ -335,30 +337,33 @@ def test_closure_takes_the_second_gram_schmidt_pass():
     assert orthonormality_defect(res) <= 1e-12
 
 
-def test_solves_say_why_they_stopped():
+def test_solves_say_why_they_stopped(monkeypatch):
     # the path's 25 main eigenvalues would close its run at step 25; its band
     # of 1 hands it to the bracket finish at step 16, a wide band does not
-    assert spectral_radius(path_operator(50), max_iter=50).stop == "bracket"
-    assert spectral_radius(shuffled_path_operator(50), max_iter=50).stop == "closure"
-    assert spectral_radius(path_operator(400), max_iter=12).stop == "budget"
+    assert spectral_radius(path_operator(50)).stop == "bracket"
+    assert spectral_radius(shuffled_path_operator(50)).stop == "closure"
     zero = LinOp.from_entries(3, [], [], [])
     assert spectral_radius(zero).stop == "closure"
+    monkeypatch.setattr(spectral, "_STEPS", 12)
+    assert spectral_radius(path_operator(400)).stop == "budget"
     # the 20-point block closes, the 100-point one (50 main eigenvalues)
     # spends its budget of 30
-    rep = truncation_sweep(shuffled_path_operator(100), [20, 100], max_iter=30)
+    monkeypatch.setattr(spectral, "_STEPS", 30)
+    rep = truncation_sweep(shuffled_path_operator(100), [20, 100])
     assert rep.stop == "budget" and rep.to_dict()["stop"] == "budget"
-    assert truncation_sweep(path_operator(60), [20], max_iter=30).stop == "closure"
+    assert truncation_sweep(path_operator(60), [20]).stop == "closure"
 
 
-def test_a_sweep_spends_its_budget_if_any_size_does():
+def test_a_sweep_spends_its_budget_if_any_size_does(monkeypatch):
     # the leading 100 points are a wide-band path, whose 50 main eigenvalues
     # outlast 30 steps; the full operator adds a 10-clique of weight 10, whose
     # radius 90 stands so far from the rest that its run stops on the
     # residual bound: the sweep still says a solve spent its budget
     clique = sp.csr_matrix(10.0 * (np.ones((10, 10)) - np.eye(10)))
     op = LinOp(sp.block_diag([shuffled_path_operator(100).matrix, clique], format="csr"))
-    assert spectral_radius(op, max_iter=30).stop == "residual"
-    rep = truncation_sweep(op, [100, 110], max_iter=30)
+    monkeypatch.setattr(spectral, "_STEPS", 30)
+    assert spectral_radius(op).stop == "residual"
+    rep = truncation_sweep(op, [100, 110])
     assert rep.stop == "budget" and not rep.converged
     assert rep.truncation_trace[-1][1] == pytest.approx(90.0, rel=1e-12)
 
@@ -459,7 +464,7 @@ def test_a_solve_forms_only_the_ritz_vectors_it_reads(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dstein",
                         lambda *args: calls.append(len(args[0])) or dstein(*args))
     cert = in_spectrum(shuffled_path_operator(2000), 3.0)
-    res = cert._run[2]
+    res = cert._run
     assert res.iterations == 300 and cert.spectral.radius_estimate > 1.99
     assert calls == list(range(16, 300, 16)) + [300, 300]
     assert list(res.vectors) == [299]
@@ -607,15 +612,17 @@ def test_solvers_reject_non_finite_tol(tol):
         truncation_sweep(path_operator(20), [10, 20], tol=tol)
 
 
-@pytest.mark.parametrize("max_iter", [0, -5])
-def test_solvers_reject_empty_budget(max_iter):
-    op = path_operator(50)
-    with pytest.raises(InputError, match="max_iter"):
-        spectral_radius(op, max_iter=max_iter)
-    with pytest.raises(InputError, match="max_iter"):
-        in_spectrum(op, 1.0, max_iter=max_iter)
-    with pytest.raises(InputError, match="max_iter"):
-        truncation_sweep(path_operator(20), [10, 20], max_iter=max_iter)
+@pytest.mark.parametrize("steps", [1, 12])
+def test_solvers_share_one_budget(monkeypatch, steps):
+    # every solve takes its budget from _STEPS; 12 steps, fewer than the 16
+    # of the bracket's checkpoint, leave the 200 main eigenvalues of the
+    # 400-point path unconverged
+    assert spectral._STEPS == 300
+    monkeypatch.setattr(spectral, "_STEPS", steps)
+    op = path_operator(400)
+    for rep in (spectral_radius(op), in_spectrum(op, 1.0).spectral,
+                truncation_sweep(op, [200, 400])):
+        assert (rep.iterations, rep.stop, rep.converged) == (steps, "budget", False)
 
 
 def test_radius_deterministic_for_fixed_seed():
@@ -678,10 +685,11 @@ def test_in_spectrum_interior_target_large_operator():
     assert cert.best_residual < 1e-12
 
 
-def test_in_spectrum_certifies_exactly_representable_eigenvalue():
+def test_in_spectrum_certifies_exactly_representable_eigenvalue(monkeypatch):
     # 0 is an eigenvalue of the odd path and A itself is exactly singular in
     # floating point; the shift just off target keeps the factor usable
-    cert = in_spectrum(path_operator(201), 0.0, tol=1e-6, max_iter=20)
+    monkeypatch.setattr(spectral, "_STEPS", 20)
+    cert = in_spectrum(path_operator(201), 0.0, tol=1e-6)
     assert cert.certified and cert.witness_id == "shift-invert"
 
 
@@ -703,7 +711,7 @@ def test_in_spectrum_input_errors():
 
 
 def test_in_spectrum_lets_unrelated_solver_errors_out(monkeypatch):
-    def broken(op, tol, max_iter):
+    def broken(op, tol, steps):
         raise TypeError("solver bug")
 
     monkeypatch.setattr(spectral, "_lanczos", broken)
@@ -712,7 +720,7 @@ def test_in_spectrum_lets_unrelated_solver_errors_out(monkeypatch):
 
 
 def test_in_spectrum_falls_back_to_witnesses_on_eigensolver_failure(monkeypatch):
-    def failing(op, tol, max_iter):
+    def failing(op, tol, steps):
         raise scipy.linalg.LinAlgError("tridiagonal solve did not converge")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -723,15 +731,17 @@ def test_in_spectrum_falls_back_to_witnesses_on_eigensolver_failure(monkeypatch)
     assert cert.errors == ["lanczos-ritz: tridiagonal solve did not converge"]
 
 
-def _interior_miss():
-    """An interior target that a 30-step Lanczos and a flat witness both miss."""
+def _interior_miss(monkeypatch):
+    """An interior target that a 30-step Lanczos, the budget it sets, and a
+    flat witness both miss."""
+    monkeypatch.setattr(spectral, "_STEPS", 30)
     op = path_operator(400)
     return op, 2.0 * math.cos(200 * math.pi / 401.0), ("flat", np.ones(400))
 
 
 def test_in_spectrum_keeps_other_routes_on_singular_factor(monkeypatch):
-    op, target, flat = _interior_miss()
-    assert in_spectrum(op, target, witnesses=[flat], max_iter=30).witness_id == "shift-invert"
+    op, target, flat = _interior_miss(monkeypatch)
+    assert in_spectrum(op, target, witnesses=[flat]).witness_id == "shift-invert"
     factored = []
 
     def singular(matrix):
@@ -739,7 +749,7 @@ def test_in_spectrum_keeps_other_routes_on_singular_factor(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    cert = in_spectrum(op, target, witnesses=[flat], max_iter=30)
+    cert = in_spectrum(op, target, witnesses=[flat])
     assert factored == [(400, 400)]
     assert cert.witness_id in ("flat", "lanczos-ritz")
     assert not cert.certified
@@ -748,15 +758,15 @@ def test_in_spectrum_keeps_other_routes_on_singular_factor(monkeypatch):
 
 
 def test_certificate_records_a_singular_factor(monkeypatch):
-    op, target, flat = _interior_miss()
-    clean = in_spectrum(op, target, witnesses=[flat], max_iter=30)
+    op, target, flat = _interior_miss(monkeypatch)
+    clean = in_spectrum(op, target, witnesses=[flat])
     assert clean.errors == [] and clean.to_dict()["errors"] == []
 
     def singular(matrix):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    cert = in_spectrum(op, target, witnesses=[flat], max_iter=30)
+    cert = in_spectrum(op, target, witnesses=[flat])
     assert cert.errors == ["shift-invert: Factor is exactly singular"]
     assert cert.to_dict()["errors"] == cert.errors
 
@@ -766,48 +776,48 @@ def test_in_spectrum_lets_factorisation_bugs_out(monkeypatch):
         raise TypeError("factorisation bug")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", broken)
-    op, target, flat = _interior_miss()
+    op, target, flat = _interior_miss(monkeypatch)
     with pytest.raises(TypeError):
-        in_spectrum(op, target, witnesses=[flat], max_iter=30)
+        in_spectrum(op, target, witnesses=[flat])
 
 
 def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
     solved = []
     orig = spectral._lanczos
 
-    def counting(op, tol, max_iter):
+    def counting(op, tol, steps):
         solved.append(op)
-        return orig(op, tol, max_iter)
+        return orig(op, tol, steps)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
+    monkeypatch.setattr(spectral, "_STEPS", 120)
     zero = LinOp.from_entries(5, [], [], [])
     for op, target in ((path_operator(400), 3.0), (path_operator(400), 1.0), (zero, 0.5)):
         solved.clear()
-        cert = in_spectrum(op, target, max_iter=120)
+        cert = in_spectrum(op, target)
         assert solved == [op]
         assert "spectral" not in cert.to_dict()
-        assert cert.spectral.to_dict() == spectral_radius(op, max_iter=120).to_dict()
+        assert cert.spectral.to_dict() == spectral_radius(op).to_dict()
 
         # a reused run makes no solve and the same certificate
         solved.clear()
-        again = in_spectrum(op, 2.0 * target, max_iter=120, reuse=cert)
+        again = in_spectrum(op, 2.0 * target, reuse=cert)
         assert solved == []
-        assert again.to_dict() == in_spectrum(op, 2.0 * target, max_iter=120).to_dict()
+        assert again.to_dict() == in_spectrum(op, 2.0 * target).to_dict()
         assert again.spectral.to_dict() == cert.spectral.to_dict()
 
 
 def test_certificate_forms_the_radius_ritz_vector_once():
     # the target lies above the spectrum: its nearest Ritz value is the radius's
     cert = in_spectrum(path_operator(400), 3.0)
-    assert list(cert._run[2].vectors) == [len(cert._run[2].thetas) - 1]
+    assert list(cert._run.vectors) == [len(cert._run.thetas) - 1]
 
 
 def test_reuse_needs_the_same_operator_seed_and_budget():
     op = path_operator(60)
     cert = in_spectrum(op, 1.0)
-    for other, kw in ((path_operator(60), {}), (op, {"max_iter": 299})):
-        with pytest.raises(InputError, match="reuse"):
-            in_spectrum(other, 1.0, reuse=cert, **kw)
+    with pytest.raises(InputError, match="reuse"):
+        in_spectrum(path_operator(60), 1.0, reuse=cert)
     # the Lanczos run draws nothing, so another seed may reuse it; the seed
     # still picks the shift-invert start, which decides this target
     again = in_spectrum(op, 1.0, seed=8, reuse=cert)
@@ -822,19 +832,20 @@ def test_family_verdicts_extend_in_spectrum_and_keep_no_run():
     op = path_operator(60)
     plain = in_spectrum(op, 1.0)
     assert isinstance(plain, AmenabilityVerdict)
-    assert plain.notes == {} and plain.operator is op and plain._run[0] is op
+    assert plain.notes == {} and plain.operator is op
+    assert isinstance(plain._run, spectral._LanczosResult)
     ring, grid = amenspec.free_su2_ring(2, 31), amenspec.half_line_grid(0.25, 8)
     for verdict in (amenspec.coamenability_test(ring, ["a1"], trunc=32),
                     amenspec.interval_spectrum_test(grid, 0.0, 1.0, (1.0, 2.0)),
                     amenspec.bicrossed_amenability_test([3, 5], [(0, 1), (-1, 0)])):
-        assert verdict.notes and verdict._run == ()
+        assert verdict.notes and verdict._run is None
         if verdict.operator is not None:      # a bicrossed sweep carries none
             with pytest.raises(InputError, match="reuse"):
                 in_spectrum(verdict.operator, 1.0, reuse=verdict)
 
 
 def test_reuse_carries_a_failed_run(monkeypatch):
-    def failing(op, tol, max_iter):
+    def failing(op, tol, steps):
         raise scipy.linalg.LinAlgError("tridiagonal solve did not converge")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)
@@ -892,13 +903,14 @@ def test_truncation_sweep_convergence_flag():
     assert not rep.converged
 
 
-def test_truncation_sweep_needs_every_solve_converged():
+def test_truncation_sweep_needs_every_solve_converged(monkeypatch):
     # the Cauchy test passes, but 12 steps cannot converge at size 30
-    rep = truncation_sweep(path_operator(30), [20, 30], tol=1.0, max_iter=12)
+    assert truncation_sweep(path_operator(30), [20, 30], tol=1.0).converged
+    monkeypatch.setattr(spectral, "_STEPS", 12)
+    rep = truncation_sweep(path_operator(30), [20, 30], tol=1.0)
     assert abs(rep.truncation_trace[1][1] - rep.truncation_trace[0][1]) < 1.0
     assert not rep.converged
-    assert truncation_sweep(path_operator(30), [20, 30], tol=1.0).converged
-    assert not truncation_sweep(path_operator(30), [30], max_iter=12).converged
+    assert not truncation_sweep(path_operator(30), [30]).converged
 
 
 def test_truncation_sweep_validates_sizes():
@@ -909,6 +921,23 @@ def test_truncation_sweep_validates_sizes():
     for sizes in ([0, 5], [4, 11]):
         with pytest.raises(InputError, match="lie in"):
             truncation_sweep(path_operator(10), sizes)
+
+
+
+@pytest.mark.parametrize("solve", [
+    lambda sizes: truncation_sweep(path_operator(20), sizes),
+    lambda radii: amenspec.kesten_test(amenspec.FreeGroup(2), radii),
+    lambda bounds: amenspec.bicrossed_amenability_test(bounds, [(0, 1), (-1, 0)]),
+], ids=["truncation_sweep", "kesten_test", "bicrossed_amenability_test"])
+def test_sizes_radii_and_bounds_must_be_integers(solve):
+    # a float is refused, never cut to an integer without a word: 5.9 is
+    # neither size 5 nor size 6; numpy integers pass as Python ones
+    for bad in ([5.9, 10.2], [2.9], [1.5, 2.7], [np.float64(3.0)], 2.0, [True, 2], True,
+                "12", [3, 3], []):
+        with pytest.raises(InputError):
+            solve(bad)
+    assert solve(np.array([3, 5])).to_dict() == solve((np.int64(3), 5)).to_dict() \
+        == solve([3, 5]).to_dict()
 
 
 def test_leading_block_is_the_compression_to_a_prefix():
@@ -971,8 +1000,9 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
         target = float(evs[j] + evs[j + 1]) / 2
     else:
         target = float(evs.max() + offset if i % 2 else evs.min() - offset)
-    max_iter = data.draw(st.integers(1, n - 1), label="max_iter")
-    cert = in_spectrum(op, target, tol=1e-6, seed=seed % 100, max_iter=max_iter)
+    steps = data.draw(st.integers(1, n - 1), label="steps")
+    with mock.patch.object(spectral, "_STEPS", steps):
+        cert = in_spectrum(op, target, tol=1e-6, seed=seed % 100)
     dist = np.abs(evs - target)
     assert cert.best_residual >= dist.min() - 1e-12
     if kind == "outside":
@@ -985,13 +1015,13 @@ def test_membership_residual_never_undershoots_dense(n, density, seed, kind, pic
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 120), st.floats(0.005, 0.3), st.integers(0, 10 ** 6),
        st.sampled_from([1, 31, 32, 33, 63, 64, 65, None]))
-@example(n=5, density=0.03125, seed=0, max_iter=None)   # evs[0] is not main, evs[-1] is
-def test_lanczos_blocks_agree_with_dense(n, density, seed, max_iter):
-    # max_iter None means n; 32 and 64 end a run on the first row of a new block
+@example(n=5, density=0.03125, seed=0, steps=None)   # evs[0] is not main, evs[-1] is
+def test_lanczos_blocks_agree_with_dense(n, density, seed, steps):
+    # steps None means n; 32 and 64 end a run on the first row of a new block
     rng = np.random.default_rng(seed)
     half = sp.random(n, n, density=density, random_state=rng, format="csr")
     m = (half + half.T).toarray()
-    budget = n if max_iter is None else max_iter
+    budget = n if steps is None else steps
     res = spectral._lanczos(LinOp(m), 1e-10, budget)
     evs = np.linalg.eigvalsh(m)
     scale = max(1.0, float(np.abs(evs).max()))
