@@ -339,19 +339,27 @@ def _glued(argv: list) -> list:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_flags(p: argparse.ArgumentParser, cmd: str) -> argparse.ArgumentParser:
+    for spelling, help_, cast, _ in _flags(cmd):
+        # flags default to None, so that the config file can fill them in
+        kw = ({"action": "store_true", "default": None} if cast is _as_bool
+              else {"action": "append"} if cast is _as_weights else {})
+        p.add_argument(spelling, help=help_, **kw)
+    return p
+
+
+def _build_parser(cmd: str | None = None) -> argparse.ArgumentParser:
+    """The parser of cmd's flags alone, or, without cmd, of every command;
+    allow_abbrev=False leaves one spelling per flag."""
+    if cmd is not None:
+        return _add_flags(_Parser(prog=f"amenspec {cmd}", allow_abbrev=False), cmd)
     p = _Parser(
         prog="amenspec",
         description="Spectral membership tests for fusion rings, group walks, "
                     "and half-line reflection families.", allow_abbrev=False)
     sub = p.add_subparsers(dest="command")
     for cmd, (text, *_) in _COMMANDS.items():
-        s = sub.add_parser(cmd, help=text, allow_abbrev=False)   # one spelling per flag
-        for spelling, help_, cast, _ in _flags(cmd):
-            # flags default to None, so that the config file can fill them in
-            kw = ({"action": "store_true", "default": None} if cast is _as_bool
-                  else {"action": "append"} if cast is _as_weights else {})
-            s.add_argument(spelling, help=help_, **kw)
+        _add_flags(sub.add_parser(cmd, help=text, allow_abbrev=False), cmd)
     return p
 
 
@@ -375,13 +383,16 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = _glued(sys.argv[1:] if argv is None else argv)
+    # a run builds only its command's parser; anything else gets every command's
+    one = argv[0] if argv and argv[0] in _COMMANDS else None
+    parser = _build_parser(one)
     try:
-        args = parser.parse_args(_glued(sys.argv[1:] if argv is None else argv))
-        if args.command is None:
+        args = parser.parse_args(argv[1:] if one else argv)
+        cmd = one or args.command
+        if cmd is None:
             parser.print_usage(sys.stderr)
             return 2
-        cmd = args.command
         o = _options(cmd, args, _load_env_config())
         started = time.monotonic()
         out = _COMMANDS[cmd][2](o)

@@ -111,7 +111,10 @@ class LinOp:
         return int(np.abs(self.matrix.indices - rows).max())
 
     def symmetry_defect(self) -> float:
-        d = (self.matrix - self.matrix.T).tocoo()
+        A, T = self.matrix, self.matrix.T.tocsr()     # both canonical: equal arrays, equal matrices
+        if all(np.array_equal(getattr(A, a), getattr(T, a)) for a in ("indptr", "indices", "data")):
+            return 0.0
+        d = (A - T).tocoo()
         return float(np.abs(d.data).max()) if d.nnz else 0.0
 
     def apply(self, v) -> np.ndarray:
@@ -198,7 +201,8 @@ class AmenabilityVerdict:
 class _LanczosResult:
     """Ritz data from one Lanczos run, with f * T as (d, e), f a power of two.
     After a "bracket" stop the top pair, thetas[-1] and its vector, is the
-    finish's refined one, and upper the bound its Cholesky factor proved."""
+    finish's refined one; upper is the least bound a finish's Cholesky
+    factor proved, its bracket closed or not."""
 
     blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
@@ -209,7 +213,7 @@ class _LanczosResult:
     stop: str               # "closure", "residual", "bracket" or "budget"
     second_passes: int      # steps that took the second Gram-Schmidt pass
     reorthogonalized: int   # steps that ran Gram-Schmidt at all
-    upper: float | None = None     # the bracket's proven upper bound, after a "bracket" stop
+    upper: float | None = None     # the least bound a bracket factor proved, closed or not
     vectors: dict = field(default_factory=dict, repr=False)   # ritz_vector's, read-only
 
     @property
@@ -314,10 +318,11 @@ def _banded_cholesky(band: np.ndarray, c: float) -> np.ndarray | None:
     return r if info == 0 else None
 
 
-def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
+def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple:
     """Close [theta, upper] around lambda_max from the Ritz vector u, on an
     operator whose banded factor is cheap: (theta, its unit vector, upper),
-    with upper - theta <= tol theta, or None.
+    with upper - theta <= tol theta, or, left open, (None, None, upper),
+    upper the least bound a factor proved, None if none ran.
 
     1. c = min(Collatz-Wielandt max_i (A|u|)_i / |u|_i, Gershgorin's row
        sums), both >= lambda_max for a nonnegative A (Horn and Johnson,
@@ -335,7 +340,8 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
     At most _SOLVES solves are made; a first factor that fails, a
     non-finite residual, the spent solves, or a tol below the factor's
     rounding margin (the bound it would prove past theta (1 + tol)) leave
-    the bracket open (None).
+    the bracket open. Under that margin, where no bracket can close, the
+    last factor is made at _cholesky_bound(theta) instead, for its bound.
     """
     A, n, b = op.matrix, op.n, op.bandwidth
     band = _upper_band(op)
@@ -345,7 +351,7 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
         shift = _cholesky_bound(min(cw, _row_sum_bound(op)), b, n)
         R = _banded_cholesky(band, shift)
         if R is None:
-            return None
+            return None, None, None
         upper = _cholesky_bound(shift, b, n)
         v, theta, r = u, -math.inf, math.inf
         for _ in range(_SOLVES):
@@ -355,23 +361,25 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple | None:
             th = float(v @ w)
             res = _norm(w - th * v)
             if not math.isfinite(res):
-                return None
+                return None, None, upper
             if th - theta <= _SETTLED * th:
                 close = th * (1 + 0.5 * tol)
                 if close >= upper:
                     return th, v, upper
+                close = max(close, _cholesky_bound(th, b, n))   # under the margin: a bound only
                 proven = _cholesky_bound(close, b, n)
-                if proven - th > tol * th:      # theta has settled: it stays so
-                    return None
                 if _banded_cholesky(band, close) is not None:
-                    return th, v, proven
+                    upper = min(upper, proven)
+                    return (th, v, upper) if proven - th <= tol * th else (None, None, upper)
+                if proven - th > tol * th:      # theta has settled: it stays so
+                    return None, None, upper
             elif res > 0.25 * r and th + 2 * res < shift:
                 tighter = _banded_cholesky(band, th + 2 * res)
                 if tighter is not None:
                     R, shift = tighter, th + 2 * res
                     upper = _cholesky_bound(shift, b, n)
             theta, r = th, res
-    return None
+    return None, None, upper
 
 
 def _beta(w: np.ndarray) -> float:     # ||w||: dnrm2 where the sum of squares leaves range
@@ -457,7 +465,7 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
     cur[0] = 1.0
     amax = bmax = 0.0
-    stop = "budget"
+    stop, upper = "budget", None
     second_passes = reorthogonalized = k = pending = 0
     while k < budget:
         q = blocks[-1][k % _BLOCK]
@@ -508,8 +516,8 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
                 stop = "residual"
                 break
             if k == _CHECK and n * op.bandwidth ** 2 <= _CHECK * op.nnz:
-                bracket = _bracket(op, _ritz_vector(blocks, d, e, top), tol)
-                if bracket:
+                th, v, upper = _bracket(op, _ritz_vector(blocks, d, e, top), tol)
+                if th is not None:
                     stop = "bracket"
                     break
         betas[k - 1] = b
@@ -522,9 +530,9 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     if k % _BLOCK:
         blocks[-1] = blocks[-1][:k % _BLOCK]
     res = _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, d, e, f, k, stop, second_passes,
-                         reorthogonalized)
+                         reorthogonalized, upper)
     if stop == "bracket":
-        thetas[-1], res.vectors[k - 1], res.upper = bracket
+        thetas[-1], res.vectors[k - 1] = th, v
     return res
 
 
@@ -564,8 +572,9 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL) -> SpectralReport:
     "bracket" (the finish's bracket closed) or "budget".
     radius_lower_bound is the |Rayleigh quotient| of the Ritz vector of the
     largest |Ritz value|, recomputed in the original space, hence a rigorous
-    lower bound. radius_upper_bound is proven: by the finish's last factor
-    (_cholesky_bound), or else by Gershgorin's row sums (_row_sum_bound).
+    lower bound. radius_upper_bound is proven: the least of the bound the
+    finish's factors proved (_cholesky_bound), whether its bracket closed or
+    not, and Gershgorin's row sums (_row_sum_bound).
     """
     _check_tol(tol)
     return _radius_report(op, _lanczos(op, tol, _STEPS))
@@ -580,7 +589,7 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
     lower = abs(float(u @ op.apply(u)))
     estimate = max(float(np.abs(thetas).max()), lower)
-    upper = _row_sum_bound(op) if res.upper is None else res.upper
+    upper = _row_sum_bound(op) if res.upper is None else min(res.upper, _row_sum_bound(op))
 
     ends = range(len(thetas))            # the top four, then the bottom four, each index once
     tops = [float(thetas[i]) for i in dict.fromkeys([*ends[:-5:-1], *ends[:4]])]

@@ -1,5 +1,6 @@
 """End-to-end command line runs, in process via main(argv)."""
 
+import argparse
 import json
 import math
 import os
@@ -772,6 +773,29 @@ def test_help_prints_usage_and_exits_0(capsys):
     assert "--radius" in capsys.readouterr().out
 
 
+def test_a_command_help_is_that_of_the_full_parser(capsys):
+    # a run builds its command's parser alone; its help is the full
+    # parser's for that command, byte for byte
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for cmd in _COMMANDS:
+        with pytest.raises(SystemExit) as e:
+            main([cmd, "--help"])
+        assert e.value.code == 0
+        assert capsys.readouterr().out == sub.choices[cmd].format_help(), cmd
+
+
+def test_a_run_adds_only_its_commands_flags(capsys, monkeypatch):
+    # the full parser makes 55 calls: every flag of the six commands and 7 -h
+    calls = []
+    add = argparse._ActionsContainer.add_argument
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument",
+                        lambda self, *a, **kw: calls.append(a) or add(self, *a, **kw))
+    code, _ = run(capsys, "fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1",
+                  "--trunc", "64")
+    assert code == 0
+    assert len(calls) == len(_flags("fusion")) + 1      # and its -h
+
+
 def test_non_finite_report_value_is_a_convergence_error(capsys, monkeypatch, tmp_path):
     # NaN is not JSON: the report is refused, and nothing is written
     text, tol, runner, flags = _COMMANDS["walk"]
@@ -897,6 +921,27 @@ def test_cli_import_leaves_sparse_linalg_unloaded():
     where, loaded = done.stdout.split()
     assert Path(where).resolve().is_relative_to(src)
     assert loaded == "False"
+
+
+def test_module_entry_point_reads_its_command_line():
+    # main() without argv reads sys.argv: run python -m amenspec.cli
+    src = Path(amenspec.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != CONFIG_ENV}
+    env.update(PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "amenspec.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    done = cli("walk", "--group", "Z^d:1", "--radius", "3")
+    assert done.returncode == 0 and one_json_object(done.stdout)
+    assert json.loads(done.stdout)["config"]["group"] == "Z^d:1"
+    done = cli("--help")
+    assert done.returncode == 0
+    assert all(f"\n    {cmd} " in done.stdout for cmd in _COMMANDS)
+    done = cli()
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("usage: amenspec ")
 
 
 # -- fuzz ---------------------------------------------------------------------

@@ -1238,6 +1238,22 @@ def test_a_bracket_stop_is_no_wider_than_tol(build, tol):
         assert rep.radius_upper_bound - rep.radius_estimate <= tol * rep.radius_estimate
 
 
+@pytest.mark.parametrize("tol", [1e-17, 1e-15, 4e-15])
+@pytest.mark.parametrize("build", [
+    lambda: fusion.window_operator(fusion.free_su2_ring(3, 99), ["a1"], 100),
+    lambda: fusion.window_operator(fusion.free_su2_ring(2.5, 399), ["a1", "a2"], 400),
+], ids=["a1-100", "a1a2-400"])
+def test_an_open_bracket_keeps_its_proven_bound(build, tol):
+    # under the closing factor's rounding margin the bracket stays open, and
+    # the bound its factors proved once fell back to the row sums, 2 and 5
+    op = build()
+    rep = spectral_radius(op, tol=tol)
+    top = float(np.linalg.eigvalsh(op.to_dense())[-1])
+    assert rep.stop != "bracket"
+    assert top <= rep.radius_upper_bound < spectral._row_sum_bound(op)
+    assert rep.radius_upper_bound - top <= 1e-14 * top
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 2000))
 def test_free_su2_path_radius_to_twelve_digits(n):
