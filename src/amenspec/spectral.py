@@ -248,6 +248,14 @@ def _eigenvector(d: np.ndarray, e: np.ndarray, w: np.ndarray, iblock, isplit) ->
     return z[:, 0]
 
 
+def _checkpoint(alphas: np.ndarray, betas: np.ndarray, k: int, g: float) -> tuple:
+    """(f, d, e, top, last): (d, e) = f T_k, f the power of two that puts g,
+    its Gershgorin bound, in [1/2, 1), exactly, and (top, last) its _top_ritz."""
+    f = math.ldexp(1.0, min(1000, -math.frexp(g)[1]))
+    d, e = alphas[:k] * f, betas[:k - 1] * f
+    return (f, d, e, *_top_ritz(d, e))
+
+
 def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
     """The top eigenvalue of the tridiagonal (alphas, betas), scaled to a
     Gershgorin bound < 1, and the |last component| of its unit eigenvector.
@@ -341,7 +349,9 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple:
     non-finite residual, the spent solves, or a tol below the factor's
     rounding margin (the bound it would prove past theta (1 + tol)) leave
     the bracket open. Under that margin, where no bracket can close, the
-    last factor is made at _cholesky_bound(theta) instead, for its bound.
+    last factor is made at _cholesky_bound(theta) instead, for its bound;
+    if that one fails, theta settled a little below lambda_max, and one
+    more factor at theta + 2r, r the last residual, gives the bound.
     """
     A, n, b = op.matrix, op.n, op.bandwidth
     band = _upper_band(op)
@@ -372,6 +382,8 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple:
                     upper = min(upper, proven)
                     return (th, v, upper) if proven - th <= tol * th else (None, None, upper)
                 if proven - th > tol * th:      # theta has settled: it stays so
+                    if _banded_cholesky(band, th + 2 * res) is not None:    # one more bound
+                        upper = min(upper, _cholesky_bound(th + 2 * res, b, n))
                     return None, None, upper
             elif res > 0.25 * r and th + 2 * res < shift:
                 tighter = _banded_cholesky(band, th + 2 * res)
@@ -414,7 +426,11 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     as ARPACK tests convergence only at restarts: every _CHECK = 16 steps,
     at the budget's last step, and where closure, beta <= 1e-13 hi, is
     possible: beta <= 1e-13 G, G = max|alpha| + 2 max beta >= hi being the
-    Gershgorin bound. At a checkpoint the run stops on closure or on the
+    Gershgorin bound. Closure is decided first, on the beta of the
+    three-term update before any reorthogonalization: a Gram-Schmidt pass
+    never raises ||w||, so a step that would close after the pass closes
+    before it, and its discarded vector is never reorthogonalized. At a
+    checkpoint after the pass the run stops on closure or on the
     rigorous bound beta * |last component| <= tol * hi / 2 (Parlett, The
     Symmetric Eigenvalue Problem, ch. 13). At the first checkpoint, step
     _CHECK = 16, with neither stop met, an operator of bandwidth b with
@@ -430,6 +446,9 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     f that puts G in [1/2, 1): exact, and beta^2 stays in range. A run ends
     at a checkpoint, with the values alone of its f * T (dsterf, QR without
     vectors; Parlett, ch. 8) over f; ritz_vector forms a vector when read.
+
+    The three-term update w = A q_k - alpha q_k - beta q_k-1 subtracts in
+    place, by BLAS daxpy, so no n-vector temporary is made.
 
     Orthogonality is tracked by estimates omega_j of q_j . q_k+1, an O(k)
     recurrence with a rounding term eps ||T|| (H. D. Simon, The Lanczos
@@ -472,15 +491,21 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
         w = A @ q
         a = float(q @ w)
         alphas[k] = a
-        w -= a * q
+        scipy.linalg.blas.daxpy(q, w, a=-a)
         if k:
-            w -= betas[k - 1] * blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
+            q_prev = blocks[(k - 1) // _BLOCK][(k - 1) % _BLOCK]
+            scipy.linalg.blas.daxpy(q_prev, w, a=-betas[k - 1])
         b = _beta(w)
         amax = max(amax, abs(a))
         eps_t = _EPS * (amax + 2 * max(bmax, b))     # eps ||T||, by Gershgorin
         if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(eps_t)):
             raise InputError(f"Lanczos step {k + 1}: a coefficient or their Gershgorin "
                              "bound is not finite; the operator overflows floating point")
+        if k + 1 == n or b <= _BREAKDOWN * (amax + 2 * bmax):     # closure, before Gram-Schmidt
+            f, d, e, top, last = _checkpoint(alphas, betas, k + 1, amax + 2 * bmax)
+            if k + 1 == n or b <= _BREAKDOWN * (top / f):
+                k, stop = k + 1, "closure"
+                break
         reorth = pending or eps_t >= _REORTH * b     # omega_k = eps_t / b
         if not reorth and k:     # b omega_j = (T omega(q_k))_j - a omega_j(q_k) - beta omega_j(q_k-1)
             t = np.multiply(alphas[:k] - a, cur[:k], out=new[:k])
@@ -505,11 +530,9 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
         pending = reorth and not pending
         k += 1
         if k % _CHECK == 0 or k == budget or b <= _BREAKDOWN * (amax + 2 * bmax):
-            f = math.ldexp(1.0, min(1000, -math.frexp(amax + 2 * bmax)[1]))  # exact; T * f bound < 1
-            d, e = alphas[:k] * f, betas[:k - 1] * f
-            top, last = _top_ritz(d, e)
+            f, d, e, top, last = _checkpoint(alphas, betas, k, amax + 2 * bmax)
             hi = top / f
-            if k == n or b <= _BREAKDOWN * hi:
+            if b <= _BREAKDOWN * hi:
                 stop = "closure"
                 break
             if b * last <= 0.5 * tol * hi:      # the rigorous bound beta * |last component|

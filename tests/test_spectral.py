@@ -325,16 +325,68 @@ def test_basis_stays_orthonormal_across_sixteen_decades():
     assert orthonormality_defect(res) <= 1e-12
 
 
-def test_closure_takes_the_second_gram_schmidt_pass():
-    # at closure the new vector lies in the span of the basis, so the first
-    # pass removes nearly all of its norm and the DGKS test asks for a second
-    # one; the path's reflection halves its 50 eigenvalues to 25 main ones
+def gram_schmidt_spy():
+    """A patch of spectral._gram_schmidt and the list it fills: per call, the
+    step the pass serves, which is the number of rows of its basis."""
+    steps = []
+    gram_schmidt = spectral._gram_schmidt
+
+    def spy(basis, w):
+        steps.append(sum(len(B) for B in basis))
+        gram_schmidt(basis, w)
+    return steps, mock.patch.object(spectral, "_gram_schmidt", spy)
+
+
+def test_closure_stops_before_the_gram_schmidt_pass():
+    # at closure the new vector lies in the span of the basis, and its beta
+    # is at breakdown level before any pass, so the closing step runs none;
+    # the path's reflection halves its 50 eigenvalues to 25 main ones
     op = shuffled_path_operator(50)
-    res = spectral._lanczos(op, spectral.EIGEN_TOL, 50)
+    steps, patch = gram_schmidt_spy()
+    with patch:
+        res = spectral._lanczos(op, spectral.EIGEN_TOL, 50)
     assert res.stop == "closure"
     assert res.iterations == len(main_eigenvalues(op.to_dense())) == 25
-    assert res.second_passes >= 1
+    assert res.iterations not in steps
     assert orthonormality_defect(res) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["0/1", "[0, 1)", "F_k", "Z^d"]), st.integers(1, 120),
+       st.floats(0.005, 0.3), st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3))
+def test_a_closing_step_runs_no_gram_schmidt(kind, n, density, seed, rank, radius):
+    # random graphs, 0/1 or [0, 1) weights, and balls of F_k and Z^d (at
+    # most 187 points): a run that closes decides it before the pass
+    if kind in ("F_k", "Z^d"):
+        group = amenspec.FreeGroup(rank) if kind == "F_k" else ZLattice(rank)
+        ball = build_ball(group, radius)
+        m = cayley_operator(group, dict.fromkeys(group.generator_names, 1.0), ball).to_dense()
+    else:
+        rng = np.random.default_rng(seed)
+        half = sp.random(n, n, density=density, random_state=rng, format="csr",
+                         data_rvs=np.ones if kind == "0/1" else None)
+        m = (sp.triu(half) + sp.triu(half, 1).T).toarray()
+    steps, patch = gram_schmidt_spy()
+    with patch:
+        res = spectral._lanczos(LinOp(m), 1e-14, len(m))
+    assume(res.stop == "closure")
+    assert res.iterations not in steps
+    lams, mults, main = eigen_classes(m)
+    scale = max(1.0, float(np.abs(lams).max()))
+    near = np.abs(res.thetas[:, None] - lams).argmin(axis=1)
+    assert np.abs(res.thetas - lams[near]).max() <= 1e-10 * scale
+    held = np.bincount(near, minlength=len(lams))
+    assert np.all(main <= held) and np.all(held <= mults)
+    assert orthonormality_defect(res) <= 1e-12
+
+
+def test_a_free_group_walk_runs_no_gram_schmidt():
+    # every F_2 ball's solve closes at step r + 1, before any pass is due
+    steps, patch = gram_schmidt_spy()
+    with patch:
+        verdict = amenspec.kesten_test(amenspec.FreeGroup(2), 6)
+    assert verdict.spectral.stop == "closure"
+    assert steps == []
 
 
 def test_solves_say_why_they_stopped(monkeypatch):
@@ -1252,6 +1304,18 @@ def test_an_open_bracket_keeps_its_proven_bound(build, tol):
     assert rep.stop != "bracket"
     assert top <= rep.radius_upper_bound < spectral._row_sum_bound(op)
     assert rep.radius_upper_bound - top <= 1e-14 * top
+
+
+def test_a_bracket_settled_under_the_margin_keeps_a_bound():
+    # on the 400-point path at tol 1e-17, theta settles 5.5e-15 relative
+    # under lambda_max, so the factor at _cholesky_bound(theta) fails; the
+    # one more factor at theta + 2r proves a bound, once Gershgorin's 2
+    op = fusion.window_operator(fusion.free_su2_ring(3, 399), ["a1"], 400)
+    rep = spectral_radius(op, tol=1e-17)
+    top = float(np.linalg.eigvalsh(op.to_dense())[-1])
+    assert rep.stop != "bracket"
+    assert top <= rep.radius_upper_bound < spectral._row_sum_bound(op)
+    assert rep.radius_upper_bound - top <= 1e-8 * top
 
 
 @settings(max_examples=40, deadline=None)
