@@ -5,7 +5,19 @@ lie in the spectrum of the associated convolution operator, as seen through
 finite truncations. Residual certificates make the positive answer
 rigorous for symmetric operators; the negative direction is only ever
 hinted at through spectral gaps of the truncation.
+
+Imported before numpy, the package sets OPENBLAS_NUM_THREADS,
+OMP_NUM_THREADS and MKL_NUM_THREADS to 1 where they are unset: a solve's
+sums then run in one order, so its reports do not vary with the host's
+core count. A caller who imported numpy first, or set a count, keeps it.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:      # BLAS reads these once, at numpy's import
+    for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_name, "1")
 
 from .spectral import (CERT_TOL, DEFAULT_SEED, EIGEN_TOL, AmenabilityVerdict,
                        InputError, LinOp, SpectralReport, ValidationError, fingerprint,

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .spectral import (CERT_TOL, DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       ValidationError, _MAX_BUILD, in_spectrum)
+                       ValidationError, _MAX_BUILD, _is_int, _is_real, _window, in_spectrum)
 
 FREE_SU2 = "free-su2"
 _TABLE_FIELDS = {"kind", "labels", "dims", "conj", "fusion"}
@@ -59,19 +59,18 @@ _RULE_AXIOMS = (
 )
 
 
+@dataclasses.dataclass
 class RingDescriptor:
     """Parsed, format-checked ring description. Axioms are checked later."""
 
-    def __init__(self, kind, labels=None, dims=None, conj=None, fusion=None,
-                 rule=None, N=None, level=None):
-        self.kind = kind
-        self.labels = labels
-        self.dims = dims
-        self.conj = conj
-        self.fusion = fusion
-        self.rule = rule
-        self.N = N
-        self.level = level
+    kind: str
+    labels: list | None = None
+    dims: list | None = None
+    conj: list | None = None
+    fusion: list | None = None
+    rule: str | None = None
+    N: int | float | None = None
+    level: int | None = None
 
     def to_dict(self) -> dict:
         if self.kind == "table":
@@ -101,8 +100,7 @@ def parse_descriptor(obj: dict) -> RingDescriptor:
             raise InputError("labels must be unique")
         n = len(labels)
         dims = obj["dims"]
-        if (not isinstance(dims, list) or len(dims) != n
-                or not all(isinstance(d, (int, float)) and not isinstance(d, bool) for d in dims)):
+        if not isinstance(dims, list) or len(dims) != n or not all(map(_is_real, dims)):
             raise InputError("dims must be a list of numbers, one per label")
         conj = obj["conj"]
         if not isinstance(conj, list) or len(conj) != n or not all(c in labels for c in conj):
@@ -113,12 +111,10 @@ def parse_descriptor(obj: dict) -> RingDescriptor:
               and all(isinstance(r, list) and len(r) == n for p in fusion for r in p))
         if not ok:
             raise InputError("fusion must be an n x n x n table of multiplicities")
-        for p in fusion:
-            for r in p:
-                for v in r:
-                    if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                        raise InputError("fusion multiplicities must be nonnegative integers")
-        return RingDescriptor("table", labels=list(labels), dims=list(dims),
+        if not all(_is_int(v) and v >= 0 for p in fusion for r in p for v in r):
+            raise InputError("fusion multiplicities must be nonnegative integers")
+        fusion = [[[int(v) for v in r] for r in p] for p in fusion]
+        return RingDescriptor("table", labels=list(labels), dims=[_number(d) for d in dims],
                               conj=list(conj), fusion=fusion)
     if kind == "rule":
         extra = set(obj) - _RULE_FIELDS
@@ -129,15 +125,17 @@ def parse_descriptor(obj: dict) -> RingDescriptor:
             raise InputError(f"missing descriptor field(s): {sorted(missing)}")
         if obj["rule"] != FREE_SU2:
             raise InputError(f"unknown rule {obj['rule']!r}")
-        N = obj["N"]
-        if (not isinstance(N, (int, float)) or isinstance(N, bool)
-                or not 2 <= N <= sys.float_info.max):
+        N, level = obj["N"], obj["level"]
+        if not (_is_real(N) and 2 <= _number(N) <= sys.float_info.max):
             raise InputError("rule rings need a finite numeric N >= 2 within float range")
-        level = obj["level"]
-        if not isinstance(level, int) or isinstance(level, bool) or level < 0:
+        if not (_is_int(level) and level >= 0):
             raise InputError("level must be a nonnegative integer")
-        return RingDescriptor("rule", rule=FREE_SU2, N=N, level=level)
+        return RingDescriptor("rule", rule=FREE_SU2, N=_number(N), level=int(level))
     raise InputError("descriptor kind must be 'table' or 'rule'")
+
+
+def _number(v):     # an _is_real v as a Python int or float, which JSON can hold
+    return int(v) if _is_int(v) else float(v)
 
 
 def load_descriptor_file(path: str) -> RingDescriptor:
@@ -355,7 +353,7 @@ def load_ring(desc: RingDescriptor) -> FusionRing:
 
 def free_su2_ring(N, level: int) -> FusionRing:
     return load_ring(parse_descriptor(
-        {"kind": "rule", "rule": FREE_SU2, "N": N, "level": int(level)}))
+        {"kind": "rule", "rule": FREE_SU2, "N": N, "level": level}))
 
 
 def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
@@ -368,8 +366,9 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
     rings satisfy it through their symmetric triangle condition.
     """
     ki = ring.index(kappa)
-    if not 1 <= trunc <= ring.size:
-        raise InputError(f"trunc must be in [1, {ring.size}], got {trunc}")
+    if not (_is_int(trunc) and 1 <= trunc <= ring.size):
+        raise InputError(f"trunc must be in [1, {ring.size}], got {trunc!r}")
+    trunc = int(trunc)
     if ring.kind == "table":        # column j: the nonzero entries of fusion row (ki, j)
         cols, rows = np.nonzero(ring._fusion[ki, :trunc])
         vals, dropped = ring._fusion[ki, cols, rows], 0
@@ -390,19 +389,13 @@ def fusion_operator(ring: FusionRing, kappa: str, trunc: int) -> LinOp:
 
 def window_operator(ring: FusionRing, omega: Sequence[str], trunc: int) -> LinOp:
     """Sum of the tensoring operators over a finite window of labels."""
-    omega = list(omega)
-    if not omega:
-        raise InputError("window must be nonempty")
-    if len(set(omega)) != len(omega):
-        raise InputError("window labels must be distinct")
-    for s in omega:
-        ring.index(s)
+    omega = _window(omega, "window")
     ops = [fusion_operator(ring, s, trunc) for s in omega]
     mat = ops[0].matrix
     for o in ops[1:]:
         mat = mat + o.matrix
     target = float(sum(ring.dim(s) for s in omega))
-    meta = {"omega": omega, "trunc": trunc, "target": target,
+    meta = {"omega": omega, "trunc": ops[0].n, "target": target,
             "dropped": sum(o.meta["dropped"] for o in ops), "ring": ring.describe()}
     if ring.integral_dims:
         meta["target_exact"] = int(sum(ring.dim_exact(s) for s in omega))
@@ -416,10 +409,7 @@ def dim_bookkeeping_check(ring: FusionRing, kappa: str, omega: Sequence[str]) ->
     ring has integral dimensions, so a pass means equality, not closeness.
     """
     ki = ring.index(kappa)
-    omega = list(omega)
-    if not omega:
-        raise InputError("window must be nonempty")
-    idx = [ring.index(s) for s in omega]
+    idx = [ring.index(s) for s in _window(omega, "window")]
     lhs = ring._dim_at(ki) * sum(ring._dim_at(a) for a in idx)
     rhs = sum(m * ring._dim_at(b)
               for a in idx for b, m in ring.decompose_indices(ki, a, clip=False))
@@ -442,11 +432,9 @@ def coamenability_test(ring: FusionRing, omega: Sequence[str], trunc: int = 2000
     operator it tested. omega must be closed under conjugation, which makes
     that operator symmetric.
     """
-    omega = list(omega)
+    omega = _window(omega, "window", ring.conj, "conjugation")
     op = window_operator(ring, omega, trunc)
-    if {ring.conj(s) for s in omega} != set(omega):
-        raise InputError("window must be closed under conjugation")
-    target = op.meta["target"]
+    target, trunc = op.meta["target"], op.n
     witnesses = []
     for m in sorted({max(1, trunc // 8), max(1, trunc // 4), max(1, trunc // 2)}):
         v = np.zeros(trunc)

@@ -25,8 +25,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .spectral import (DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       _MAX_BUILD, _increasing_ints, _is_int, in_spectrum, residual)
+from .spectral import (DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp, _MAX_BUILD,
+                       _increasing_ints, _is_int, _is_real, _positive, _window, in_spectrum,
+                       residual)
 
 _QUAD_DENSITY = 1.0 / (4.0 * math.pi)
 
@@ -39,26 +40,19 @@ class HalfLineGrid:
     """
 
     def __init__(self, h: float, max_r: float):
-        if not (isinstance(h, (int, float)) and np.isfinite(h) and h > 0):
-            raise InputError("grid step h must be a positive number")
-        if not (isinstance(max_r, (int, float)) and np.isfinite(max_r) and max_r > 0):
-            raise InputError("grid extent max_r must be a positive number")
+        h, max_r = _positive(h, "grid step h"), _positive(max_r, "grid extent max_r")
         cells = max_r / h
         if not cells <= _MAX_BUILD:      # an overflow to inf included
             raise InputError(f"too many grid cells: {cells:.3g}, more than {_MAX_BUILD}")
         n = int(round(cells))
         if n < 2 or abs(n * h - max_r) > 1e-9 * max(1.0, max_r):
             raise InputError("max_r must be an integer multiple of h, at least 2 cells")
-        self.h = float(h)
-        self.max_r = float(max_r)
-        self.n = n
+        self.h, self.max_r, self.n = h, max_r, n
         self.cell_mass = self.h * _QUAD_DENSITY
 
     def snap(self, r: float) -> int:
         """Nearest positive multiple of h, in cell units, rounding half up."""
-        if not (isinstance(r, (int, float)) and np.isfinite(r) and r > 0):
-            raise InputError("shift parameter r must be a positive number")
-        return max(1, int(math.floor(r / self.h + 0.5)))
+        return max(1, int(math.floor(_positive(r, "shift parameter r") / self.h + 0.5)))
 
 
 def half_line_grid(h: float, max_r: float) -> HalfLineGrid:
@@ -95,15 +89,12 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
     snapped interval, each carrying cell mass h / (4 pi). The membership
     target (b_s - a_s) / (2 pi) is stored in meta["target"].
     """
-    for name, v in (("a", a), ("b", b)):
-        if not (isinstance(v, (int, float)) and np.isfinite(v)):
-            raise InputError(f"interval endpoint {name} must be a number")
-    if not 0 <= a <= b <= grid.max_r:
+    if not (_is_real(a) and _is_real(b) and 0 <= a <= b <= grid.max_r):
         raise InputError("interval must satisfy 0 <= a <= b <= max_r")
+    a, b = float(a), float(b)
     if a == b:
         return LinOp.from_entries(grid.n, [], [], [],
-                                  meta={"a": float(a), "b": float(b),
-                                        "snapped": [float(a), float(a)],
+                                  meta={"a": a, "b": b, "snapped": [a, a],
                                         "nodes": 0, "target": 0.0})
     k_lo = int(math.floor(a / grid.h + 1e-9))
     k_hi = int(math.ceil(b / grid.h - 1e-9))
@@ -118,8 +109,7 @@ def interval_operator(grid: HalfLineGrid, a: float, b: float) -> LinOp:
     a_s, b_s = k_lo * grid.h, k_hi * grid.h
     target = (b_s - a_s) / (2.0 * math.pi)
     return LinOp.from_entries(grid.n, rows, cols, vals,
-                              meta={"a": float(a), "b": float(b),
-                                    "snapped": [a_s, b_s],
+                              meta={"a": a, "b": b, "snapped": [a_s, b_s],
                                     "nodes": k_hi - k_lo, "target": target})
 
 
@@ -129,8 +119,7 @@ def interval_witness(grid: HalfLineGrid, m: float) -> np.ndarray:
     The residual of the interval operator against these witnesses decays
     like 1/m: the band is long enough that only its edges feel the window.
     """
-    if not (isinstance(m, (int, float)) and np.isfinite(m) and m > 0):
-        raise InputError("witness scale m must be a positive number")
+    m = _positive(m, "witness scale m")
     if 2 * m > grid.max_r:
         raise InputError("witness band [m, 2m] must fit inside the grid")
     pts = (np.arange(grid.n) + 0.5) * grid.h
@@ -178,13 +167,12 @@ class PairLattice:
     """Unordered distinct integer pairs inside the box [-B, B]^2."""
 
     def __init__(self, bound: int):
-        if not isinstance(bound, int) or bound < 1:
+        if not (_is_int(bound) and bound >= 1):
             raise InputError("bound must be a positive integer")
-        size = bound * (2 * bound + 1)      # the class count
-        if size > _MAX_BUILD:
+        self.bound = int(bound)
+        self.size = self.bound * (2 * self.bound + 1)      # the class count
+        if self.size > _MAX_BUILD:
             raise InputError(f"the bound-{bound} box has more than {_MAX_BUILD} classes")
-        self.bound = bound
-        self.size = size
 
     @property
     def classes(self) -> tuple:
@@ -213,11 +201,11 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     only when {r, r'} = {-r, -r'}.
     """
     r, rp = shift
-    if not (isinstance(r, int) and isinstance(rp, int)):
+    if not (_is_int(r) and _is_int(rp)):
         raise InputError("shift coordinates must be integers")
     if r == rp:
         raise InputError("shift coordinates must be distinct")
-    B, m = pairs.bound, 2 * pairs.bound + 1
+    r, rp, B, m = int(r), int(rp), pairs.bound, 2 * pairs.bound + 1
     g, gp = _class_coords(B)
     cr, crp = (min(max(c, -m), m) for c in (r, rp))   # |c| >= m leaves the box; fits int64
     # both targets of each class in turn, as (i, j) box coordinates with i <= j
@@ -233,20 +221,15 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
 
 
 def pair_window_operator(pairs: PairLattice, omega: Sequence) -> LinOp:
-    """Sum of class shifts over a negation-closed window of shift pairs."""
-    omega = [tuple(s) for s in omega]
-    if not omega:
-        raise InputError("shift window must be nonempty")
-    if len(set(omega)) != len(omega):
-        raise InputError("shift window must not repeat shifts")
-    closure = {canonical_pair(-r, -rp) for r, rp in omega}
-    if closure != {canonical_pair(r, rp) for r, rp in omega}:
-        raise InputError("shift window must be closed under negation")
+    """Sum of class shifts over a negation-closed window of shift pairs, each
+    read as the unordered pair it shifts by, so (r, r') and (r', r) repeat."""
+    omega = list(omega)
+    _window([canonical_pair(*s) for s in omega], "shift window", conj_pair, "negation")
     ops = [pair_shift_operator(pairs, s) for s in omega]
     mat = ops[0].matrix
     for o in ops[1:]:
         mat = mat + o.matrix
-    return LinOp(mat, meta={"bound": pairs.bound, "omega": [list(s) for s in omega],
+    return LinOp(mat, meta={"bound": pairs.bound, "omega": [list(o.meta["shift"]) for o in ops],
                             "dropped": sum(o.meta["dropped"] for o in ops)})
 
 
@@ -302,7 +285,7 @@ def bicrossed_amenability_test(bounds, omega: Sequence, tol: float = 5e-2,
                          "gap_hint": sec.gap_hint}
             errors += [f"secondary: {e}" for e in sec.errors]
     notes = {"bounds": bounds, "best_bound": best_bound, "trace": trace,
-             "window": [list(s) for s in omega], "secondary": secondary,
+             "window": op.meta["omega"], "secondary": secondary,
              "eigensolver_converged": solved}
     return dataclasses.replace(cert, notes=notes, errors=errors, operator=None,
                                spectral=None)

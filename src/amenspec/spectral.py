@@ -559,13 +559,34 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     return res
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise InputError(f"tol must be positive and finite, got {tol!r}")
-
-
 def _is_int(v) -> bool:     # a Python or numpy integer, and not a bool
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:    # a Python or numpy integer or float, and not a bool
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
+def _positive(v, what: str) -> float:
+    """v, a positive finite _is_real number, as a float; anything else is
+    an InputError naming what."""
+    if not (_is_real(v) and 0 < v < math.inf):
+        raise InputError(f"{what} must be positive and finite, got {v!r}")
+    return float(v)
+
+
+def _window(items, what: str, inverse=None, under: str = "") -> list:
+    """items as a list: nonempty, with no repeats and, given inverse, a map of
+    its members named by under, closed under it. Anything else is an
+    InputError naming what; inverse raises its own on a member it does not know."""
+    items = list(items)
+    if not items:
+        raise InputError(f"{what} must be nonempty")
+    if len(set(items)) != len(items):
+        raise InputError(f"{what} must not repeat a member")
+    if inverse is not None and set(map(inverse, items)) != set(items):
+        raise InputError(f"{what} must be closed under {under}")
+    return items
 
 
 def _increasing_ints(values, what: str) -> list:
@@ -599,8 +620,7 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL) -> SpectralReport:
     finish's factors proved (_cholesky_bound), whether its bracket closed or
     not, and Gershgorin's row sums (_row_sum_bound).
     """
-    _check_tol(tol)
-    return _radius_report(op, _lanczos(op, tol, _STEPS))
+    return _radius_report(op, _lanczos(op, _positive(tol, "tol"), _STEPS))
 
 
 def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
@@ -614,7 +634,9 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
     estimate = max(float(np.abs(thetas).max()), lower)
     upper = _row_sum_bound(op) if res.upper is None else min(res.upper, _row_sum_bound(op))
 
-    ends = range(len(thetas))            # the top four, then the bottom four, each index once
+    # the top four, then the bottom four, each index once; after a bracket stop the refined
+    # top alone, as the others are Ritz values of the 16-step tridiagonal, not refined
+    ends = range(len(thetas) - 1 if res.stop == "bracket" else 0, len(thetas))
     tops = [float(thetas[i]) for i in dict.fromkeys([*ends[:-5:-1], *ends[:4]])]
     return SpectralReport(estimate, min(lower, estimate), upper, tops,
                           res.iterations, res.converged, res.stop, res.reorthogonalized)
@@ -671,9 +693,10 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     whatever its seed, supplies that run (or its failure) instead of a new
     solve; any other, a family test's verdict too, is an InputError.
     """
-    _check_tol(tol)
-    if not math.isfinite(target):       # a window mass past float range
+    tol = _positive(tol, "tol")
+    if not (_is_real(target) and math.isfinite(target)):    # a window mass past float range
         raise InputError(f"target must be finite, got {target!r}")
+    target = float(target)
     if reuse is not None and (reuse.operator is not op or reuse._run is None):
         raise InputError("reuse needs a verdict of in_spectrum on the same operator")
 
@@ -731,7 +754,7 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
                 if r < best_res:
                     best_res, best_id = r, "shift-invert"
 
-    verdict = AmenabilityVerdict(float(target), float(tol), float(best_res),
+    verdict = AmenabilityVerdict(target, tol, float(best_res),
                                  bool(best_res <= tol), best_id, float(gap), {}, errors, op,
                                  spectral)
     verdict._run = run
@@ -750,7 +773,7 @@ def truncation_sweep(op: LinOp, sizes: Sequence[int], tol: float = EIGEN_TOL) ->
     two sizes or more, the Cauchy-style flag (the last two estimates differ
     by less than tol).
     """
-    _check_tol(tol)
+    tol = _positive(tol, "tol")
     sizes = _increasing_ints(sizes, "sizes")
     if sizes[0] < 1 or sizes[-1] > op.n:
         raise InputError(f"sizes must lie in [1, {op.n}]")

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .spectral import (EIGEN_TOL, AmenabilityVerdict, InputError, LinOp, _MAX_BUILD,
-                       _check_tol, _increasing_ints, _is_int, spectral_radius)
+                       _increasing_ints, _is_int, _is_real, _positive, _window, spectral_radius)
 
 _MAX_STEPS = 2 ** 22   # most coordinate steps a lattice ball build takes (_check_ball_size)
 
@@ -230,8 +230,9 @@ def _check_ball_size(group, radius: int) -> None:
 
 
 def build_ball(group, radius: int) -> BallTruncation:
-    if not isinstance(radius, int) or radius < 0:
+    if not (_is_int(radius) and radius >= 0):
         raise InputError("radius must be a nonnegative integer")
+    radius = int(radius)
     _check_ball_size(group, radius)
     if isinstance(group, FreeGroup):   # spheres of 1, then 2k (2k - 1)^m words
         return BallTruncation(group, radius, tuple(accumulate(
@@ -280,11 +281,9 @@ def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
     """
     if not weights:
         raise InputError("weights must be nonempty")
-    for nm, w in weights.items():
-        if nm not in group.generators:
-            raise InputError(f"unknown generator {nm!r}")
-        if not (isinstance(w, (int, float)) and np.isfinite(w) and w > 0):
-            raise InputError(f"weight for {nm!r} must be a positive number")
+    for nm in weights:
+        group.inverse_name(nm)      # an unknown generator is an InputError
+    weights = {nm: _positive(w, f"weight for {nm!r}") for nm, w in weights.items()}
     names, n, ends = group.generator_names, ball.size, (0,) + ball.sphere_ends
     meta = {"group": group.describe(), "radius": ball.radius, "weights": dict(weights)}
     if isinstance(group, FreeGroup):
@@ -318,15 +317,14 @@ def modular_weight_operator(group, p: float, density: dict,
     prefactor is identically 1 and the entries are the density itself; p is
     only validated and recorded in meta.
     """
-    if not (isinstance(p, (int, float)) and np.isfinite(p) and p >= 1):
+    if not (_is_real(p) and 1 <= p < math.inf):
         raise InputError("exponent p must be a number >= 1")
     if not density:
         raise InputError("density must be nonempty")
     for z, w in density.items():
         if z not in ball.index:
             raise InputError(f"density support point {z!r} lies outside the ball")
-        if not (isinstance(w, (int, float)) and np.isfinite(w) and w > 0):
-            raise InputError(f"density weight for {z!r} must be a positive number")
+        _positive(w, f"density weight for {z!r}")
     shifts = np.empty((ball.size, len(density)), dtype=np.int64)   # x z^-1, or -1 outside
     for c, z in enumerate(density):
         zi = group.inv(z)
@@ -366,7 +364,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     radii = range(1, int(radii) + 1) if _is_int(radii) else _increasing_ints(radii, "radii")
     if not radii or radii[0] <= 0:
         raise InputError("radii must be strictly increasing positive integers")
-    _check_tol(tol)
+    tol = _positive(tol, "tol")
 
     if not group.generator_names:
         # trivial group: the walk degenerates to averaging over {identity}
@@ -389,24 +387,16 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
         names = list(weights)
     else:
         names = list(omega) if omega is not None else list(group.generator_names)
-    if not names:
-        raise InputError("generator window must be nonempty")
-    if len(set(names)) != len(names):
-        raise InputError("generator window must not repeat names")
-    for nm in names:
-        if nm not in group.generators:
-            raise InputError(f"unknown generator {nm!r}")
-    if {group.inverse_name(nm) for nm in names} != set(names):
-        raise InputError("generator window must be closed under inversion")
+    names = _window(names, "generator window", group.inverse_name, "inversion")
     if weights is None:
         weights = {nm: 1.0 for nm in names}
     elif any(weights[group.inverse_name(nm)] != w for nm, w in weights.items()):
         raise InputError("weights must be symmetric under inversion")
 
-    target = float(sum(weights.values()))
     sizes, estimates, lowers, solved = [], [], [], []
     ball = build_ball(group, radii[-1])
     full = cayley_operator(group, weights, ball)
+    target = float(sum(full.meta["weights"].values()))      # of the weights it checked
     for r in radii:
         op = full.leading_block(ball.sphere_ends[r])
         op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}

@@ -118,6 +118,34 @@ def test_sweep_command_csv_matches_closed_form(capsys, tmp_path):
     assert rep["spectral"]["method"] == "sweep"
 
 
+def test_a_bracket_stop_reports_its_refined_eigenvalue_alone(capsys, tmp_path):
+    # the second Ritz value of the 16-step run is 1.9614, the second
+    # eigenvalue of the path 2cos(2 pi/2001) = 1.99998: only the top is refined
+    csv = tmp_path / "eigen.csv"
+    code, rep = run(capsys, "fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1",
+                    "--trunc", "2000", "--csv", str(csv))
+    spectral = rep["spectral"]
+    assert (code, spectral["stop"]) == (0, "bracket")
+    assert spectral["top_eigenvalues"] == [spectral["radius_estimate"]]
+    assert csv.read_text() == f"index,eigenvalue\n0,{spectral['radius_estimate']}\n"
+
+
+def test_reports_do_not_depend_on_the_blas_thread_count():
+    # amenspec sets unset BLAS thread counts to 1 before numpy loads; with two
+    # threads this walk's dot products summed in another order, and its
+    # radius_estimate and reorthogonalized count moved
+    src = Path(amenspec.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items()
+           if k not in (CONFIG_ENV, "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    argv = [sys.executable, "-m", "amenspec.cli", "walk", "--group", "F:2", "--radius", "8",
+            "--weight", "a=1", "--weight", "A=1"]
+    outs = [subprocess.run(argv, env={**env, "PYTHONPATH": str(src), **threads},
+                           capture_output=True, text=True, timeout=120, check=True).stdout
+            for threads in ({}, {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                                 "MKL_NUM_THREADS": "1"})]
+    assert outs[0] == outs[1] and one_json_object(outs[0])
+
+
 @pytest.mark.parametrize("argv, stop", [
     # the path of bandwidth 1 is handed to the bracket finish at step 16
     (("fusion", "--ring", "free-su2", "--N", "3", "--omega", "a1", "--trunc", "2000"),

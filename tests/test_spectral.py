@@ -1203,7 +1203,8 @@ def test_the_bracket_closes_on_the_path_at_step_16():
     assert rep.radius_lower_bound <= top <= rep.radius_upper_bound
     assert rep.radius_upper_bound - rep.radius_lower_bound <= spectral.EIGEN_TOL * top
     assert abs(rep.radius_estimate - top) <= 1e-14 * top
-    assert rep.top_eigenvalues[0] == rep.radius_estimate
+    # the other Ritz values of the 16-step run are not refined, and not reported
+    assert rep.top_eigenvalues == [rep.radius_estimate]
 
 
 @pytest.mark.parametrize("build, band, handed", [
