@@ -424,6 +424,18 @@ def test_growth_trivial_group():
         assert verdict.witness_id == "ball-0"
 
 
+@pytest.mark.parametrize("group", [ZLattice(0), FreeGroup(0)], ids=lambda g: g.name)
+def test_trivial_group_verdict(group):
+    # the walk over {identity} is the 1 x 1 identity: every field of the verdict is exact
+    assert kesten_test(group, 5).to_dict() == {
+        "target": 1.0, "tolerance": 0.05, "best_residual": 0.0, "certified": True,
+        "witness_id": "ball-0", "gap_hint": 0.0, "errors": [],
+        "notes": {"radii": [0], "ball_sizes": [1], "radius_estimates": [1.0],
+                  "lower_bounds": [1.0], "normalized": [1.0], "limit_estimate": 1.0,
+                  "eigensolver_converged": [True],
+                  "convention": "trivial group walks over {identity}"}}
+
+
 @pytest.mark.parametrize("group", [ZLattice(0), FreeGroup(0)])
 def test_trivial_group_lists_no_radius(group):
     # its ball is one point at every radius, so any radius is answered at once
