@@ -26,7 +26,7 @@ from scipy.linalg import LinAlgError
 
 from . import __version__, fusion, semidirect, walks
 from .spectral import (CERT_TOL, DEFAULT_SEED, InputError, SpectralReport, ValidationError,
-                       fingerprint, spectral_radius, truncation_sweep)
+                       _read_json, fingerprint, spectral_radius, truncation_sweep)
 
 CONFIG_ENV = "AMENSPEC_CONFIG"
 
@@ -46,13 +46,7 @@ def _load_env_config() -> dict:
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read config file {path!r}: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(f"config file {path!r} is not valid JSON: {e}") from e
+    obj = _read_json(path, f"config file {path!r}")
     if not isinstance(obj, dict):
         raise InputError("config file must hold a JSON object")
     return obj

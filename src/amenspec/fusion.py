@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import sys
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .spectral import (CERT_TOL, DEFAULT_SEED, AmenabilityVerdict, InputError, LinOp,
-                       ValidationError, _MAX_BUILD, _is_int, _is_real, _window, in_spectrum)
+                       ValidationError, _MAX_BUILD, _is_int, _is_real, _read_json, _window,
+                       in_spectrum)
 
 FREE_SU2 = "free-su2"
 _TABLE_FIELDS = {"kind", "labels", "dims", "conj", "fusion"}
@@ -139,14 +139,7 @@ def _number(v):     # an _is_real v as a Python int or float, which JSON can hol
 
 
 def load_descriptor_file(path: str) -> RingDescriptor:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except OSError as e:
-        raise InputError(f"cannot read ring descriptor: {e}") from e
-    except json.JSONDecodeError as e:
-        raise InputError(f"ring descriptor is not valid JSON: {e}") from e
-    return parse_descriptor(obj)
+    return parse_descriptor(_read_json(path, "ring descriptor"))
 
 
 class FusionRing:
@@ -271,6 +264,12 @@ def validate_descriptor(desc: RingDescriptor) -> list:
     _RULE_AXIOMS: the family satisfies every axiom for each finite N >= 2,
     which parse_descriptor enforces.
     """
+    return _check_axioms(desc)[0]
+
+
+def _check_axioms(desc: RingDescriptor) -> tuple:
+    """validate_descriptor's rows and the table ring its checks ran on,
+    None for a rule descriptor or a table with no unit."""
     rows = []
     rng = np.random.default_rng(_PROBE_RNG_SEED)
 
@@ -289,7 +288,7 @@ def validate_descriptor(desc: RingDescriptor) -> list:
         push("dimension positivity", not bad,
              f"labels with dim < 1: {bad}" if bad else "all dims >= 1")
         if ring is None:
-            return rows
+            return rows, None
         n = ring.size
         conj_idx = np.array([ring.index(c) for c in desc.conj])
         invol = np.array_equal(conj_idx[conj_idx], np.arange(n))
@@ -338,17 +337,19 @@ def validate_descriptor(desc: RingDescriptor) -> list:
         push("associativity", assoc,
              f"(x (x) y) (x) z = x (x) (y (x) z) on {scope}" if assoc
              else "fusion table is not associative")
-        return rows
+        return rows, ring
 
-    return [{"axiom": a, "passed": True, "detail": d} for a, d in _RULE_AXIOMS]
+    return [{"axiom": a, "passed": True, "detail": d} for a, d in _RULE_AXIOMS], None
 
 
 def load_ring(desc: RingDescriptor) -> FusionRing:
-    """Validate the axioms and construct the ring; fail on the first break."""
-    for row in validate_descriptor(desc):
+    """Validate the axioms and construct the ring, a table ring once; fail
+    on the first break."""
+    rows, ring = _check_axioms(desc)
+    for row in rows:
         if not row["passed"]:
             raise ValidationError(row["axiom"], row["detail"])
-    return FusionRing(desc)
+    return ring if ring is not None else FusionRing(desc)
 
 
 def free_su2_ring(N, level: int) -> FusionRing:
@@ -391,15 +392,12 @@ def window_operator(ring: FusionRing, omega: Sequence[str], trunc: int) -> LinOp
     """Sum of the tensoring operators over a finite window of labels."""
     omega = _window(omega, "window")
     ops = [fusion_operator(ring, s, trunc) for s in omega]
-    mat = ops[0].matrix
-    for o in ops[1:]:
-        mat = mat + o.matrix
     target = float(sum(ring.dim(s) for s in omega))
     meta = {"omega": omega, "trunc": ops[0].n, "target": target,
             "dropped": sum(o.meta["dropped"] for o in ops), "ring": ring.describe()}
     if ring.integral_dims:
         meta["target_exact"] = int(sum(ring.dim_exact(s) for s in omega))
-    return LinOp(mat, meta=meta)
+    return LinOp(sum((o.matrix for o in ops[1:]), ops[0].matrix), meta=meta)
 
 
 def dim_bookkeeping_check(ring: FusionRing, kappa: str, omega: Sequence[str]) -> bool:

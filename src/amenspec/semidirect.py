@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -190,6 +190,14 @@ def _class_coords(bound: int) -> tuple:
     return g - bound, gp - bound
 
 
+def _shift(shift) -> tuple:
+    """shift, a pair of _is_int integers, as Python ints; else an InputError."""
+    pair = tuple(shift) if isinstance(shift, Iterable) and not isinstance(shift, str) else ()
+    if not (len(pair) == 2 and all(map(_is_int, pair))):
+        raise InputError(f"a shift must be a pair of integers, got {shift!r}")
+    return int(pair[0]), int(pair[1])
+
+
 def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     """Class-shift operator for one shift pair (r, r') with r != r'.
 
@@ -200,12 +208,10 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     gives the operator of the negated shift, so a single shift is symmetric
     only when {r, r'} = {-r, -r'}.
     """
-    r, rp = shift
-    if not (_is_int(r) and _is_int(rp)):
-        raise InputError("shift coordinates must be integers")
+    r, rp = _shift(shift)
     if r == rp:
         raise InputError("shift coordinates must be distinct")
-    r, rp, B, m = int(r), int(rp), pairs.bound, 2 * pairs.bound + 1
+    B, m = pairs.bound, 2 * pairs.bound + 1
     g, gp = _class_coords(B)
     cr, crp = (min(max(c, -m), m) for c in (r, rp))   # |c| >= m leaves the box; fits int64
     # both targets of each class in turn, as (i, j) box coordinates with i <= j
@@ -223,14 +229,12 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
 def pair_window_operator(pairs: PairLattice, omega: Sequence) -> LinOp:
     """Sum of class shifts over a negation-closed window of shift pairs, each
     read as the unordered pair it shifts by, so (r, r') and (r', r) repeat."""
-    omega = list(omega)
+    omega = [_shift(s) for s in omega]
     _window([canonical_pair(*s) for s in omega], "shift window", conj_pair, "negation")
     ops = [pair_shift_operator(pairs, s) for s in omega]
-    mat = ops[0].matrix
-    for o in ops[1:]:
-        mat = mat + o.matrix
-    return LinOp(mat, meta={"bound": pairs.bound, "omega": [list(o.meta["shift"]) for o in ops],
-                            "dropped": sum(o.meta["dropped"] for o in ops)})
+    return LinOp(sum((o.matrix for o in ops[1:]), ops[0].matrix),
+                 meta={"bound": pairs.bound, "omega": [list(o.meta["shift"]) for o in ops],
+                       "dropped": sum(o.meta["dropped"] for o in ops)})
 
 
 def _box_witness(pairs: PairLattice, m: int) -> np.ndarray:

@@ -18,6 +18,7 @@ norm at most h/(2 pi) as ||S_k|| <= 2.
 from __future__ import annotations
 
 import functools
+import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
@@ -589,6 +590,17 @@ def _window(items, what: str, inverse=None, under: str = "") -> list:
     return items
 
 
+def _read_json(path: str, what: str):
+    """path's JSON value; an unreadable file or bad JSON is an InputError naming what."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise InputError(f"cannot read {what}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise InputError(f"{what} is not valid JSON: {e}") from e
+
+
 def _increasing_ints(values, what: str) -> list:
     """values, a nonempty, strictly increasing sequence of Python or numpy
     integers, as a list of ints; anything else, with a float or a bool in
@@ -632,7 +644,7 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
     lower = abs(float(u @ op.apply(u)))
     estimate = max(float(np.abs(thetas).max()), lower)
-    upper = _row_sum_bound(op) if res.upper is None else min(res.upper, _row_sum_bound(op))
+    upper = min(_row_sum_bound(op), math.inf if res.upper is None else res.upper)
 
     # the top four, then the bottom four, each index once; after a bracket stop the refined
     # top alone, as the others are Ritz values of the 16-step tridiagonal, not refined
@@ -687,13 +699,15 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     singular factor.
 
     The verdict's spectral is the SpectralReport of its Lanczos run, equal
-    to spectral_radius(op). seed picks only the shift-invert start, which
-    must stay generic: an interior eigenvector can be orthogonal to the
-    constant vector. reuse, an earlier verdict of in_spectrum on op,
+    to spectral_radius(op). seed, a nonnegative integer, picks only the
+    shift-invert start, which must stay generic: an interior eigenvector
+    can be orthogonal to the constant vector. reuse, an earlier verdict of in_spectrum on op,
     whatever its seed, supplies that run (or its failure) instead of a new
     solve; any other, a family test's verdict too, is an InputError.
     """
     tol = _positive(tol, "tol")
+    if not (_is_int(seed) and seed >= 0):
+        raise InputError(f"seed must be a nonnegative integer, got {seed!r}")
     if not (_is_real(target) and math.isfinite(target)):    # a window mass past float range
         raise InputError(f"target must be finite, got {target!r}")
     target = float(target)

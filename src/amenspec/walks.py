@@ -25,7 +25,16 @@ from .spectral import (EIGEN_TOL, AmenabilityVerdict, InputError, LinOp, _MAX_BU
 _MAX_STEPS = 2 ** 22   # most coordinate steps a lattice ball build takes (_check_ball_size)
 
 
-class ZLattice:
+class _Group:
+    """A group whose generators are named so that swapping case inverts one."""
+
+    def inverse_name(self, name: str) -> str:
+        if name not in self.generators:
+            raise InputError(f"unknown generator {name!r}")
+        return name.swapcase()
+
+
+class ZLattice(_Group):
     """Z^d with generator names x1..xd and uppercase inverses X1..Xd.
     name is the spec parse_group reads back."""
 
@@ -44,11 +53,6 @@ class ZLattice:
             self.generators[f"X{i + 1}"] = tuple(-c for c in e)
         self.generator_names = tuple(self.generators)
 
-    def inverse_name(self, name: str) -> str:
-        if name not in self.generators:
-            raise InputError(f"unknown generator {name!r}")
-        return name.swapcase()
-
     def mul(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
 
@@ -59,7 +63,7 @@ class ZLattice:
         return {"family": "lattice", "rank": self.d}
 
 
-class FreeGroup:
+class FreeGroup(_Group):
     """F_k on letters a, b, c, ... with uppercase inverses; reduced words.
     name is the spec parse_group reads back."""
 
@@ -76,11 +80,6 @@ class FreeGroup:
             self.generators[string.ascii_lowercase[i]] = (i + 1,)
             self.generators[string.ascii_uppercase[i]] = (-(i + 1),)
         self.generator_names = tuple(self.generators)
-
-    def inverse_name(self, name: str) -> str:
-        if name not in self.generators:
-            raise InputError(f"unknown generator {name!r}")
-        return name.swapcase()
 
     def mul(self, x, y):
         out = list(x)
@@ -157,18 +156,19 @@ class BallTruncation:
     is a prefix of it: the ball of radius r is elements[:sphere_ends[r]], so
     an operator on it is the leading principal block of the operator on this
     ball. right[i, c] is the index of elements[i] times the generator named
-    group.generator_names[c], or -1 when that product lies outside the ball;
-    parent[i] and step[i] give the element and the generator column through
-    which the search first reached elements[i] (-1 for the identity).
+    group.generator_names[c], or -1 when that product lies outside the ball.
 
-    A lattice ball is searched with group multiplication and keeps a tuple
-    of elements and an {element: position} dict. A free ball is closed-form,
-    the Cayley graph of F_k being a tree. The search takes a word's children
-    in column order, so sphere m lists its reduced words lexicographically:
-    position p spells its word in digits, the first letter p // G^(m-1)
-    (G = 2k - 1), each later one among the G columns other than the inverse
-    of the one before. Its tables are built at the first read of one; its
-    elements and index are one read-only sequence that decodes words on demand.
+    A lattice ball is searched with group multiplication and keeps right, a
+    tuple of elements and an {element: position} dict as index, nothing
+    more. A free ball is closed-form, the Cayley graph of F_k being a tree.
+    The search takes a word's children in column order, so sphere m lists
+    its reduced words lexicographically: position p spells its word in
+    digits, the first letter p // G^(m-1) (G = 2k - 1), each later one among
+    the G columns other than the inverse of the one before. Its tables are
+    built at the first read of one: right, and parent[i] and step[i], the
+    element and the generator column through which the search first reached
+    elements[i] (-1 for the identity); its elements and index are one
+    read-only sequence that decodes words on demand.
     """
 
     def __init__(self, group, radius: int, sphere_ends: tuple, **tables):
@@ -177,7 +177,8 @@ class BallTruncation:
         self.__dict__.update(tables)
 
     def __getattr__(self, name):    # a free ball's tables, at the first read of one
-        if name not in ("elements", "index", "right", "parent", "step"):
+        if name not in ("elements", "index", "right", "parent", "step") or not isinstance(
+                self.group, FreeGroup):
             raise AttributeError(name)
         self.__dict__.update(_free_tables(self.group, self.radius))
         return self.__dict__[name]
@@ -239,30 +240,25 @@ def build_ball(group, radius: int) -> BallTruncation:
             (2 * group.k * (2 * group.k - 1) ** m for m in range(radius)), initial=1)))
     order = [group.identity]
     index = {group.identity: 0}
-    parent, step, right, ends = [-1], [-1], [], []
-    gens = list(enumerate(group.generators[nm] for nm in group.generator_names))
+    right, ends = [], []
+    gens = [group.generators[nm] for nm in group.generator_names]
     mul, lookup = group.mul, index.get
     start = 0
     for d in range(radius + 1):
         end = len(order)
         ends.append(end)
-        for i in range(start, end):
-            x = order[i]
-            for c, g in gens:
+        for x in order[start:end]:
+            for g in gens:
                 y = mul(x, g)
                 j = lookup(y)
                 if j is None and d < radius:
                     j = index[y] = len(order)
                     order.append(y)
-                    parent.append(i)
-                    step.append(c)
                 right.append(-1 if j is None else j)
         start = end
     n = len(order)
     return BallTruncation(group, radius, tuple(ends), elements=tuple(order), index=index,
-                          right=np.array(right, dtype=np.int64).reshape(n, len(gens)),
-                          parent=np.array(parent, dtype=np.int64),
-                          step=np.array(step, dtype=np.int64))
+                          right=np.array(right, dtype=np.int64).reshape(n, len(gens)))
 
 
 def cayley_operator(group, weights: dict, ball: BallTruncation) -> LinOp:
@@ -326,6 +322,7 @@ def modular_weight_operator(group, p: float, density: dict,
             raise InputError(f"density support point {z!r} lies outside the ball")
         _positive(w, f"density weight for {z!r}")
     shifts = np.empty((ball.size, len(density)), dtype=np.int64)   # x z^-1, or -1 outside
+    columns = {g: c for c, g in enumerate(group.generators.values())}
     for c, z in enumerate(density):
         zi = group.inv(z)
         if isinstance(group, FreeGroup):
@@ -333,7 +330,7 @@ def modular_weight_operator(group, p: float, density: dict,
             # that never backtracks: once out of the ball, it stays out
             j = np.arange(ball.size)
             for s in zi:
-                j = np.where(j < 0, -1, ball.right[j, ball.elements._column[s]])
+                j = np.where(j < 0, -1, ball.right[j, columns[(s,)]])
             shifts[:, c] = j
         else:
             shifts[:, c] = [ball.index.get(group.mul(x, zi), -1) for x in ball.elements]
@@ -358,48 +355,40 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     its total mass. The verdict certifies when some ball's rigorous lower
     bound comes within tol of the target. notes carries the per-radius trace
     and a curvature-corrected limit estimate from the last two radii; the
-    verdict carries the largest ball's operator and its SpectralReport.
+    verdict carries the largest ball's operator and its SpectralReport. The
+    trivial group has no generator to name: it takes no window, and its
+    walk is the 1 x 1 identity on the identity, solved once, at radius 0,
+    against target 1, with a convention note.
     """
     # a range increases by construction; build_ball bounds it before it is listed
     radii = range(1, int(radii) + 1) if _is_int(radii) else _increasing_ints(radii, "radii")
     if not radii or radii[0] <= 0:
         raise InputError("radii must be strictly increasing positive integers")
     tol = _positive(tol, "tol")
-
-    if not group.generator_names:
-        # trivial group: the walk degenerates to averaging over {identity}
-        op = LinOp(np.eye(1))
-        rep = spectral_radius(op)
-        notes = {"radii": [0], "ball_sizes": [1],
-                 "radius_estimates": [rep.radius_estimate],
-                 "lower_bounds": [rep.radius_lower_bound],
-                 "normalized": [rep.radius_estimate], "limit_estimate": 1.0,
-                 "eigensolver_converged": [rep.converged],
-                 "convention": "trivial group walks over {identity}"}
-        return AmenabilityVerdict(1.0, tol, abs(1.0 - rep.radius_lower_bound),
-                                  rep.radius_lower_bound >= 1.0 - tol, "ball-0",
-                                  max(0.0, 1.0 - rep.radius_estimate), notes,
-                                  operator=op, spectral=rep)
-
     if weights is not None:
         if omega is not None and set(omega) != set(weights):
             raise InputError("omega and weights must name the same generators")
         names = list(weights)
     else:
         names = list(omega) if omega is not None else list(group.generator_names)
-    names = _window(names, "generator window", group.inverse_name, "inversion")
+    if names or group.generator_names:
+        names = _window(names, "generator window", group.inverse_name, "inversion")
     if weights is None:
         weights = {nm: 1.0 for nm in names}
     elif any(weights[group.inverse_name(nm)] != w for nm, w in weights.items()):
         raise InputError("weights must be symmetric under inversion")
 
+    if group.generator_names:
+        ball = build_ball(group, radii[-1])
+        full = cayley_operator(group, weights, ball)
+        target, ends = float(sum(full.meta["weights"].values())), ball.sphere_ends
+    else:       # the walk averages over {identity}
+        full, target, radii, ends = LinOp(np.eye(1)), 1.0, [0], (1,)
     sizes, estimates, lowers, solved = [], [], [], []
-    ball = build_ball(group, radii[-1])
-    full = cayley_operator(group, weights, ball)
-    target = float(sum(full.meta["weights"].values()))      # of the weights it checked
     for r in radii:
-        op = full.leading_block(ball.sphere_ends[r])
-        op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
+        op = full.leading_block(ends[r])
+        if op is not full:
+            op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
         rep = spectral_radius(op, tol=EIGEN_TOL)
         sizes.append(op.n)
         estimates.append(rep.radius_estimate)
@@ -407,19 +396,18 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
         solved.append(rep.converged)
 
     best = int(np.argmax(lowers))
-    best_lower = lowers[best]
     normalized = [e / target for e in estimates]
     if len(radii) >= 2:
-        r1, r2 = radii[-2], radii[-1]
-        a, b = normalized[-2], normalized[-1]
+        (r1, r2), (a, b) = radii[-2:], normalized[-2:]
         limit = (r2 ** 2 * b - r1 ** 2 * a) / (r2 ** 2 - r1 ** 2)
     else:
         limit = normalized[-1]
     notes = {"radii": list(radii), "ball_sizes": sizes, "radius_estimates": estimates,
              "lower_bounds": lowers, "normalized": normalized,
              "limit_estimate": float(limit), "eigensolver_converged": solved}
-    certified = bool(best_lower >= target - tol)
-    return AmenabilityVerdict(target, tol, float(max(0.0, target - best_lower)),
-                              certified, f"ball-{radii[best]}",
+    if not group.generator_names:
+        notes["convention"] = "trivial group walks over {identity}"
+    return AmenabilityVerdict(target, tol, float(max(0.0, target - lowers[best])),
+                              bool(lowers[best] >= target - tol), f"ball-{radii[best]}",
                               float(max(0.0, target - max(estimates))), notes,
                               operator=op, spectral=rep)

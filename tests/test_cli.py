@@ -575,6 +575,19 @@ def test_bad_values_exit_2(capsys, tmp_path):
         assert rep["error"]["type"] == "input", argv
 
 
+@pytest.mark.parametrize("argv", [
+    ("--group", "F:0", "--radius", "2", "--weight", "a=-5"),
+    ("--group", "F:0", "--radius", "2", "--weight", "a=1", "--weight", "A=1"),
+    ("--group", "Z^d:0", "--radius", "3", "--omega", "x1,X1"),
+    ("--group", "Z^d:0", "--radius", "3", "--omega", "x1"),
+])
+def test_a_trivial_group_takes_no_window(capsys, argv):
+    # the trivial group has no generator, so any named one is unknown
+    code, rep = run(capsys, "walk", *argv)
+    assert code == 2 and rep["error"]["type"] == "input"
+    assert rep["error"]["message"].startswith("unknown generator")
+
+
 def test_grid_cell_count_overflow_is_an_input_error(capsys):
     code, rep = run(capsys, "semidirect", "--interval", "0:1", "--grid", "0.5:1e308")
     assert code == 2

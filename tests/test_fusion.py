@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amenspec import (InputError, LinOp, ValidationError, coamenability_test,
-                      dim_bookkeeping_check, free_su2_ring, fusion_operator,
+                      dim_bookkeeping_check, free_su2_ring, fusion, fusion_operator,
                       load_descriptor_file, load_ring, parse_descriptor,
                       validate_descriptor, window_operator)
 
@@ -352,6 +352,17 @@ def test_load_descriptor_file(tmp_path):
         load_descriptor_file(str(bad))
     with pytest.raises(InputError):
         load_descriptor_file(str(tmp_path / "missing.json"))
+
+
+def test_load_ring_builds_a_table_ring_once(monkeypatch):
+    # the axiom checks run on a ring, and load_ring hands that ring on
+    calls = []
+    find_unit = fusion._find_unit
+    monkeypatch.setattr(fusion, "_find_unit", lambda table: calls.append(1) or find_unit(table))
+    for obj in (cyclic3_descriptor(), golden_descriptor()):
+        calls.clear()
+        assert load_ring(parse_descriptor(obj)).unit_label == "e"
+        assert len(calls) == 1
 
 
 def test_validate_all_axioms_pass():

@@ -46,6 +46,7 @@ CASES = [
     ("spectral_radius.tol", "number", 0.5, lambda v: spectral_radius(path(), tol=v)),
     ("in_spectrum.target", "number", 0.5, lambda v: in_spectrum(path(), v)),
     ("in_spectrum.tol", "number", 0.5, lambda v: in_spectrum(path(), 1.0, tol=v)),
+    ("in_spectrum.seed", "count", 3, lambda v: in_spectrum(path(), 0.5, seed=v)),
     ("truncation_sweep.sizes", "count", 10, lambda v: truncation_sweep(path(), [5, v])),
     ("truncation_sweep.tol", "number", 0.5, lambda v: truncation_sweep(path(), [10], tol=v)),
     ("parse_descriptor.N", "number", 3, lambda v: rule(N=v)),
@@ -62,6 +63,8 @@ CASES = [
      lambda v: coamenability_test(free_su2_ring(2, 9), ["a1"], trunc=v)),
     ("coamenability_test.tol", "number", 0.5,
      lambda v: coamenability_test(free_su2_ring(2, 9), ["a1"], trunc=8, tol=v)),
+    ("coamenability_test.seed", "count", 3,
+     lambda v: coamenability_test(free_su2_ring(2, 9), ["a1"], trunc=8, seed=v)),
     ("build_ball.radius", "count", 2,
      lambda v: cayley_operator(F2, {"a": 1.0, "A": 1.0}, build_ball(F2, v))),
     ("cayley_operator.weights", "number", 2,
@@ -86,6 +89,8 @@ CASES = [
      lambda v: interval_spectrum_test(GRID, 0.0, 1.0, witness_ms=[v])),
     ("interval_spectrum_test.tol", "number", 0.5,
      lambda v: interval_spectrum_test(GRID, 0.0, 1.0, tol=v)),
+    ("interval_spectrum_test.seed", "count", 3,
+     lambda v: interval_spectrum_test(GRID, 0.0, 1.0, seed=v)),
     ("pair_lattice.bound", "count", 3, lambda v: pair_window_operator(pair_lattice(v), WINDOW)),
     ("pair_shift_operator.shift", "count", 1, lambda v: pair_shift_operator(PAIRS, (v, 0))),
     ("pair_window_operator.omega", "count", 1,
@@ -96,6 +101,8 @@ CASES = [
      lambda v: bicrossed_amenability_test(3, [(0, v), (-v, 0)])),
     ("bicrossed_amenability_test.tol", "number", 0.5,
      lambda v: bicrossed_amenability_test(3, WINDOW, tol=v)),
+    ("bicrossed_amenability_test.seed", "count", 3,
+     lambda v: bicrossed_amenability_test(3, WINDOW, seed=v)),
 ]
 
 
@@ -172,3 +179,24 @@ def test_a_descriptor_holds_python_numbers():
     assert type(desc.N) is float and type(desc.level) is int
     table = cyclic3(dim=np.int64(1), mult=np.int64(1))
     assert json.dumps(table.to_dict()) == json.dumps(cyclic3().to_dict())
+
+
+def test_a_seed_is_a_nonnegative_integer():
+    # numpy's generator would take True as 1 and refuse -5 and 2.5 with its own errors
+    for seed in (-5, 2.5, True, "7", None):
+        with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+            in_spectrum(path(), 0.5, seed=seed)
+    assert as_json(in_spectrum(path(), 0.5, seed=np.int64(3))) == as_json(
+        in_spectrum(path(), 0.5, seed=3))
+
+
+@pytest.mark.parametrize("shift", [(0, 1, 2), (0,), "01", 1],
+                         ids=["triple", "1-tuple", "string", "int"])
+def test_a_shift_is_a_pair_of_integers(shift):
+    with pytest.raises(InputError, match="a shift must be a pair of integers"):
+        pair_shift_operator(PAIRS, shift)
+    with pytest.raises(InputError, match="a shift must be a pair of integers"):
+        pair_window_operator(PAIRS, [shift, (-1, 0)])
+    for pair in ([0, 1], np.array([0, 1])):     # any two integers make a pair
+        assert as_json(pair_shift_operator(PAIRS, pair)) == as_json(
+            pair_shift_operator(PAIRS, (0, 1)))

@@ -1307,6 +1307,17 @@ def test_an_open_bracket_keeps_its_proven_bound(build, tol):
     assert rep.radius_upper_bound - top <= 1e-14 * top
 
 
+def test_a_solve_takes_the_row_sums_once(monkeypatch):
+    # the report's upper bound reads Gershgorin's row sums once; only the
+    # bracket finish of a banded operator takes them again
+    calls = []
+    row_sums = spectral._row_sum_bound
+    monkeypatch.setattr(spectral, "_row_sum_bound", lambda op: calls.append(op) or row_sums(op))
+    op = shuffled_path_operator(200)
+    spectral_radius(op)
+    assert calls == [op]
+
+
 def test_a_bracket_settled_under_the_margin_keeps_a_bound():
     # on the 400-point path at tol 1e-17, theta settles 5.5e-15 relative
     # under lambda_max, so the factor at _cholesky_bound(theta) fails; the

@@ -182,6 +182,31 @@ def test_free_ball_keeps_no_words():
     assert counted <= 1e5 and built <= 12e6
 
 
+def test_lattice_ball_keeps_no_search_tree():
+    # right, the elements and index are all a lattice ball holds; parent and
+    # step are a free ball's, and a lattice ball builds no free tables
+    ball = build_ball(ZLattice(2), 3)
+    assert {"right", "elements", "index"} <= set(vars(ball))
+    for name in ("parent", "step"):
+        with pytest.raises(AttributeError):
+            getattr(ball, name)
+    del ball.right
+    with pytest.raises(AttributeError):
+        ball.right
+
+
+def test_lattice_ball_build_peak():
+    # Z^2 at radius 60: about 245 bytes an element at the peak (Python 3.11);
+    # a search that also keeps parent and step arrays peaks past 300
+    tracemalloc.start()
+    try:
+        ball = build_ball(ZLattice(2), 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ball.size == 7321 and peak <= 275 * ball.size
+
+
 @pytest.mark.parametrize("group", [ZLattice(d) for d in (0, 1, 2, 3)]
                          + [FreeGroup(k) for k in (0, 1, 2, 3)], ids=lambda g: g.name)
 def test_ball_size_limit_is_the_exact_ball_size(monkeypatch, group):
