@@ -11,7 +11,9 @@ hold. Every error, a parser error too, is a JSON object on stdout.
 A JSON config file named by the environment variable AMENSPEC_CONFIG
 supplies defaults: top-level keys apply to every command, per-command
 sections override them, explicit flags override both. Keys use the flag
-spelling with dashes turned into underscores; unknown keys are errors.
+spelling with dashes turned into underscores; unknown keys are errors. A
+report's config, its command's resolved options but --output, --csv and
+--timings, read back as that command's section gives the same report.
 """
 
 from __future__ import annotations
@@ -112,7 +114,7 @@ def _list_of(cast):
 
 
 def _as_colon_pair(v, what) -> tuple:
-    parts = str(v).split(":")
+    parts = v if isinstance(v, (list, tuple)) else str(v).split(":")
     if len(parts) != 2:
         raise InputError(f"{what} must look like 'lo:hi'")
     return _as_float(parts[0], what), _as_float(parts[1], what)
@@ -132,84 +134,75 @@ def _as_weights(v, what) -> dict | None:
     return out or None          # no weights: unit weights on omega
 
 
-# -- command runners: each returns (config echo, operator, verdict or sweep report)
+# -- command runners: a solve returns (operator, result), its resolved defaults written into o
 
 
 def _build_ring(o: dict, default_level: int):
-    """The ring of --ring, --N and --level, and its config echo."""
+    """The ring of --ring, --N and --level."""
     if o["ring"] == fusion.FREE_SU2:
         if o["N"] is None:
             raise InputError(f"--ring {fusion.FREE_SU2} requires --N")
-        level = o["level"] if o["level"] is not None else default_level
-        ring = fusion.free_su2_ring(o["N"], level)
-        return ring, {"kind": "rule", "rule": fusion.FREE_SU2, "N": ring.N, "level": level}
+        if o["level"] is None:
+            o["level"] = default_level
+        return fusion.free_su2_ring(o["N"], o["level"])
     if o["N"] is not None or o["level"] is not None:
         raise InputError("--N and --level apply only to --ring free-su2")
-    desc = fusion.load_descriptor_file(o["ring"])
-    return fusion.load_ring(desc), {"kind": desc.kind, "path": o["ring"]}
+    return fusion.load_ring(fusion.load_descriptor_file(o["ring"]))
 
 
 def _run_fusion(o: dict):
-    ring, ring_echo = _build_ring(o, (o["trunc"] or 2000) - 1)
-    trunc = o["trunc"] if o["trunc"] is not None else min(2000, ring.size)
-    verdict = fusion.coamenability_test(ring, o["omega"], trunc=trunc, tol=o["tol"],
+    ring = _build_ring(o, (o["trunc"] or 2000) - 1)
+    if o["trunc"] is None:
+        o["trunc"] = min(2000, ring.size)
+    verdict = fusion.coamenability_test(ring, o["omega"], trunc=o["trunc"], tol=o["tol"],
                                         seed=o["seed"])
-    return {"ring": ring_echo, "omega": o["omega"], "trunc": trunc}, verdict.operator, verdict
+    return verdict.operator, verdict
 
 
 def _run_sweep(o: dict):
     # one operator at the largest size; every smaller size is a leading block of it
-    ring, ring_echo = _build_ring(o, max(o["sizes"]) - 1)
+    ring = _build_ring(o, max(o["sizes"]) - 1)
     op = fusion.window_operator(ring, o["omega"], max(o["sizes"]))
-    rep = truncation_sweep(op, o["sizes"], tol=o["tol"])
-    return {"ring": ring_echo, "omega": o["omega"], "sizes": o["sizes"]}, op, rep
+    return op, truncation_sweep(op, o["sizes"], tol=o["tol"])
 
 
 def _run_walk(o: dict):
-    group = walks.parse_group(o["group"])
-    verdict = walks.kesten_test(group, o["radius"], omega=o["omega"], tol=o["tol"],
-                                weights=o["weight"])
+    verdict = walks.kesten_test(walks.parse_group(o["group"]), o["radius"], omega=o["omega"],
+                                tol=o["tol"], weights=o["weight"])
     _check_solved(verdict.notes["radii"], verdict.notes["eigensolver_converged"], "radius")
-    return ({"group": group.name, "radius": o["radius"], "omega": o["omega"],
-             "weight": o["weight"]}, verdict.operator, verdict)
+    return verdict.operator, verdict
 
 
 def _run_semidirect(o: dict):
     (a, b), (h, max_r) = o["interval"], o["grid"]
-    grid = semidirect.half_line_grid(h, max_r)
-    verdict = semidirect.interval_spectrum_test(grid, a, b, o["witness_m"], tol=o["tol"],
-                                                seed=o["seed"])
-    return ({"interval": [a, b], "grid": {"h": h, "max_r": max_r},
-             "witness_m": o["witness_m"]}, verdict.operator, verdict)
+    verdict = semidirect.interval_spectrum_test(semidirect.half_line_grid(h, max_r), a, b,
+                                                o["witness_m"], tol=o["tol"], seed=o["seed"])
+    return verdict.operator, verdict
 
 
 def _run_bicrossed(o: dict):
     bounds, shift = o["bound"], o["shift"]
     if len(shift) != 2:
         raise InputError("shift must be a pair 'r,rp'")
-    fwd = semidirect.canonical_pair(shift[0], shift[1])
-    omega = sorted({fwd, semidirect.canonical_pair(-shift[0], -shift[1])})
+    omega = sorted({semidirect.canonical_pair(s * shift[0], s * shift[1]) for s in (1, -1)})
     verdict = semidirect.bicrossed_amenability_test(bounds, omega, tol=o["tol"],
                                                     seed=o["seed"])
     _check_solved(bounds, verdict.notes["eigensolver_converged"], "bound")
     # a sweep verdict carries no operator: rebuild the largest box, solve it, report on it
     op = semidirect.pair_window_operator(semidirect.pair_lattice(bounds[-1]), omega)
     verdict.spectral = spectral_radius(op)
-    return ({"bound": bounds, "shift": list(shift), "window": [list(s) for s in omega]},
-            op, verdict)
+    return op, verdict
 
 
 def _run_validate(o: dict) -> dict:
     rows = fusion.validate_descriptor(fusion.load_descriptor_file(o["descriptor"]))
-    return {"schema": 1, "version": __version__, "command": "validate",
-            "descriptor": o["descriptor"], "axioms": rows,
+    return {"descriptor": o["descriptor"], "axioms": rows,
             "all_passed": all(r["passed"] for r in rows)}
 
 
-def _report(cmd: str, o: dict, echo: dict, op, result):
-    """Report and CSV of a command from its runner's (echo, operator, result)."""
-    report = {"schema": 1, "version": __version__, "command": cmd,
-              "config": {**echo, "tol": o["tol"], "seed": o["seed"]},
+def _report(o: dict, op, result):
+    """Report body and CSV of a command from its options and (operator, result)."""
+    report = {"config": {k: v for k, v in o.items() if k not in ("output", "csv", "timings")},
               "operator": fingerprint(op)}
     if isinstance(result, SpectralReport):       # a sweep reports no verdict
         rep, trace = result, result.truncation_trace
@@ -390,7 +383,8 @@ def main(argv=None) -> int:
         o = _options(cmd, args, _load_env_config())
         started = time.monotonic()
         out = _COMMANDS[cmd][2](o)
-        report, csv_payload = (out, None) if cmd == "validate" else _report(cmd, o, *out)
+        body, csv_payload = (out, None) if cmd == "validate" else _report(o, *out)
+        report = {"schema": 1, "version": __version__, "command": cmd, **body}
         elapsed = time.monotonic() - started
         if o["timings"]:
             report["wall_time_s"] = round(elapsed, 6)

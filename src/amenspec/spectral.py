@@ -61,8 +61,8 @@ class ValidationError(ValueError):
 class LinOp:
     """Finitely truncated operator: the n x n matrix on its builder's first n points.
 
-    Stored as CSR, with finite nonnegative entries, which _lanczos's start
-    relies on. symmetric is measured from the matrix, exactly, as
+    Stored read-only as CSR, with finite nonnegative entries, which _lanczos's
+    start relies on. symmetric is measured from the matrix, exactly, as
     max_asymmetry, when either is first read; the solvers need it true.
     Shifts past the truncation edge are dropped (zero padding), the
     compression semantics the certificates rely on.
@@ -75,7 +75,7 @@ class LinOp:
             raise InputError(f"operator matrix must be square and nonempty, got {matrix.shape}")
         if matrix.nnz and not (np.all(np.isfinite(matrix.data)) and matrix.data.min() >= 0):
             raise InputError("operator entries must be finite and nonnegative")
-        self.matrix = matrix
+        self._matrix = matrix
         self.meta = dict(meta or {})
 
     @classmethod
@@ -86,6 +86,10 @@ class LinOp:
             raise InputError("entry index outside the operator")
         m = sp.coo_matrix((np.asarray(vals, dtype=float), (rows, cols)), shape=(n, n))
         return cls(m.tocsr(), meta)
+
+    @property
+    def matrix(self):
+        return self._matrix
 
     @property
     def n(self) -> int:
@@ -202,8 +206,8 @@ class AmenabilityVerdict:
 class _LanczosResult:
     """Ritz data from one Lanczos run, with f * T as (d, e), f a power of two.
     After a "bracket" stop the top pair, thetas[-1] and its vector, is the
-    finish's refined one; upper is the least bound a finish's Cholesky
-    factor proved, its bracket closed or not."""
+    finish's refined one; upper, None where no finish ran, is the least of
+    Gershgorin's row sums and the bounds the finish's Cholesky factors proved."""
 
     blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
@@ -214,7 +218,7 @@ class _LanczosResult:
     stop: str               # "closure", "residual", "bracket" or "budget"
     second_passes: int      # steps that took the second Gram-Schmidt pass
     reorthogonalized: int   # steps that ran Gram-Schmidt at all
-    upper: float | None = None     # the least bound a bracket factor proved, closed or not
+    upper: float | None = None     # the proven bound of a finish, None without one
     vectors: dict = field(default_factory=dict, repr=False)   # ritz_vector's, read-only
 
     @property
@@ -327,14 +331,14 @@ def _banded_cholesky(band: np.ndarray, c: float) -> np.ndarray | None:
     return r if info == 0 else None
 
 
-def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple:
+def _bracket(op: LinOp, u: np.ndarray, tol: float, rows: float) -> tuple:
     """Close [theta, upper] around lambda_max from the Ritz vector u, on an
     operator whose banded factor is cheap: (theta, its unit vector, upper),
     with upper - theta <= tol theta, or, left open, (None, None, upper),
     upper the least bound a factor proved, None if none ran.
 
     1. c = min(Collatz-Wielandt max_i (A|u|)_i / |u|_i, Gershgorin's row
-       sums), both >= lambda_max for a nonnegative A (Horn and Johnson,
+       sums rows), both >= lambda_max for a nonnegative A (Horn and Johnson,
        Matrix Analysis, 8.1), raised by _cholesky_bound so
        that a tight one still factors. The banded Cholesky of c I - A
        (LAPACK dpbtrf, O(n b^2)) proves lambda_max <= _cholesky_bound(c).
@@ -359,7 +363,7 @@ def _bracket(op: LinOp, u: np.ndarray, tol: float) -> tuple:
     x = np.abs(u)
     with np.errstate(over="ignore", invalid="ignore"):
         cw = float((A @ x / x).max()) if x.min() > 0 else math.inf
-        shift = _cholesky_bound(min(cw, _row_sum_bound(op)), b, n)
+        shift = _cholesky_bound(min(cw, rows), b, n)
         R = _banded_cholesky(band, shift)
         if R is None:
             return None, None, None
@@ -540,7 +544,9 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
                 stop = "residual"
                 break
             if k == _CHECK and n * op.bandwidth ** 2 <= _CHECK * op.nnz:
-                th, v, upper = _bracket(op, _ritz_vector(blocks, d, e, top), tol)
+                rows = _row_sum_bound(op)
+                th, v, upper = _bracket(op, _ritz_vector(blocks, d, e, top), tol, rows)
+                upper = rows if upper is None else min(rows, upper)
                 if th is not None:
                     stop = "bracket"
                     break
@@ -644,7 +650,7 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
     u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
     lower = abs(float(u @ op.apply(u)))
     estimate = max(float(np.abs(thetas).max()), lower)
-    upper = min(_row_sum_bound(op), math.inf if res.upper is None else res.upper)
+    upper = _row_sum_bound(op) if res.upper is None else res.upper
 
     # the top four, then the bottom four, each index once; after a bracket stop the refined
     # top alone, as the others are Ritz values of the 16-step tridiagonal, not refined

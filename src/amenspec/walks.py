@@ -103,8 +103,8 @@ def parse_group(text: str):
         raise InputError("group spec must be a string")
     for prefix, cls in (("Z^d:", ZLattice), ("F:", FreeGroup)):
         if text.startswith(prefix):
-            tail = text[len(prefix):]
-            if not tail.isdigit():
+            tail = text[len(prefix):]     # ASCII digits, no more than the build cap has
+            if not (tail.isascii() and tail.isdigit() and len(tail) <= len(str(_MAX_BUILD))):
                 raise InputError(f"bad group rank in {text!r}")
             return cls(int(tail))
     raise InputError(f"unknown group spec {text!r}; use 'Z^d:<d>' or 'F:<k>'")

@@ -54,7 +54,7 @@ def test_fusion_command(capsys):
     assert rep["command"] == "fusion"
     assert rep["version"] == __version__
     assert rep["config"]["trunc"] == 64
-    assert rep["config"]["ring"]["N"] == 2
+    assert rep["config"]["N"] == 2
     assert rep["verdict"]["certified"] is True
     assert rep["verdict"]["target"] == 2.0
     assert rep["operator"]["size"] == 64
@@ -100,7 +100,7 @@ def test_semidirect_witness_flag(capsys):
 def test_bicrossed_command(capsys):
     code, rep = run(capsys, "bicrossed", "--bound", "5", "--shift", "1,0")
     assert code == 0
-    assert rep["config"]["window"] == [[-1, 0], [0, 1]]
+    assert rep["verdict"]["notes"]["window"] == [[-1, 0], [0, 1]]
     assert rep["verdict"]["target"] == 4.0
     assert rep["verdict"]["notes"]["bounds"] == [5]
 
@@ -260,21 +260,27 @@ def test_verdict_commands_build_and_solve_each_operator_once(capsys, monkeypatch
         assert len(keys) == len(set(keys)), argv
 
 
+def _shift_window(config):
+    """The bicrossed window of config's shift: the pair and its negation."""
+    r, rp = config["shift"]
+    return sorted({semidirect.canonical_pair(r, rp), semidirect.canonical_pair(-r, -rp)})
+
+
 def _rebuilt_operator(cmd, config):
-    """The operator a verdict command reports on, rebuilt from its config echo."""
-    if cmd == "fusion":
-        ring = config["ring"]
-        return fusion.window_operator(fusion.free_su2_ring(ring["N"], ring["level"]),
-                                      config["omega"], config["trunc"])
+    """The operator a command reports on, rebuilt from its config echo."""
+    if cmd in ("fusion", "sweep"):
+        size = config["trunc"] if cmd == "fusion" else config["sizes"][-1]
+        return fusion.window_operator(fusion.free_su2_ring(config["N"], config["level"]),
+                                      config["omega"], size)
     if cmd == "semidirect":
-        grid = semidirect.half_line_grid(config["grid"]["h"], config["grid"]["max_r"])
-        return semidirect.interval_operator(grid, *config["interval"])
+        return semidirect.interval_operator(semidirect.half_line_grid(*config["grid"]),
+                                            *config["interval"])
     if cmd == "walk":
         group = walks.parse_group(config["group"])
         weights = config["weight"] or {nm: 1.0 for nm in group.generator_names}
         return walks.cayley_operator(group, weights, walks.build_ball(group, config["radius"]))
-    pairs = semidirect.pair_lattice(config["bound"][-1])
-    return semidirect.pair_window_operator(pairs, [tuple(s) for s in config["window"]])
+    return semidirect.pair_window_operator(semidirect.pair_lattice(config["bound"][-1]),
+                                           _shift_window(config))
 
 
 @pytest.mark.parametrize("argv", [
@@ -392,12 +398,7 @@ def test_reports_agree_with_dense_eigensolves(command):
         report = json.loads(out.read_text())
         header, *rows = [line.split(",") for line in csv.read_text().splitlines()]
     cmd, config, rep = argv[0], report["config"], report["spectral"]
-    if cmd == "sweep":
-        ring = config["ring"]
-        op = fusion.window_operator(fusion.free_su2_ring(ring["N"], ring["level"]),
-                                    config["omega"], config["sizes"][-1])
-    else:
-        op = _rebuilt_operator(cmd, config)
+    op = _rebuilt_operator(cmd, config)
     assert fingerprint(op) == report["operator"]
     ev = _dense_spectrum(op)
     scale = max(float(np.abs(ev).max()), abs(target or 0.0))
@@ -433,7 +434,8 @@ def test_reports_agree_with_dense_eigensolves(command):
         return
     # each bound's residual is measured on its own box, the verdict's on the
     # best bound's; the secondary target's on the largest, the reported one
-    notes, window = v["notes"], [tuple(s) for s in config["window"]]
+    notes, window = v["notes"], _shift_window(config)
+    assert notes["window"] == [list(s) for s in window]
     for entry in notes["trace"]:
         box = semidirect.pair_window_operator(semidirect.pair_lattice(entry["bound"]), window)
         best = entry["bound"] == notes["best_bound"]
@@ -479,17 +481,29 @@ def test_env_config_supplies_defaults(capsys, tmp_path, monkeypatch):
 
 
 def test_walk_config_echo_round_trips(capsys, tmp_path, monkeypatch):
-    for argv in (("--group", "F:2", "--radius", "3", "--weight", "a=1", "--weight", "A=1"),
-                 ("--group", "Z^d:2", "--radius", "4", "--omega", "x1,X1", "--tol", "0.1")):
-        code, rep = run(capsys, "walk", *argv)
-        assert code == 0, argv
-        cfg = tmp_path / "echo.json"
-        cfg.write_text(json.dumps({"walk": rep["config"]}))
-        monkeypatch.setenv(CONFIG_ENV, str(cfg))
-        code, again = run(capsys, "walk")
+    # every solve command: its report's config, read back as its section with
+    # no flags, gives the same report byte for byte; fusion resolves --trunc
+    # and --level, and the table ring is named by a relative path
+    (tmp_path / "ring.json").write_text(json.dumps(cyclic3_obj()))
+    monkeypatch.chdir(tmp_path)
+    for argv in (("fusion", "--ring", "free-su2", "--N", "2", "--omega", "a1"),
+                 ("sweep", "--ring", "free-su2", "--N", "3", "--omega", "a1",
+                  "--sizes", "8,16,32"),
+                 ("sweep", "--ring", "ring.json", "--omega", "g,h", "--sizes", "2,3"),
+                 ("walk", "--group", "F:2", "--radius", "3", "--weight", "a=1",
+                  "--weight", "A=1"),
+                 ("walk", "--group", "Z^d:2", "--radius", "4", "--omega", "x1,X1",
+                  "--tol", "0.1"),
+                 ("semidirect", "--interval", "0:1", "--grid", "0.25:16", "--seed", "5"),
+                 ("bicrossed", "--bound", "3,5", "--shift", "0,1")):
+        assert main(list(argv)) == 0, argv
+        text = capsys.readouterr().out
+        (tmp_path / "echo.json").write_text(
+            json.dumps({argv[0]: json.loads(text)["config"]}))
+        monkeypatch.setenv(CONFIG_ENV, "echo.json")
+        code = main([argv[0]])
         monkeypatch.delenv(CONFIG_ENV)
-        assert code == 0, argv
-        assert again == rep, argv
+        assert (code, capsys.readouterr().out) == (0, text), argv
 
 
 def test_flags_override_config(capsys, tmp_path, monkeypatch):
@@ -557,6 +571,9 @@ def test_missing_required_flag(capsys):
 def test_bad_values_exit_2(capsys, tmp_path):
     cases = [
         ("walk", "--group", "Q:1", "--radius", "2"),
+        ("walk", "--group", "F:\u00b2", "--radius", "2"),
+        ("walk", "--group", "Z^d:\u0661", "--radius", "2"),
+        ("walk", "--group", "Z^d:" + "1" * 5000, "--radius", "2"),
         ("walk", "--group", "Z^d:1", "--radius", "x"),
         ("walk", "--group", "Z^d:1", "--radius", "2", "--weight", "x1:0.5"),
         ("walk", "--group", "Z^d:1", "--radius", "2",
@@ -845,9 +862,9 @@ def test_non_finite_report_value_is_a_convergence_error(capsys, monkeypatch, tmp
     text, tol, runner, flags = _COMMANDS["walk"]
 
     def nan_runner(o):
-        echo, op, verdict = runner(o)
+        op, verdict = runner(o)
         verdict.notes["limit_estimate"] = math.nan
-        return echo, op, verdict
+        return op, verdict
 
     monkeypatch.setitem(_COMMANDS, "walk", (text, tol, nan_runner, flags))
     out = tmp_path / "report.json"

@@ -642,7 +642,7 @@ def test_overflowing_product_fails_at_its_first_step(solve):
     # there instead of running on NaNs until its budget is spent
     op = LinOp(np.full((4, 4), 1e308))
     assert op.symmetric         # measured before the stand-in, which has no transpose
-    op.matrix = CountingMatrix(op.matrix)
+    op._matrix = CountingMatrix(op.matrix)
     with np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(InputError, match="step 1: .* operator overflows"):
         solve(op)
@@ -908,14 +908,21 @@ def test_reuse_carries_a_failed_run(monkeypatch):
     assert again.errors == ["lanczos-ritz: tridiagonal solve did not converge"]
 
 
-def test_radius_follows_a_reassigned_matrix():
-    # a solve describes the matrix the operator holds when it runs
-    op = path_operator(400)
-    in_spectrum(op, 3.0)
-    op.matrix = 2 * op.matrix
-    fresh = path_operator(400)
-    fresh.matrix = 2 * fresh.matrix
-    assert spectral_radius(op).to_dict() == spectral_radius(fresh).to_dict()
+def test_an_operators_matrix_cannot_be_reassigned():
+    # the facts measured from a matrix, its symmetry, band and sign, stay
+    # those of the matrix it holds: an asymmetric matrix once took the place
+    # of a path whose symmetry had been read, and its solve "proved" a bound
+    # of 6 under an estimate of 373.76
+    op = path_operator(50)
+    assert op.symmetric
+    skew = sp.diags([np.ones(49), np.full(47, 5.0)], [1, -3], format="csr")
+    for matrix in (skew, -op.matrix, 2 * op.matrix):
+        with pytest.raises(AttributeError):
+            op.matrix = matrix
+    with pytest.raises(InputError, match="symmetric"):
+        spectral_radius(LinOp(skew))
+    first = in_spectrum(op, 3.0).spectral.to_dict()
+    assert spectral_radius(op).to_dict() == spectral_radius(path_operator(50)).to_dict() == first
 
 
 def test_membership_certificate_soundness_against_dense():
@@ -1308,14 +1315,17 @@ def test_an_open_bracket_keeps_its_proven_bound(build, tol):
 
 
 def test_a_solve_takes_the_row_sums_once(monkeypatch):
-    # the report's upper bound reads Gershgorin's row sums once; only the
-    # bracket finish of a banded operator takes them again
+    # a solve reads Gershgorin's row sums once: for the report's upper bound,
+    # or, on a banded operator, for the finish, which hands its bound on
     calls = []
     row_sums = spectral._row_sum_bound
     monkeypatch.setattr(spectral, "_row_sum_bound", lambda op: calls.append(op) or row_sums(op))
-    op = shuffled_path_operator(200)
-    spectral_radius(op)
-    assert calls == [op]
+    path = fusion.window_operator(fusion.free_su2_ring(3, 1999), ["a1"], 2000)
+    for op, stop in ((shuffled_path_operator(200), "closure"), (path, "bracket")):
+        for solve in (spectral_radius, lambda op: in_spectrum(op, 3.0).spectral):
+            calls.clear()
+            assert solve(op).stop == stop
+            assert calls == [op]
 
 
 def test_a_bracket_settled_under_the_margin_keeps_a_bound():

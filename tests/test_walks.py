@@ -32,7 +32,9 @@ def test_parse_group():
     assert isinstance(g, ZLattice) and g.d == 2
     f = parse_group("F:3")
     assert isinstance(f, FreeGroup) and f.k == 3
-    for bad in ("Z^2", "F:x", "Q:3", "F:-1", ""):
+    # digits are ASCII and no longer than the build cap: int() once read
+    # 'Z^d:\u0661' as Z^d:1, and raised ValueError on '\u00b2' and 5000 digits
+    for bad in ("Z^2", "F:x", "Q:3", "F:-1", "", "F:\u00b2", "Z^d:\u0661", "Z^d:" + "1" * 5000):
         with pytest.raises(InputError):
             parse_group(bad)
     with pytest.raises(InputError):
