@@ -57,10 +57,18 @@ def _load_env_config() -> dict:
 # -- value casts shared by flags and config entries --------------------------
 
 
+def _ascii(v) -> None:
+    """Refuse a string that float() or int() reads but a reader may not: one
+    with a non-ASCII digit (Arabic-Indic, fullwidth, ...) or a '_' separator."""
+    if isinstance(v, str) and not (v.isascii() and "_" not in v):
+        raise ValueError
+
+
 def _as_float(v, what) -> float:
     try:
         if isinstance(v, bool):
             raise TypeError
+        _ascii(v)
         return float(v)
     except (TypeError, ValueError):
         raise InputError(f"{what} must be a number, got {v!r}") from None
@@ -70,6 +78,7 @@ def _as_int(v, what) -> int:
     try:
         if isinstance(v, bool):
             raise TypeError
+        _ascii(v)
         if isinstance(v, float):
             if not v.is_integer():
                 raise TypeError

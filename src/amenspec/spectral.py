@@ -279,13 +279,18 @@ def _top_ritz(alphas: np.ndarray, betas: np.ndarray) -> tuple:
 
 
 def _row_sum_bound(op: LinOp) -> float:
-    """Gershgorin's bound max_i sum_j A_ij >= lambda_max, rounded up: a sum
-    of m nonnegative terms is computed within gamma_m of itself (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 4.2), m the
-    most entries in a row, and the bound is raised by 2 m u = m eps, then
-    one ulp for the product's own rounding."""
+    """Gershgorin's bound max_i sum_j A_ij >= lambda_max, rounded up by
+    _raised_sum, m the most entries in a row."""
     m = int(np.diff(op.matrix.indptr).max())
-    return math.nextafter(float((op.matrix @ np.ones(op.n)).max()) * (1 + m * _EPS), math.inf)
+    return _raised_sum(float((op.matrix @ np.ones(op.n)).max()), m)
+
+
+def _raised_sum(total: float, m: int) -> float:
+    """total, a computed sum of m nonnegative terms, raised past the exact
+    sum: it is within gamma_m of it (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., 4.2), so it is raised by 2 m u = m eps,
+    then one ulp for the product's own rounding."""
+    return math.nextafter(total * (1 + m * _EPS), math.inf)
 
 
 def _cholesky_bound(c: float, b: int, n: int) -> float:
@@ -412,17 +417,18 @@ def _gram_schmidt(basis: list, w: np.ndarray) -> None:
         w -= c @ B
 
 
-def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
+def _lanczos(op: LinOp, tol: float, steps: int, start=None) -> _LanczosResult:
     """Lanczos with partial reorthogonalization, at most
     min(steps, n, _MAX_BASIS // n) steps; the solvers pass _STEPS.
 
-    The start is the constant vector 1/sqrt(n). A LinOp is nonnegative, so
-    its radius is its largest eigenvalue, with a nonnegative eigenvector
-    (Perron-Frobenius: Horn and Johnson, Matrix Analysis, 8.3) that meets
-    the start, which thus reaches the radius for certain. Its Krylov space
-    is spanned by its projections on the eigenspaces it meets, those of the
-    "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007), so
-    it closes (breakdown, or dimension n) after as many steps as there are
+    The start is the constant vector 1/sqrt(n), or start, a vector of
+    positive entries, normalized. A LinOp is nonnegative, so its radius is
+    its largest eigenvalue, with a nonnegative eigenvector (Perron-Frobenius:
+    Horn and Johnson, Matrix Analysis, 8.3) that meets the start, which thus
+    reaches the radius for certain. Its Krylov space is spanned by its
+    projections on the eigenspaces it meets, for the constant start those of
+    the "main" eigenvalues (Rowlinson, Appl. Anal. Discrete Math. 1, 2007),
+    so it closes (breakdown, or dimension n) after as many steps as there are
     main eigenvalues, holding each exactly. No stop decision needs more
     than the radius, so the run reads only the top Ritz value hi, with the
     last component of its eigenvector (_top_ritz), and every test is
@@ -483,7 +489,7 @@ def _lanczos(op: LinOp, tol: float, steps: int) -> _LanczosResult:
     A = op.matrix
     budget = min(steps, n, _MAX_BASIS // n)
     blocks = [np.empty((min(_BLOCK, budget + 1), n))]
-    blocks[0][0] = 1 / math.sqrt(n)
+    blocks[0][0] = 1 / math.sqrt(n) if start is None else start / _norm(start)
     alphas = np.empty(budget)
     betas = np.empty(budget)
     prev, cur, new = np.zeros((3, budget + 1))   # omega of q_k-1, q_k and q_k+1
@@ -617,18 +623,22 @@ def _increasing_ints(values, what: str) -> list:
     return [int(v) for v in ints]
 
 
-def spectral_radius(op: LinOp, tol: float = EIGEN_TOL) -> SpectralReport:
+def spectral_radius(op: LinOp, tol: float = EIGEN_TOL,
+                    start: np.ndarray | None = None) -> SpectralReport:
     """Spectral radius of the truncated operator, which must be symmetric:
     an asymmetric one is an InputError.
 
-    Lanczos from the constant vector, which meets the nonnegative Perron
-    eigenvector of the radius and closes at the number of main eigenvalues
-    (see _lanczos), with a banded operator handed at step 16 to a finish
-    that brackets the radius between a Rayleigh quotient and a bound proven
-    by a banded Cholesky factor (see _bracket). The estimate is within tol
-    of the largest eigenvalue of the truncation once converged, and
-    converged: false means the budget of _STEPS = 300 steps, or fewer for
-    a basis past _MAX_BASIS entries, ran out. stop says why the solve ended:
+    Lanczos from the constant vector, or from start, n finite positive
+    entries (anything else is an InputError). Either meets the nonnegative
+    Perron eigenvector of the radius, and the run closes at the number of
+    eigenvalues whose eigenspaces it meets, the main eigenvalues for the
+    constant start (see _lanczos). A banded operator is handed at step 16
+    to a finish that brackets the radius between a Rayleigh quotient and a
+    bound proven by a banded Cholesky factor (see _bracket). The estimate
+    is within tol of the largest eigenvalue of the truncation once
+    converged, and converged: false means the budget of _STEPS = 300 steps,
+    or fewer for a basis past _MAX_BASIS entries, ran out. stop says why
+    the solve ended:
     "closure" (the Krylov subspace closed, or the operator is zero),
     "residual" (the residual bound on the top Ritz value met tol),
     "bracket" (the finish's bracket closed) or "budget".
@@ -638,7 +648,12 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL) -> SpectralReport:
     finish's factors proved (_cholesky_bound), whether its bracket closed or
     not, and Gershgorin's row sums (_row_sum_bound).
     """
-    return _radius_report(op, _lanczos(op, _positive(tol, "tol"), _STEPS))
+    tol = _positive(tol, "tol")
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        if not (start.shape == (op.n,) and np.all(np.isfinite(start)) and start.min() > 0):
+            raise InputError(f"start must be {op.n} finite positive entries")
+    return _radius_report(op, _lanczos(op, tol, _STEPS, start))
 
 
 def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
@@ -663,8 +678,12 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
 def fingerprint(op: LinOp) -> dict:
     """Report-ready summary of an operator: size, fill, its measured
     symmetry and defect, one measurement. boundary_policy is always zero-pad:
-    no builder keeps what leaves the truncation."""
-    return {"size": int(op.n), "nnz": int(op.nnz), "symmetric": op.symmetric,
+    no builder keeps what leaves the truncation. An operator that stands for
+    a larger one, as a walk's sphere quotient stands for its ball
+    (walks.kesten_test), holds that one's size and nnz in
+    meta["quotient_of"], and they are reported."""
+    of = op.meta.get("quotient_of", {"size": op.n, "nnz": op.nnz})
+    return {"size": int(of["size"]), "nnz": int(of["nnz"]), "symmetric": op.symmetric,
             "max_asymmetry": op.max_asymmetry, "boundary_policy": "zero-pad"}
 
 

@@ -6,11 +6,13 @@ operator (A f)(x) = sum over generators s of w(s) f(s^{-1} x) is compressed
 to a ball; steps leaving the ball are dropped. The growth criterion
 compares the compressed spectral radius against the total generator weight:
 for an amenable group the normalized radius climbs to 1 as the ball grows,
-for a free group it stays pinned near the tree bound.
+for a free group it stays pinned near the tree bound. The unit-weight walk
+on F_k, k >= 2, is radial, and kesten_test solves it on the ball's spheres.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import string
 from collections.abc import Sequence
@@ -20,7 +22,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .spectral import (EIGEN_TOL, AmenabilityVerdict, InputError, LinOp, _MAX_BUILD,
-                       _increasing_ints, _is_int, _is_real, _positive, _window, spectral_radius)
+                       _increasing_ints, _is_int, _is_real, _positive, _raised_sum, _window,
+                       spectral_radius)
 
 _MAX_STEPS = 2 ** 22   # most coordinate steps a lattice ball build takes (_check_ball_size)
 
@@ -230,14 +233,18 @@ def _check_ball_size(group, radius: int) -> None:
                          "coordinate steps to build (elements times 2d^2)")
 
 
+def _free_sphere_ends(k: int, radius: int) -> tuple:
+    """The sphere ends of the F_k ball: spheres of 1, then 2k (2k - 1)^m words."""
+    return tuple(accumulate((2 * k * (2 * k - 1) ** m for m in range(radius)), initial=1))
+
+
 def build_ball(group, radius: int) -> BallTruncation:
     if not (_is_int(radius) and radius >= 0):
         raise InputError("radius must be a nonnegative integer")
     radius = int(radius)
     _check_ball_size(group, radius)
-    if isinstance(group, FreeGroup):   # spheres of 1, then 2k (2k - 1)^m words
-        return BallTruncation(group, radius, tuple(accumulate(
-            (2 * group.k * (2 * group.k - 1) ** m for m in range(radius)), initial=1)))
+    if isinstance(group, FreeGroup):
+        return BallTruncation(group, radius, _free_sphere_ends(group.k, radius))
     order = [group.identity]
     index = {group.identity: 0}
     right, ends = [], []
@@ -343,19 +350,85 @@ def modular_weight_operator(group, p: float, density: dict,
                                     "dropped": int(kept.size - kept.sum())})
 
 
+def _sphere_quotient(k: int, radius: int) -> LinOp:
+    """The unit-weight walk on the F_k ball (k >= 2) of the given radius, on
+    its spheres. They partition the ball equitably: a word of sphere m has
+    B[m, m+1] neighbours in sphere m + 1, 2k for m = 0 and 2k - 1 after, and
+    B[m, m-1] = 1 in sphere m - 1. So the walk maps the sphere-constant
+    vectors, scaled by sqrt(sphere size), to themselves by the symmetric
+    Jacobi matrix of zero diagonal and off-diagonal sqrt(B[m, m+1] B[m+1, m]):
+    sqrt(2k), then sqrt(2k - 1) (Godsil and Royle, Algebraic Graph Theory,
+    9.3). Lanczos from the ball's constant vector never leaves that space, and
+    the ball's Perron vector is sphere-constant, so its radius is this
+    matrix's (Kesten, Trans. AMS 92, 1959). A smaller radius's quotient is
+    its leading block."""
+    beta = np.full(radius, math.sqrt(2 * k - 1))
+    beta[0] = math.sqrt(2 * k)
+    return LinOp(sp.diags([beta, beta], [-1, 1]))
+
+
+def _sphere_solve(quotient: LinOp, k: int, r: int, ends: tuple) -> tuple:
+    """(operator, SpectralReport) of the unit-weight F_k walk on the radius-r
+    ball, solved on the leading r + 1 block of its _sphere_quotient from
+    sqrt(sphere sizes / n), the image of the ball's constant start: in exact
+    arithmetic the run is the ball's. The operator's meta names the ball's
+    size n and nnz 2(n - 1), a tree's edges stored twice, for fingerprint.
+
+    The report keeps the ball's proven bounds. The upper one is the ball's
+    Gershgorin bound, row sums of at most 2k unit entries, raised as
+    _row_sum_bound raises them. The lower one is the Rayleigh quotient, on
+    the ball, of the sphere-constant x with x_0 = 1 and theta x_m = x_m-1 +
+    B[m, m+1] x_m+1 (x_-1 = 0), the eigenvector recurrence at the estimate
+    theta: the ball's Perron vector up to rounding. With s_m the sphere
+    sizes, x'Ax = 2 sum s_m+1 x_m x_m+1 and x'x = sum s_m x_m^2 are summed
+    exactly in integers, the float x_m over a common power of two, and
+    their quotient is rounded down; a Rayleigh quotient never exceeds
+    lambda_max. The quotient's own, on rounded square roots, can: by
+    1.2e-15 at F_2 radius 10."""
+    n = ends[r]
+    spheres = [b - a for a, b in zip((0,) + ends, ends[:r + 1])]
+    op = quotient.leading_block(r + 1)
+    op.meta = {**quotient.meta, "radius": r, "dropped": 2 * k * n - 2 * (n - 1),
+               "quotient_of": {"size": n, "nnz": 2 * (n - 1)}}
+    rep = spectral_radius(op, tol=EIGEN_TOL, start=np.sqrt(np.array(spheres) / n))
+    theta = rep.radius_estimate
+    x = [1.0, theta / (2 * k)]
+    while len(x) <= r:
+        x.append((theta * x[-1] - x[-2]) / (2 * k - 1))
+    ratios = [v.as_integer_ratio() for v in x]      # x_m = X_m / d, exactly
+    d = max(b for _, b in ratios)
+    X = [a * (d // b) for a, b in ratios]
+    num = abs(2 * sum(s * a * b for s, a, b in zip(spheres[1:], X, X[1:])))
+    den = sum(s * v * v for s, v in zip(spheres, X))
+    lower = num / den           # an int quotient, correctly rounded
+    p, q = lower.as_integer_ratio()
+    if p * den > num * q:       # rounded up: step down
+        lower = math.nextafter(lower, 0.0)
+    return op, dataclasses.replace(rep, radius_estimate=max(theta, lower),
+                                   radius_lower_bound=lower,
+                                   radius_upper_bound=_raised_sum(2.0 * k, 2 * k))
+
+
 def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0.05,
                 weights: dict | None = None) -> AmenabilityVerdict:
     """Growth test: does the compressed walk radius reach the total weight.
 
-    radii may be one integer radius (swept from 1) or an increasing sequence of them.
-    The ball is built once, at the largest radius; breadth-first order makes
-    each smaller ball a prefix of it, so each smaller radius is solved on a
-    leading principal block of that one operator. With unit weights the
-    target is |omega|; an explicit symmetric weight map shifts the target to
-    its total mass. The verdict certifies when some ball's rigorous lower
-    bound comes within tol of the target. notes carries the per-radius trace
-    and a curvature-corrected limit estimate from the last two radii; the
-    verdict carries the largest ball's operator and its SpectralReport. The
+    radii may be one integer radius (swept from 1) or an increasing sequence
+    of them. With unit weights the target is |omega|; an explicit symmetric
+    weight map shifts the target to its total mass. The verdict certifies
+    when some ball's rigorous lower bound comes within tol of the target.
+    notes carries the per-radius trace and a curvature-corrected limit
+    estimate from the last two radii; the verdict carries the largest ball's
+    operator and its SpectralReport.
+
+    A walk of unit weight on every generator of F_k, k >= 2, is solved on
+    its spheres (_sphere_quotient, _sphere_solve): no ball is built, and the
+    verdict's operator is the largest radius's quotient, an (R+1)-square
+    Jacobi matrix whose meta["quotient_of"] holds the ball's size and nnz,
+    which fingerprint reports. Any other walk builds one ball, at the
+    largest radius; breadth-first order makes each smaller ball a prefix of
+    it, so each smaller radius is solved on a leading principal block of
+    that one operator, and the verdict's operator is the ball's own. The
     trivial group has no generator to name: it takes no window, and its
     walk is the 1 x 1 identity on the identity, solved once, at radius 0,
     against target 1, with a convention note.
@@ -377,20 +450,30 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
         weights = {nm: 1.0 for nm in names}
     elif any(weights[group.inverse_name(nm)] != w for nm, w in weights.items()):
         raise InputError("weights must be symmetric under inversion")
+    weights = {nm: _positive(w, f"weight for {nm!r}") for nm, w in weights.items()}
+    tree = (isinstance(group, FreeGroup) and group.k > 1
+            and weights == dict.fromkeys(group.generator_names, 1.0))
 
-    if group.generator_names:
-        ball = build_ball(group, radii[-1])
-        full = cayley_operator(group, weights, ball)
-        target, ends = float(sum(full.meta["weights"].values())), ball.sphere_ends
-    else:       # the walk averages over {identity}
+    target = float(sum(weights.values()))
+    if not group.generator_names:       # the walk averages over {identity}
         full, target, radii, ends = LinOp(np.eye(1)), 1.0, [0], (1,)
+    elif tree:
+        _check_ball_size(group, radii[-1])
+        full, ends = _sphere_quotient(group.k, radii[-1]), _free_sphere_ends(group.k, radii[-1])
+        full.meta = {"group": group.describe(), "radius": radii[-1], "weights": weights}
+    else:
+        ball = build_ball(group, radii[-1])
+        full, ends = cayley_operator(group, weights, ball), ball.sphere_ends
     sizes, estimates, lowers, solved = [], [], [], []
     for r in radii:
-        op = full.leading_block(ends[r])
-        if op is not full:
-            op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
-        rep = spectral_radius(op, tol=EIGEN_TOL)
-        sizes.append(op.n)
+        if tree:
+            op, rep = _sphere_solve(full, group.k, r, ends)
+        else:
+            op = full.leading_block(ends[r])
+            if op is not full:
+                op.meta = {**full.meta, "radius": r, "dropped": op.n * len(weights) - op.nnz}
+            rep = spectral_radius(op, tol=EIGEN_TOL)
+        sizes.append(ends[r])
         estimates.append(rep.radius_estimate)
         lowers.append(rep.radius_lower_bound)
         solved.append(rep.converged)

@@ -575,6 +575,14 @@ def test_bad_values_exit_2(capsys, tmp_path):
         ("walk", "--group", "Z^d:\u0661", "--radius", "2"),
         ("walk", "--group", "Z^d:" + "1" * 5000, "--radius", "2"),
         ("walk", "--group", "Z^d:1", "--radius", "x"),
+        ("walk", "--group", "Z^d:1", "--radius", "\u0661\u0660"),
+        ("walk", "--group", "Z^d:1", "--radius", "1_0"),
+        ("walk", "--group", "Z^d:1", "--radius", "\uff11\uff10"),
+        ("fusion", "--ring", "free-su2", "--N", "\u0663", "--trunc", "3_2", "--omega", "a1"),
+        ("fusion", "--ring", "free-su2", "--N", "3", "--trunc", "3_2", "--omega", "a1"),
+        ("fusion", "--ring", "free-su2", "--N", "2_5", "--trunc", "32", "--omega", "a1"),
+        ("fusion", "--ring", "free-su2", "--N", "3", "--trunc", "32", "--omega", "a1",
+         "--tol", "0.0_1"),
         ("walk", "--group", "Z^d:1", "--radius", "2", "--weight", "x1:0.5"),
         ("walk", "--group", "Z^d:1", "--radius", "2",
          "--weight", "x1=1", "--weight", "x1=2"),
@@ -700,7 +708,7 @@ def test_overflowing_walk_is_an_input_error(capsys):
 
 
 def test_lapack_failure_is_a_convergence_error(capsys, monkeypatch):
-    def failing(op, tol, steps):
+    def failing(op, tol, steps, start=None):
         raise scipy.linalg.LinAlgError("dstein (extreme Ritz vectors) failed with info=1")
 
     monkeypatch.setattr(spectral, "_lanczos", failing)

@@ -837,9 +837,9 @@ def test_lanczos_run_shared_between_certificate_and_radius(monkeypatch):
     solved = []
     orig = spectral._lanczos
 
-    def counting(op, tol, steps):
+    def counting(op, tol, steps, start=None):
         solved.append(op)
-        return orig(op, tol, steps)
+        return orig(op, tol, steps, start)
 
     monkeypatch.setattr(spectral, "_lanczos", counting)
     monkeypatch.setattr(spectral, "_STEPS", 120)

@@ -1,7 +1,9 @@
 """Group balls, walk operators, and the growth criterion."""
 
+import json
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -10,9 +12,9 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from amenspec import (FreeGroup, InputError, ZLattice, build_ball,
-                      cayley_operator, kesten_test, modular_weight_operator,
-                      parse_group, walks)
+from amenspec import (FreeGroup, InputError, ZLattice, build_ball, cayley_operator, cli,
+                      fingerprint, kesten_test, modular_weight_operator, parse_group,
+                      spectral_radius, walks)
 
 SMALL_GROUPS = [ZLattice(d) for d in (1, 2, 3)] + [FreeGroup(k) for k in (1, 2, 3)]
 
@@ -534,12 +536,16 @@ def reference_walk(group, weights, radius):
 
 @st.composite
 def walk_inputs(draw):
+    """A walk kesten_test solves on a ball: never unit weights on every
+    generator of F_k, k >= 2, which it solves on the spheres instead."""
     group = draw(st.sampled_from(SMALL_GROUPS))
+    spheres = isinstance(group, FreeGroup) and group.k > 1
     radii = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=4)))
     pairs = [nm for nm in group.generator_names if nm.islower()]
-    window = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    window = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs) - spheres,
+                           unique=True))
     window = [s for nm in window for s in (nm, nm.upper())]
-    mode = draw(st.sampled_from(["all", "omega", "weights"]))
+    mode = draw(st.sampled_from(["omega", "weights"] if spheres else ["all", "omega", "weights"]))
     if mode == "all":
         return group, radii, None, None
     if mode == "omega":
@@ -615,11 +621,128 @@ def test_kesten_builds_one_ball_and_one_operator(monkeypatch):
 
     for name in ("build_ball", "cayley_operator", "spectral_radius"):
         monkeypatch.setattr(walks, name, counting(name, getattr(walks, name)))
-    verdict = kesten_test(FreeGroup(2), 6)
+    verdict = kesten_test(FreeGroup(2), 6, weights=dict(a=1.0, A=1.0, b=2.0, B=2.0))
     assert verdict.notes["ball_sizes"] == [2 * 3 ** r - 1 for r in range(1, 7)]
     assert calls.count("build_ball") == 1
     assert calls.count("cayley_operator") == 1
     assert calls.count("spectral_radius") == 6
+
+
+@pytest.mark.parametrize("window", [
+    {}, {"omega": list("BbAa")}, {"weights": dict(b=1, B=1, a=1.0, A=1.0)},
+    {"omega": list("aAbB"), "weights": dict.fromkeys("aAbB", 1.0)},
+])
+def test_unit_free_walk_builds_no_ball(monkeypatch, window):
+    # however the unit window is spelled, the walk is solved on its spheres
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in ("build_ball", "cayley_operator", "spectral_radius"):
+        monkeypatch.setattr(walks, name, counting(name, getattr(walks, name)))
+    verdict = kesten_test(FreeGroup(2), [2, 5, 6], **window)
+    assert verdict.notes["ball_sizes"] == [2 * 3 ** r - 1 for r in (2, 5, 6)]
+    assert calls == ["spectral_radius"] * 3
+    assert verdict.operator.n == 7 and verdict.operator.meta["quotient_of"] == {
+        "size": 1457, "nnz": 2912}
+
+
+def _eigenvalue_at_least(x, k, radius):
+    """Is some eigenvalue of the radius-R F_k ball walk >= x, decided exactly.
+
+    Its top eigenvalue is that of the sphere quotient, the Jacobi matrix of
+    zero diagonal whose off-diagonal squares are 2k, then 2k - 1: integers,
+    and a tridiagonal's characteristic polynomial depends on its
+    off-diagonal only through them. The LDL' pivots of T - x in Fractions,
+    d_0 = -x, d_i = -x - b_i^2 / d_i-1, are all negative exactly when T - x
+    is negative definite, when every eigenvalue lies below x."""
+    x, d = Fraction(x), None
+    for i in range(radius + 1):
+        d = -x if i == 0 else -x - (2 * k if i == 1 else 2 * k - 1) / d
+        if d >= 0:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("k, top", [(2, 13), (3, 9), (4, 7)])
+def test_sphere_bounds_bracket_the_exact_radius(k, top):
+    # at every radius the build cap admits, the solve closes at step R + 1 and
+    # lower <= lambda_max <= upper, exactly, the lower bound within 1e-14 of it
+    with pytest.raises(InputError):
+        kesten_test(FreeGroup(k), [top + 1])
+    verdict = kesten_test(FreeGroup(k), top)
+    assert (verdict.spectral.iterations, verdict.spectral.stop) == (top + 1, "closure")
+    assert verdict.spectral.radius_upper_bound > 2 * k
+    assert not _eigenvalue_at_least(verdict.spectral.radius_upper_bound, k, top)
+    for r, lower in zip(verdict.notes["radii"], verdict.notes["lower_bounds"]):
+        assert _eigenvalue_at_least(lower, k, r), r
+        assert not _eigenvalue_at_least(Fraction(lower) * (1 + Fraction(1, 10 ** 14)), k, r), r
+
+
+def test_walk_f2_radius_10_lower_bound_is_below_the_radius(capsys):
+    # the quotient's own Rayleigh quotient, on rounded square roots, lies
+    # above lambda_max here; the reported one, the ball's, does not
+    code = cli.main(["walk", "--group", "F:2", "--radius", "10"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    lower = report["spectral"]["radius_lower_bound"]
+    assert lower == report["verdict"]["notes"]["lower_bounds"][-1] == 3.3617818792328826
+    assert _eigenvalue_at_least(lower, 2, 10)
+    sizes = np.diff(walks._free_sphere_ends(2, 10), prepend=0)
+    naive = spectral_radius(walks._sphere_quotient(2, 10), start=np.sqrt(sizes))
+    assert naive.radius_lower_bound == 3.361781879232884
+    assert not _eigenvalue_at_least(naive.radius_lower_bound, 2, 10)
+
+
+def _agree(got, want, scale):
+    """got == want, but floats within 1e-12 of scale, the operator's radius."""
+    if isinstance(want, float):
+        return isinstance(got, float) and abs(got - want) <= 1e-12 * scale
+    if isinstance(want, (list, tuple)):
+        return len(got) == len(want) and all(_agree(g, w, scale) for g, w in zip(got, want))
+    if isinstance(want, dict):
+        return got.keys() == want.keys() and all(_agree(got[k], want[k], scale) for k in want)
+    return type(got) is type(want) and got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 4), st.sets(st.integers(1, 5), min_size=1))
+def test_sphere_solve_matches_the_ball_solve(k, radii):
+    # the sphere path reports what a solve of the ball itself reports
+    radii, group = sorted(radii), FreeGroup(k)
+    quotients, solve = [], walks.spectral_radius
+
+    def recording(op, **kw):
+        rep = solve(op, **kw)
+        quotients.append(rep)
+        return rep
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walks, "spectral_radius", recording)
+        verdict = kesten_test(group, radii)
+    ball = build_ball(group, radii[-1])
+    walk = cayley_operator(group, dict.fromkeys(group.generator_names, 1.0), ball)
+    blocks = [walk.leading_block(ball.sphere_ends[r]) for r in radii]
+    reports = [spectral_radius(op) for op in blocks]
+    scale = reports[-1].radius_estimate
+    assert fingerprint(verdict.operator) == fingerprint(walk)
+    assert _agree(verdict.spectral.to_dict(), reports[-1].to_dict(), scale)
+    for got, want in zip(quotients, reports):
+        assert (got.iterations, got.stop, got.converged, got.reorthogonalized) == (
+            want.iterations, want.stop, want.converged, want.reorthogonalized)
+        assert _agree(got.top_eigenvalues, want.top_eigenvalues, scale)
+    lowers = [rep.radius_lower_bound for rep in reports]
+    notes = verdict.notes
+    assert notes["ball_sizes"] == [op.n for op in blocks]
+    assert notes["eigensolver_converged"] == [rep.converged for rep in reports]
+    assert _agree(notes["radius_estimates"], [rep.radius_estimate for rep in reports], scale)
+    assert _agree(notes["lower_bounds"], lowers, scale)
+    assert verdict.certified == (max(lowers) >= 2 * k - verdict.tolerance)
+    assert _agree(verdict.best_residual, 2 * k - max(lowers), scale)
 
 
 # -- group laws ---------------------------------------------------------------
