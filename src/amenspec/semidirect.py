@@ -190,6 +190,11 @@ def _class_coords(bound: int) -> tuple:
     return g - bound, gp - bound
 
 
+def _class_index(i, j, m: int):
+    """The index of the class of box coordinates i < j (g + B and g' + B) in a box of width m."""
+    return i * m - i * (i + 1) // 2 + j - i - 1
+
+
 def _shift(shift) -> tuple:
     """shift, a pair of _is_int integers, as Python ints; else an InputError."""
     pair = tuple(shift) if isinstance(shift, Iterable) and not isinstance(shift, str) else ()
@@ -219,7 +224,7 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
     i, j = np.minimum(x, y).ravel(), np.maximum(x, y).ravel()
     keep = (i != j) & (i >= 0) & (j < m)
     rows = np.repeat(np.arange(len(g)), 2)[keep]
-    cols = (i * m - i * (i + 1) // 2 + j - i - 1)[keep]     # the index of class (i, j)
+    cols = _class_index(i, j, m)[keep]
     dropped = int(np.count_nonzero(~keep))
     return LinOp.from_entries(pairs.size, rows, cols, np.ones(len(rows)),
                               meta={"shift": (r, rp), "bound": pairs.bound,
@@ -228,13 +233,21 @@ def pair_shift_operator(pairs: PairLattice, shift) -> LinOp:
 
 def pair_window_operator(pairs: PairLattice, omega: Sequence) -> LinOp:
     """Sum of class shifts over a negation-closed window of shift pairs, each
-    read as the unordered pair it shifts by, so (r, r') and (r', r) repeat."""
+    read as the unordered pair it shifts by, so (r, r') and (r', r) repeat.
+
+    Conjugation {g, g'} -> {-g', -g} maps the shift by (r, r') to the shift
+    by (-r, -r'), which the window holds, so the sum commutes with it; it is
+    the operator's sigma, and a solve runs on its (n + B) / 2 orbits, the B
+    classes {-a, a} fixed."""
     omega = [_shift(s) for s in omega]
     _window([canonical_pair(*s) for s in omega], "shift window", conj_pair, "negation")
     ops = [pair_shift_operator(pairs, s) for s in omega]
+    B = pairs.bound
+    g, gp = _class_coords(B)
     return LinOp(sum((o.matrix for o in ops[1:]), ops[0].matrix),
-                 meta={"bound": pairs.bound, "omega": [list(o.meta["shift"]) for o in ops],
-                       "dropped": sum(o.meta["dropped"] for o in ops)})
+                 meta={"bound": B, "omega": [list(o.meta["shift"]) for o in ops],
+                       "dropped": sum(o.meta["dropped"] for o in ops)},
+                 sigma=_class_index(B - gp, B - g, 2 * B + 1))
 
 
 def _box_witness(pairs: PairLattice, m: int) -> np.ndarray:

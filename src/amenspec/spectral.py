@@ -66,9 +66,16 @@ class LinOp:
     max_asymmetry, when either is first read; the solvers need it true.
     Shifts past the truncation edge are dropped (zero padding), the
     compression semantics the certificates rely on.
+
+    sigma, optional, is an involution of the points that the matrix
+    commutes with: n indices with sigma[sigma[i]] = i and A[sigma][:, sigma]
+    = A, both checked exactly at construction (anything else is an
+    InputError). It is kept apart from meta, which reports serialize. A
+    solve of such an operator runs on its orbit quotient (_Quotient), built
+    once, when first solved.
     """
 
-    def __init__(self, matrix, meta: dict | None = None):
+    def __init__(self, matrix, meta: dict | None = None, sigma=None):
         matrix = sp.csr_matrix(matrix)
         matrix.sum_duplicates()
         if not 0 < matrix.shape[0] == matrix.shape[1]:
@@ -77,6 +84,24 @@ class LinOp:
             raise InputError("operator entries must be finite and nonnegative")
         self._matrix = matrix
         self.meta = dict(meta or {})
+        self.sigma = None if sigma is None else self._involution(sigma)
+
+    def _involution(self, sigma) -> np.ndarray:
+        """sigma as a read-only int64 array, once it is checked to be an
+        involution of the points that the matrix commutes with."""
+        s, n = np.asarray(sigma), self.n
+        if not (s.shape == (n,) and s.dtype.kind in "iu" and 0 <= s.min() <= s.max() < n
+                and np.array_equal(s[s], np.arange(n))):
+            raise InputError(f"sigma must be an involution of the {n} points")
+        A, s = self.matrix, s.astype(np.int64)
+        moved = A[s]                    # then its columns: A[sigma][:, sigma], made canonical
+        moved.indices = s[moved.indices].astype(moved.indices.dtype)
+        moved.has_sorted_indices = False
+        moved.sort_indices()
+        if not _same_csr(A, moved):
+            raise InputError("the operator matrix does not commute with sigma")
+        s.flags.writeable = False
+        return s
 
     @classmethod
     def from_entries(cls, n: int, rows, cols, vals, meta: dict | None = None) -> "LinOp":
@@ -115,9 +140,13 @@ class LinOp:
         rows = np.repeat(np.arange(self.n), np.diff(self.matrix.indptr))
         return int(np.abs(self.matrix.indices - rows).max())
 
+    @functools.cached_property
+    def _quotient(self) -> "_Quotient | None":
+        return None if self.sigma is None else _Quotient(self)
+
     def symmetry_defect(self) -> float:
-        A, T = self.matrix, self.matrix.T.tocsr()     # both canonical: equal arrays, equal matrices
-        if all(np.array_equal(getattr(A, a), getattr(T, a)) for a in ("indptr", "indices", "data")):
+        A, T = self.matrix, self.matrix.T.tocsr()
+        if _same_csr(A, T):
             return 0.0
         d = (A - T).tocoo()
         return float(np.abs(d.data).max()) if d.nnz else 0.0
@@ -130,7 +159,8 @@ class LinOp:
 
     def leading_block(self, n: int) -> "LinOp":
         """The compression to the first n points, the leading n x n block, or
-        self when n == self.n; its meta is empty, as a builder's describes its size.
+        self when n == self.n; its meta is empty, as a builder's describes its
+        size, and it has no sigma.
         It is symmetric when self is, and measured otherwise."""
         if not 1 <= n <= self.n:
             raise InputError(f"block size must be in [1, {self.n}], got {n}")
@@ -145,6 +175,46 @@ class LinOp:
         if self.n > limit:
             raise InputError(f"refusing to densify size {self.n} > {limit}")
         return self.matrix.toarray()
+
+
+def _same_csr(A, B) -> bool:     # both canonical: equal arrays, equal matrices
+    return all(np.array_equal(getattr(A, a), getattr(B, a)) for a in ("indptr", "indices", "data"))
+
+
+class _Quotient:
+    """The compression Q = P'AP of a LinOp A with an involution sigma to the
+    fixed space of sigma: column a of P is the indicator of orbit a, {i,
+    sigma(i)}, over the square root of its size, 1 or 2, the orbits numbered
+    by their least points. P is orthonormal and, as A commutes with sigma,
+    A P = P Q (the orbits partition the points equitably: Godsil and Royle,
+    Algebraic Graph Theory, 9.3). So a Lanczos run from a sigma-invariant
+    start, P's image of its restriction, never leaves range(P), and runs on Q
+    with the same T in exact arithmetic.
+
+    Q_ab = sqrt(s_a / s_b) sum over j in orbit b of A_ij, i the least point
+    of a: at most two terms, scaled by 1, sqrt(2) or sqrt(1/2) = sqrt(2) / 2,
+    so Q is exactly symmetric where A is. Its entries carry those roundings,
+    so no proven bound is read from Q: the solvers read them from A."""
+
+    def __init__(self, op: LinOp):
+        s, n = op.sigma, op.n
+        first = np.flatnonzero(s >= np.arange(n))          # the least point of each orbit
+        m = len(first)
+        self.orbit = np.empty(n, dtype=np.int64)
+        self.orbit[first] = self.orbit[s[first]] = np.arange(m)
+        size = np.bincount(self.orbit).astype(float)
+        self.scale = 1 / np.sqrt(size)[self.orbit]         # P's one entry in each row
+        rows = op.matrix[first]                            # row a: the least point's
+        a, b = np.repeat(np.arange(m), np.diff(rows.indptr)), self.orbit[rows.indices]
+        self.matrix = sp.csr_matrix((rows.data * np.sqrt(size[a] / size[b]), b, rows.indptr),
+                                    shape=(m, m))
+        self.matrix.sum_duplicates()
+
+    def restrict(self, v: np.ndarray) -> np.ndarray:     # P'v
+        return np.bincount(self.orbit, weights=v * self.scale, minlength=self.matrix.shape[0])
+
+    def lift(self, y: np.ndarray) -> np.ndarray:         # P y
+        return y[self.orbit] * self.scale
 
 
 @dataclass
@@ -207,7 +277,9 @@ class _LanczosResult:
     """Ritz data from one Lanczos run, with f * T as (d, e), f a power of two.
     After a "bracket" stop the top pair, thetas[-1] and its vector, is the
     finish's refined one; upper, None where no finish ran, is the least of
-    Gershgorin's row sums and the bounds the finish's Cholesky factors proved."""
+    Gershgorin's row sums and the bounds the finish's Cholesky factors proved.
+    A run on an operator's _Quotient keeps it, and its basis holds quotient
+    vectors; ritz_vector lifts them, so every Ritz vector is the operator's."""
 
     blocks: list            # orthonormal Krylov basis, one row per step, in blocks
     thetas: np.ndarray      # Ritz values, ascending
@@ -219,6 +291,7 @@ class _LanczosResult:
     second_passes: int      # steps that took the second Gram-Schmidt pass
     reorthogonalized: int   # steps that ran Gram-Schmidt at all
     upper: float | None = None     # the proven bound of a finish, None without one
+    quotient: _Quotient | None = None      # the quotient the run ran on, if any
     vectors: dict = field(default_factory=dict, repr=False)   # ritz_vector's, read-only
 
     @property
@@ -230,16 +303,20 @@ class _LanczosResult:
         from its eigenvector of T, one dstein at f * thetas[which]."""
         if which not in self.vectors:
             self.vectors[which] = _ritz_vector(self.blocks, self.d, self.e,
-                                               self.thetas[which] * self.f)
+                                               self.thetas[which] * self.f, self.quotient)
         return self.vectors[which]
 
 
-def _ritz_vector(blocks: list, d: np.ndarray, e: np.ndarray, w: float) -> np.ndarray:
+def _ritz_vector(blocks: list, d: np.ndarray, e: np.ndarray, w: float,
+                 quotient: _Quotient | None) -> np.ndarray:
     """The unit Ritz vector, in the basis of row blocks, of the eigenvalue w
-    of the unsplit tridiagonal (d, e): k = len(d) rows of blocks are read."""
+    of the unsplit tridiagonal (d, e): k = len(d) rows of blocks are read,
+    and the vector is lifted from the quotient where the run had one."""
     k = len(d)
     s = _eigenvector(d, e, np.array([w]), np.ones(k), np.full(k, k)) if k > 1 else np.ones(1)
     u = sum(s[j:j + _BLOCK] @ B[:k - j] for j, B in zip(range(0, k, _BLOCK), blocks))
+    if quotient is not None:
+        u = quotient.lift(u)
     nrm = np.linalg.norm(u)
     return u / nrm if nrm > 0 else u
 
@@ -422,7 +499,14 @@ def _lanczos(op: LinOp, tol: float, steps: int, start=None) -> _LanczosResult:
     min(steps, n, _MAX_BASIS // n) steps; the solvers pass _STEPS.
 
     The start is the constant vector 1/sqrt(n), or start, a vector of
-    positive entries, normalized. A LinOp is nonnegative, so its radius is
+    positive entries, normalized. An op with an involution sigma is run on
+    its _Quotient Q = P'AP instead, from P' of that start, which must be
+    sigma-invariant: in exact arithmetic that is the run on A, as the
+    start's Krylov space lies in range(P). There n in this docstring, and in
+    the step cap and the closure at k + 1 = n, is Q's width, the number of
+    orbits; every proven number stays A's: the hand-off at step 16 reads
+    A's n, bandwidth and nnz, and _bracket runs on A from the lifted Ritz
+    vector. A LinOp is nonnegative, so its radius is
     its largest eigenvalue, with a nonnegative eigenvector (Perron-Frobenius:
     Horn and Johnson, Matrix Analysis, 8.3) that meets the start, which thus
     reaches the radius for certain. Its Krylov space is spanned by its
@@ -485,8 +569,11 @@ def _lanczos(op: LinOp, tol: float, steps: int, start=None) -> _LanczosResult:
     """
     if not op.symmetric:
         raise InputError("the eigensolvers need a symmetric operator; this one is not")
-    n = op.n
-    A = op.matrix
+    quotient = op._quotient
+    if quotient is not None:
+        start = quotient.restrict(np.ones(op.n) if start is None else start)
+    A = op.matrix if quotient is None else quotient.matrix
+    n = A.shape[0]
     budget = min(steps, n, _MAX_BASIS // n)
     blocks = [np.empty((min(_BLOCK, budget + 1), n))]
     blocks[0][0] = 1 / math.sqrt(n) if start is None else start / _norm(start)
@@ -549,9 +636,10 @@ def _lanczos(op: LinOp, tol: float, steps: int, start=None) -> _LanczosResult:
             if b * last <= 0.5 * tol * hi:      # the rigorous bound beta * |last component|
                 stop = "residual"
                 break
-            if k == _CHECK and n * op.bandwidth ** 2 <= _CHECK * op.nnz:
+            if k == _CHECK and op.n * op.bandwidth ** 2 <= _CHECK * op.nnz:
                 rows = _row_sum_bound(op)
-                th, v, upper = _bracket(op, _ritz_vector(blocks, d, e, top), tol, rows)
+                u = _ritz_vector(blocks, d, e, top, quotient)
+                th, v, upper = _bracket(op, u, tol, rows)
                 upper = rows if upper is None else min(rows, upper)
                 if th is not None:
                     stop = "bracket"
@@ -566,7 +654,7 @@ def _lanczos(op: LinOp, tol: float, steps: int, start=None) -> _LanczosResult:
     if k % _BLOCK:
         blocks[-1] = blocks[-1][:k % _BLOCK]
     res = _LanczosResult(blocks[:-(-k // _BLOCK)], thetas, d, e, f, k, stop, second_passes,
-                         reorthogonalized, upper)
+                         reorthogonalized, upper, quotient)
     if stop == "bracket":
         thetas[-1], res.vectors[k - 1] = th, v
     return res
@@ -632,7 +720,9 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL,
     entries (anything else is an InputError). Either meets the nonnegative
     Perron eigenvector of the radius, and the run closes at the number of
     eigenvalues whose eigenspaces it meets, the main eigenvalues for the
-    constant start (see _lanczos). A banded operator is handed at step 16
+    constant start (see _lanczos). An operator with an involution sigma is
+    solved on its orbit quotient, and a start given for it must be
+    sigma-invariant, else an InputError. A banded operator is handed at step 16
     to a finish that brackets the radius between a Rayleigh quotient and a
     bound proven by a banded Cholesky factor (see _bracket). The estimate
     is within tol of the largest eigenvalue of the truncation once
@@ -643,8 +733,9 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL,
     "residual" (the residual bound on the top Ritz value met tol),
     "bracket" (the finish's bracket closed) or "budget".
     radius_lower_bound is the |Rayleigh quotient| of the Ritz vector of the
-    largest |Ritz value|, recomputed in the original space, hence a rigorous
-    lower bound. radius_upper_bound is proven: the least of the bound the
+    largest |Ritz value|, recomputed on the operator itself and rounded
+    down past its rounding error (_rayleigh_lower), hence a rigorous lower
+    bound. radius_upper_bound is proven: the least of the bound the
     finish's factors proved (_cholesky_bound), whether its bracket closed or
     not, and Gershgorin's row sums (_row_sum_bound).
     """
@@ -653,6 +744,8 @@ def spectral_radius(op: LinOp, tol: float = EIGEN_TOL,
         start = np.asarray(start, dtype=float)
         if not (start.shape == (op.n,) and np.all(np.isfinite(start)) and start.min() > 0):
             raise InputError(f"start must be {op.n} finite positive entries")
+        if op.sigma is not None and not np.array_equal(start[op.sigma], start):
+            raise InputError("start must be invariant under the operator's sigma")
     return _radius_report(op, _lanczos(op, tol, _STEPS, start))
 
 
@@ -662,8 +755,7 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
     if op.nnz == 0:
         return SpectralReport(0.0, 0.0, 0.0, [0.0], 0, True, "closure", 0)
     thetas = res.thetas
-    u = res.ritz_vector(int(np.argmax(np.abs(thetas))))
-    lower = abs(float(u @ op.apply(u)))
+    lower = _rayleigh_lower(op, res.ritz_vector(int(np.argmax(np.abs(thetas)))))
     estimate = max(float(np.abs(thetas).max()), lower)
     upper = _row_sum_bound(op) if res.upper is None else res.upper
 
@@ -673,6 +765,34 @@ def _radius_report(op: LinOp, res: _LanczosResult) -> SpectralReport:
     tops = [float(thetas[i]) for i in dict.fromkeys([*ends[:-5:-1], *ends[:4]])]
     return SpectralReport(estimate, min(lower, estimate), upper, tops,
                           res.iterations, res.converged, res.stop, res.reorthogonalized)
+
+
+def _rayleigh_lower(op: LinOp, u: np.ndarray) -> float:
+    """|u'Au| / u'u rounded down past its rounding error, so at most
+    lambda_max for a nonnegative A, whose spectrum lies in [-lambda_max,
+    lambda_max].
+
+    u'Au is computed as a product A u, whose rows sum at most m terms, then
+    a dot product of n terms, so its error is at most gamma_{m+n} |u|'A|u|
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.5
+    and Lemma 3.3), whatever the order of the sums; |u|'A|u| is computed the
+    same way, with nonnegative terms, so the computed one over 1 -
+    gamma_{m+n} bounds it, and gamma_k / (1 - gamma_k) <= k eps. Likewise
+    u'u is at most its computed value times 1 + n eps. Products that
+    underflow add at most the smallest subnormal each, nnz + n of them in
+    either sum. Each step rounds down, by one nextafter of a correctly
+    rounded result. The margin is about (2n + m) eps relative: 8.9e-13 at
+    n = 2000, 5.2e-11 at n = 118,097."""
+    A, n = op.matrix, op.n
+    k = int(np.diff(A.indptr).max()) + n
+    x = np.abs(u)
+    num = abs(float(u @ (A @ u)))
+    err = (k + 1) * _EPS * float(x @ (A @ x)) + 2 * (op.nnz + n) * _TINY
+    num = math.nextafter(num - err, 0.0)
+    if num <= 0:
+        return 0.0
+    den = math.nextafter((float(u @ u) + 2 * n * _TINY) * (1 + (n + 1) * _EPS), math.inf)
+    return math.nextafter(num / den, 0.0)
 
 
 def fingerprint(op: LinOp) -> dict:
@@ -724,7 +844,9 @@ def in_spectrum(op: LinOp, target: float, tol: float = CERT_TOL,
     singular factor.
 
     The verdict's spectral is the SpectralReport of its Lanczos run, equal
-    to spectral_radius(op). seed, a nonnegative integer, picks only the
+    to spectral_radius(op). On an op with an involution sigma that run, and
+    so the Ritz route, holds only sigma-invariant vectors; the witnesses and
+    the shift-invert start are not restricted. seed, a nonnegative integer, picks only the
     shift-invert start, which must stay generic: an interior eigenvector
     can be orthogonal to the constant vector. reuse, an earlier verdict of in_spectrum on op,
     whatever its seed, supplies that run (or its failure) instead of a new

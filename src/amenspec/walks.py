@@ -6,8 +6,9 @@ operator (A f)(x) = sum over generators s of w(s) f(s^{-1} x) is compressed
 to a ball; steps leaving the ball are dropped. The growth criterion
 compares the compressed spectral radius against the total generator weight:
 for an amenable group the normalized radius climbs to 1 as the ball grows,
-for a free group it stays pinned near the tree bound. The unit-weight walk
-on F_k, k >= 2, is radial, and kesten_test solves it on the ball's spheres.
+for a free group it stays pinned near the tree bound. A walk of one weight
+on every generator of F_k, k >= 2, is radial, and kesten_test solves it on
+the ball's spheres.
 """
 
 from __future__ import annotations
@@ -350,11 +351,12 @@ def modular_weight_operator(group, p: float, density: dict,
                                     "dropped": int(kept.size - kept.sum())})
 
 
-def _sphere_quotient(k: int, radius: int) -> LinOp:
-    """The unit-weight walk on the F_k ball (k >= 2) of the given radius, on
-    its spheres. They partition the ball equitably: a word of sphere m has
-    B[m, m+1] neighbours in sphere m + 1, 2k for m = 0 and 2k - 1 after, and
-    B[m, m-1] = 1 in sphere m - 1. So the walk maps the sphere-constant
+def _sphere_quotient(k: int, radius: int, c: float) -> LinOp:
+    """The walk of weight c on every generator of F_k (k >= 2) on the ball of
+    the given radius, on its spheres: c times the unit walk's. The spheres
+    partition the ball equitably: a word of sphere m has B[m, m+1]
+    neighbours in sphere m + 1, 2k for m = 0 and 2k - 1 after, and B[m, m-1]
+    = 1 in sphere m - 1. So the unit walk maps the sphere-constant
     vectors, scaled by sqrt(sphere size), to themselves by the symmetric
     Jacobi matrix of zero diagonal and off-diagonal sqrt(B[m, m+1] B[m+1, m]):
     sqrt(2k), then sqrt(2k - 1) (Godsil and Royle, Algebraic Graph Theory,
@@ -364,27 +366,28 @@ def _sphere_quotient(k: int, radius: int) -> LinOp:
     its leading block."""
     beta = np.full(radius, math.sqrt(2 * k - 1))
     beta[0] = math.sqrt(2 * k)
-    return LinOp(sp.diags([beta, beta], [-1, 1]))
+    return LinOp(sp.diags([c * beta, c * beta], [-1, 1]))
 
 
-def _sphere_solve(quotient: LinOp, k: int, r: int, ends: tuple) -> tuple:
-    """(operator, SpectralReport) of the unit-weight F_k walk on the radius-r
-    ball, solved on the leading r + 1 block of its _sphere_quotient from
-    sqrt(sphere sizes / n), the image of the ball's constant start: in exact
-    arithmetic the run is the ball's. The operator's meta names the ball's
+def _sphere_solve(quotient: LinOp, k: int, r: int, ends: tuple, c: float) -> tuple:
+    """(operator, SpectralReport) of the F_k walk of weight c on every
+    generator on the radius-r ball, solved on the leading r + 1 block of its
+    _sphere_quotient from sqrt(sphere sizes / n), the image of the ball's
+    constant start: in exact arithmetic the run is the ball's. The operator's meta names the ball's
     size n and nnz 2(n - 1), a tree's edges stored twice, for fingerprint.
 
     The report keeps the ball's proven bounds. The upper one is the ball's
-    Gershgorin bound, row sums of at most 2k unit entries, raised as
+    Gershgorin bound, row sums of at most 2k entries c, 2k c raised as
     _row_sum_bound raises them. The lower one is the Rayleigh quotient, on
-    the ball, of the sphere-constant x with x_0 = 1 and theta x_m = x_m-1 +
-    B[m, m+1] x_m+1 (x_-1 = 0), the eigenvector recurrence at the estimate
-    theta: the ball's Perron vector up to rounding. With s_m the sphere
-    sizes, x'Ax = 2 sum s_m+1 x_m x_m+1 and x'x = sum s_m x_m^2 are summed
-    exactly in integers, the float x_m over a common power of two, and
-    their quotient is rounded down; a Rayleigh quotient never exceeds
-    lambda_max. The quotient's own, on rounded square roots, can: by
-    1.2e-15 at F_2 radius 10."""
+    the ball, of the sphere-constant x with x_0 = 1 and t x_m = x_m-1 +
+    B[m, m+1] x_m+1 (x_-1 = 0), the unit walk's eigenvector recurrence at
+    t = theta / c, theta the estimate: the ball's Perron vector up to
+    rounding. With s_m the sphere sizes, x'Ax = 2 c sum s_m+1 x_m x_m+1 and
+    x'x = sum s_m x_m^2 are summed exactly in integers, the float x_m over a
+    common power of two and c as its integer ratio, and their quotient is
+    rounded down; a Rayleigh quotient never exceeds lambda_max. The
+    quotient's own, on rounded square roots, can: by 1.2e-15 at F_2 radius
+    10."""
     n = ends[r]
     spheres = [b - a for a, b in zip((0,) + ends, ends[:r + 1])]
     op = quotient.leading_block(r + 1)
@@ -392,21 +395,23 @@ def _sphere_solve(quotient: LinOp, k: int, r: int, ends: tuple) -> tuple:
                "quotient_of": {"size": n, "nnz": 2 * (n - 1)}}
     rep = spectral_radius(op, tol=EIGEN_TOL, start=np.sqrt(np.array(spheres) / n))
     theta = rep.radius_estimate
-    x = [1.0, theta / (2 * k)]
+    t = theta / c
+    x = [1.0, t / (2 * k)]
     while len(x) <= r:
-        x.append((theta * x[-1] - x[-2]) / (2 * k - 1))
+        x.append((t * x[-1] - x[-2]) / (2 * k - 1))
     ratios = [v.as_integer_ratio() for v in x]      # x_m = X_m / d, exactly
     d = max(b for _, b in ratios)
     X = [a * (d // b) for a, b in ratios]
-    num = abs(2 * sum(s * a * b for s, a, b in zip(spheres[1:], X, X[1:])))
-    den = sum(s * v * v for s, v in zip(spheres, X))
+    cp, cq = c.as_integer_ratio()
+    num = abs(2 * cp * sum(s * a * b for s, a, b in zip(spheres[1:], X, X[1:])))
+    den = cq * sum(s * v * v for s, v in zip(spheres, X))
     lower = num / den           # an int quotient, correctly rounded
     p, q = lower.as_integer_ratio()
     if p * den > num * q:       # rounded up: step down
         lower = math.nextafter(lower, 0.0)
     return op, dataclasses.replace(rep, radius_estimate=max(theta, lower),
                                    radius_lower_bound=lower,
-                                   radius_upper_bound=_raised_sum(2.0 * k, 2 * k))
+                                   radius_upper_bound=_raised_sum(2.0 * k * c, 2 * k))
 
 
 def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0.05,
@@ -421,7 +426,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     estimate from the last two radii; the verdict carries the largest ball's
     operator and its SpectralReport.
 
-    A walk of unit weight on every generator of F_k, k >= 2, is solved on
+    A walk of one weight c on every generator of F_k, k >= 2, is solved on
     its spheres (_sphere_quotient, _sphere_solve): no ball is built, and the
     verdict's operator is the largest radius's quotient, an (R+1)-square
     Jacobi matrix whose meta["quotient_of"] holds the ball's size and nnz,
@@ -452,14 +457,16 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
         raise InputError("weights must be symmetric under inversion")
     weights = {nm: _positive(w, f"weight for {nm!r}") for nm, w in weights.items()}
     tree = (isinstance(group, FreeGroup) and group.k > 1
-            and weights == dict.fromkeys(group.generator_names, 1.0))
+            and set(weights) == set(group.generator_names) and len(set(weights.values())) == 1)
 
     target = float(sum(weights.values()))
     if not group.generator_names:       # the walk averages over {identity}
         full, target, radii, ends = LinOp(np.eye(1)), 1.0, [0], (1,)
     elif tree:
         _check_ball_size(group, radii[-1])
-        full, ends = _sphere_quotient(group.k, radii[-1]), _free_sphere_ends(group.k, radii[-1])
+        c = weights[names[0]]
+        full = _sphere_quotient(group.k, radii[-1], c)
+        ends = _free_sphere_ends(group.k, radii[-1])
         full.meta = {"group": group.describe(), "radius": radii[-1], "weights": weights}
     else:
         ball = build_ball(group, radii[-1])
@@ -467,7 +474,7 @@ def kesten_test(group, radii, omega: Sequence[str] | None = None, tol: float = 0
     sizes, estimates, lowers, solved = [], [], [], []
     for r in radii:
         if tree:
-            op, rep = _sphere_solve(full, group.k, r, ends)
+            op, rep = _sphere_solve(full, group.k, r, ends, c)
         else:
             op = full.leading_block(ends[r])
             if op is not full:

@@ -937,13 +937,24 @@ def test_a_solve_that_spends_its_budget_exits_3(capsys, monkeypatch, argv, steps
 
 
 def test_bicrossed_exits_3_when_the_solve_at_a_bound_spends_its_budget(capsys, monkeypatch):
-    # a 2^17-entry basis holds 40 steps of the 3240-class box of bound 40,
-    # whose run stops on its residual bound at step 160
+    # a 2^17-entry basis holds 79 steps of the 1640-orbit conjugation quotient
+    # of the 3240-class box of bound 40, whose run stops on its residual bound
+    # at step 160
     monkeypatch.setattr(spectral, "_MAX_BASIS", 2 ** 17)
     code, rep = run(capsys, "bicrossed", "--bound", "10,20,40", "--shift", "0,1")
     assert code == 3
     assert rep["error"] == {"type": "convergence",
                             "message": "eigensolver did not converge at bound [40]"}
+
+
+def test_a_two_point_sweep_reports_a_lower_bound_of_at_most_one(capsys):
+    # the a1 window at size 2 is [[0, 1], [1, 0]], of lambda_max exactly 1; the
+    # float Rayleigh quotient of its rounded unit Ritz vector is 1.0000000000000002
+    code, rep = run(capsys, "sweep", "--ring", "free-su2", "--N", "2", "--omega", "a1",
+                    "--sizes", "2")
+    assert code == 0
+    assert rep["spectral"]["radius_lower_bound"] <= 1.0
+    assert rep["spectral"]["radius_estimate"] <= 1.0 <= rep["spectral"]["radius_upper_bound"]
 
 
 def test_walk_on_the_line_converges_at_every_radius_to_500(capsys):

@@ -11,12 +11,15 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from amenspec import semidirect
+from amenspec import semidirect, spectral
 from amenspec import (InputError, LinOp, bicrossed_amenability_test, canonical_pair,
                       conj_pair, half_line_grid, in_spectrum, interval_operator,
                       interval_spectrum_test, interval_witness, pair_lattice,
-                      pair_shift_operator, pair_window_operator, shift_operator)
+                      pair_shift_operator, pair_window_operator, shift_operator,
+                      spectral_radius)
 
 QUAD = 1.0 / (4.0 * math.pi)
 
@@ -405,6 +408,58 @@ def test_pair_window_is_upper_triangle_adjacency():
                 want[((a, b), nb)] = 1.0
     assert point_entries(op, pairs.classes) == want
     assert op.symmetric
+
+
+def test_pair_window_sigma_is_conjugation():
+    # {g, g'} -> {-g', -g}: the B classes {-a, a} are fixed, so the quotient
+    # has (n + B) / 2 orbits
+    pairs = pair_lattice(5)
+    op = pair_window_operator(pairs, [(0, 1), (-1, 0)])
+    classes = pairs.classes
+    assert [classes[j] for j in op.sigma] == [conj_pair(c) for c in classes]
+    assert op._quotient.matrix.shape == ((pairs.size + 5) // 2,) * 2
+    assert "sigma" not in op.meta
+
+
+shift_pairs = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda s: s[0] != s[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(shift_pairs, min_size=1, max_size=3), st.integers(1, 8))
+@example([(0, 1)], 5)
+@example([(0, 3)], 7)
+def test_the_conjugation_quotient_solves_as_the_full_operator(shifts, bound):
+    # the solve and the window-mass certificate of a pair operator, run on its
+    # orbit quotient, against those of the same matrix with no sigma. In exact
+    # arithmetic the two Lanczos runs are one; in floating point the run on
+    # the full matrix leaks rounding into the conjugation-odd sector, so its
+    # step count, stop, reorthogonalized steps and lower Ritz values can differ
+    # (bound 5, (0, 1): closure at the quotient's width 30, against a residual
+    # stop at step 32; bound 7, (0, 3): residual at 16 against closure at 11),
+    # and they are not compared; the radius, its bounds and the verdicts are
+    window = sorted({canonical_pair(s * r, s * rp) for r, rp in shifts for s in (1, -1)})
+    pairs = pair_lattice(bound)
+    op = pair_window_operator(pairs, window)
+    plain = LinOp(op.matrix)
+    got, want = spectral_radius(op), spectral_radius(plain)
+    scale = want.radius_estimate
+    assert got.converged == want.converged
+    assert got.iterations <= op._quotient.matrix.shape[0]
+    for name in ("radius_estimate", "radius_lower_bound", "radius_upper_bound"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-12 * scale, name
+    assert abs(got.top_eigenvalues[0] - want.top_eigenvalues[0]) <= 1e-12 * scale
+    # the first steps, before the leak grows, run the same T: from P' of the constant start
+    runs = [spectral._lanczos(o, spectral.EIGEN_TOL, spectral._STEPS) for o in (op, plain)]
+    k = min(8, *(r.iterations for r in runs))
+    first, full = (np.r_[r.d[:k], r.e[:k - 1]] / r.f for r in runs)
+    assert np.abs(first - full).max() <= 1e-12 * scale
+    witnesses = [(f"box-{m}", semidirect._box_witness(pairs, m))
+                 for m in sorted({max(1, bound // 4), max(1, bound // 2), bound})]
+    got, want = (in_spectrum(o, 2.0 * len(window), witnesses=witnesses) for o in (op, plain))
+    assert (got.certified, got.witness_id, got.errors) == (
+        want.certified, want.witness_id, want.errors)
+    assert abs(got.best_residual - want.best_residual) <= 1e-12 * scale
+    assert abs(got.gap_hint - want.gap_hint) <= 1e-12 * scale
 
 
 def test_pair_window_validation():

@@ -177,6 +177,49 @@ def test_operator_matrix_must_be_square_and_nonempty():
     assert op.n == 1 and op.leading_block(1) is op
 
 
+def test_sigma_must_be_an_involution_the_matrix_commutes_with():
+    # checked once, exactly, at construction; kept out of meta, which reports serialize
+    path = path_operator(5)
+    op = LinOp(path.matrix, {"kind": "path"}, sigma=np.arange(5)[::-1])
+    assert op.sigma.tolist() == [4, 3, 2, 1, 0] and op.meta == {"kind": "path"}
+    assert not op.sigma.flags.writeable and path.sigma is None
+    for bad in ([1, 2, 0, 3, 4], [0, 1, 2, 3], [4, 3, 2, 1, 5], [4.0, 3.0, 2.0, 1.0, 0.0],
+                np.ones(5, dtype=bool), [[4, 3, 2, 1, 0]]):
+        with pytest.raises(InputError, match="involution"):
+            LinOp(path.matrix, sigma=bad)
+    weighted = LinOp(sp.diags([[1.0, 2.0, 3.0, 4.0]] * 2, [-1, 1]))    # reversal maps 1 to 4
+    for bad in (np.arange(5)[::-1], [1, 0, 2, 3, 4]):
+        with pytest.raises(InputError, match="commute"):
+            LinOp(weighted.matrix, sigma=bad)
+        with pytest.raises(InputError, match="commute"):
+            LinOp(path.matrix + sp.diags(np.arange(5.0)), sigma=bad)
+
+
+def test_a_solve_with_sigma_needs_an_invariant_start():
+    op = LinOp(path_operator(7).matrix, sigma=np.arange(7)[::-1])
+    with pytest.raises(InputError, match="invariant"):
+        spectral_radius(op, start=np.arange(1.0, 8.0))
+    even = np.array([1.0, 2.0, 3.0, 4.0, 3.0, 2.0, 1.0])
+    got, want = spectral_radius(op, start=even), spectral_radius(path_operator(7), start=even)
+    assert (got.iterations, got.stop) == (want.iterations, want.stop) == (4, "closure")
+    assert abs(got.radius_estimate - path_top(7)) <= 1e-15 * path_top(7)
+
+
+def test_a_path_on_its_reversal_quotient_closes_the_same_bracket():
+    # the 1000-orbit quotient runs the Lanczos steps; the bracket finish runs on
+    # the path itself, from the lifted Ritz vector, and proves the same bound
+    plain = path_operator(2000)
+    op = LinOp(plain.matrix, sigma=np.arange(2000)[::-1])
+    got, want = spectral_radius(op), spectral_radius(plain)
+    assert op._quotient.matrix.shape == (1000, 1000)
+    assert (got.stop, got.iterations, got.reorthogonalized) == ("bracket", 16, 2)
+    assert (got.stop, got.iterations, got.reorthogonalized) == (
+        want.stop, want.iterations, want.reorthogonalized)
+    assert got.radius_upper_bound == want.radius_upper_bound
+    assert got.radius_lower_bound <= path_top(2000) <= got.radius_upper_bound
+    assert abs(got.radius_lower_bound - want.radius_lower_bound) <= 4 * spectral._EPS
+
+
 # -- spectral radius ----------------------------------------------------------
 
 
@@ -243,6 +286,56 @@ def test_rayleigh_quotients_never_beat_radius():
         v = rng.standard_normal(40)
         rq = abs(v @ op.apply(v)) / (v @ v)
         assert rq <= rep.radius_estimate + 1e-9
+
+
+def dyadic_symmetric(n, density, seed):
+    """A nonnegative symmetric n x n matrix of entries k / 16, k < 64, each
+    present with the given density: exact in binary, so Fractions read it exactly."""
+    rng = np.random.default_rng(seed)
+    m = np.triu(rng.integers(0, 64, (n, n)) * (rng.random((n, n)) < density)) / 16
+    return m + np.triu(m, 1).T
+
+
+def above_every_eigenvalue(m, x):
+    """Whether x I - m is positive definite, m a dyadic_symmetric matrix,
+    decided exactly: every leading principal minor of the integer matrix
+    16 q (x I - m), x = p / q, is positive (Sylvester), and fraction-free
+    (Bareiss) elimination on the upper triangle makes each a pivot in turn."""
+    p, q = Fraction(x).as_integer_ratio()
+    n = len(m)
+    rows = [[(16 * p if i == j else 0) - q * int(16 * m[i, j]) for j in range(n)]
+            for i in range(n)]
+    prev = 1
+    for k in range(n):
+        pivot, top = rows[k][k], rows[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, n):
+            row, a = rows[i], top[i]
+            for j in range(i, n):
+                row[j] = (row[j] * pivot - a * top[j]) // prev
+        prev = pivot
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 60), st.sampled_from([0.05, 0.2, 1.0]), st.integers(0, 10 ** 6))
+def test_the_lower_bound_never_exceeds_the_top_eigenvalue(n, density, seed):
+    # lower <= lambda_max exactly when lower I - A is not positive definite
+    m = dyadic_symmetric(n, density, seed)
+    rep = spectral_radius(LinOp(m))
+    assert 0 <= rep.radius_lower_bound <= rep.radius_estimate
+    assert not above_every_eigenvalue(m, rep.radius_lower_bound)
+    if rep.converged and m.any():
+        assert above_every_eigenvalue(m, rep.radius_lower_bound * (1 + 2 * spectral.EIGEN_TOL))
+
+
+@pytest.mark.parametrize("n", range(2, 61))
+def test_the_lower_bound_on_a_path_never_exceeds_the_top_eigenvalue(n):
+    # the float Rayleigh quotient did, at 7 of these sizes, by up to 2.3e-16 relative
+    rep = spectral_radius(path_operator(n))
+    assert not exactly_positive_definite(path_operator(n).to_dense(), 1, rep.radius_lower_bound)
+    assert rep.radius_lower_bound >= path_top(n) * (1 - 1e-13)
 
 
 def test_spent_budget_reports_unconverged_lanczos(monkeypatch):

@@ -14,7 +14,10 @@ from hypothesis import strategies as st
 
 from amenspec import (FreeGroup, InputError, ZLattice, build_ball, cayley_operator, cli,
                       fingerprint, kesten_test, modular_weight_operator, parse_group,
-                      spectral_radius, walks)
+                      spectral, spectral_radius, walks)
+from amenspec.spectral import EIGEN_TOL
+
+EPS = float(np.finfo(float).eps)
 
 SMALL_GROUPS = [ZLattice(d) for d in (1, 2, 3)] + [FreeGroup(k) for k in (1, 2, 3)]
 
@@ -455,12 +458,13 @@ def test_growth_trivial_group():
 
 @pytest.mark.parametrize("group", [ZLattice(0), FreeGroup(0)], ids=lambda g: g.name)
 def test_trivial_group_verdict(group):
-    # the walk over {identity} is the 1 x 1 identity: every field of the verdict is exact
+    # the walk over {identity} is the 1 x 1 identity: every field of the verdict is
+    # exact, the lower bound being its Rayleigh quotient 1 less the proven margin 7 eps
     assert kesten_test(group, 5).to_dict() == {
-        "target": 1.0, "tolerance": 0.05, "best_residual": 0.0, "certified": True,
+        "target": 1.0, "tolerance": 0.05, "best_residual": 7 * EPS, "certified": True,
         "witness_id": "ball-0", "gap_hint": 0.0, "errors": [],
         "notes": {"radii": [0], "ball_sizes": [1], "radius_estimates": [1.0],
-                  "lower_bounds": [1.0], "normalized": [1.0], "limit_estimate": 1.0,
+                  "lower_bounds": [1 - 7 * EPS], "normalized": [1.0], "limit_estimate": 1.0,
                   "eigensolver_converged": [True],
                   "convention": "trivial group walks over {identity}"}}
 
@@ -684,8 +688,8 @@ def test_sphere_bounds_bracket_the_exact_radius(k, top):
 
 
 def test_walk_f2_radius_10_lower_bound_is_below_the_radius(capsys):
-    # the quotient's own Rayleigh quotient, on rounded square roots, lies
-    # above lambda_max here; the reported one, the ball's, does not
+    # the quotient's own float Rayleigh quotient, on rounded square roots,
+    # lies above lambda_max here; the reported one, the ball's, does not
     code = cli.main(["walk", "--group", "F:2", "--radius", "10"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
@@ -693,9 +697,12 @@ def test_walk_f2_radius_10_lower_bound_is_below_the_radius(capsys):
     assert lower == report["verdict"]["notes"]["lower_bounds"][-1] == 3.3617818792328826
     assert _eigenvalue_at_least(lower, 2, 10)
     sizes = np.diff(walks._free_sphere_ends(2, 10), prepend=0)
-    naive = spectral_radius(walks._sphere_quotient(2, 10), start=np.sqrt(sizes))
-    assert naive.radius_lower_bound == 3.361781879232884
-    assert not _eigenvalue_at_least(naive.radius_lower_bound, 2, 10)
+    quotient = walks._sphere_quotient(2, 10, 1.0)
+    run = spectral._lanczos(quotient, EIGEN_TOL, 300, start=np.sqrt(sizes))
+    u = run.ritz_vector(int(np.argmax(np.abs(run.thetas))))    # the one the report reads
+    naive = abs(float(u @ quotient.apply(u)))
+    assert naive == 3.361781879232884
+    assert not _eigenvalue_at_least(naive, 2, 10)
 
 
 def _agree(got, want, scale):
@@ -710,10 +717,16 @@ def _agree(got, want, scale):
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.integers(2, 4), st.sets(st.integers(1, 5), min_size=1))
-def test_sphere_solve_matches_the_ball_solve(k, radii):
-    # the sphere path reports what a solve of the ball itself reports
+@given(st.integers(2, 4), st.sets(st.integers(1, 5), min_size=1),
+       st.one_of(st.just(1.0), st.floats(1e-3, 1e3)))
+@example(2, {3, 5}, 2.0)
+def test_sphere_solve_matches_the_ball_solve(k, radii, c):
+    # the sphere path reports what a solve of the ball itself reports, for a
+    # walk of one weight c on every generator; the ball's lower bound is its
+    # float Rayleigh quotient less a proven margin of about 2n eps, so the
+    # lower bounds agree within that margin
     radii, group = sorted(radii), FreeGroup(k)
+    weights = dict.fromkeys(group.generator_names, c)
     quotients, solve = [], walks.spectral_radius
 
     def recording(op, **kw):
@@ -723,14 +736,22 @@ def test_sphere_solve_matches_the_ball_solve(k, radii):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walks, "spectral_radius", recording)
-        verdict = kesten_test(group, radii)
+        verdict = kesten_test(group, radii, weights=weights)
     ball = build_ball(group, radii[-1])
-    walk = cayley_operator(group, dict.fromkeys(group.generator_names, 1.0), ball)
+    walk = cayley_operator(group, weights, ball)
     blocks = [walk.leading_block(ball.sphere_ends[r]) for r in radii]
     reports = [spectral_radius(op) for op in blocks]
     scale = reports[-1].radius_estimate
+    margin = (1e-12 + (2 * ball.size + 2 * k + 4) * EPS) * scale
+
+    def near(got, want):
+        return all(abs(g - w) <= margin for g, w in zip(got, want, strict=True))
+
+    assert verdict.target == float(sum(weights.values()))
     assert fingerprint(verdict.operator) == fingerprint(walk)
-    assert _agree(verdict.spectral.to_dict(), reports[-1].to_dict(), scale)
+    got, want = verdict.spectral.to_dict(), reports[-1].to_dict()
+    assert near([got.pop("radius_lower_bound")], [want.pop("radius_lower_bound")])
+    assert _agree(got, want, scale)
     for got, want in zip(quotients, reports):
         assert (got.iterations, got.stop, got.converged, got.reorthogonalized) == (
             want.iterations, want.stop, want.converged, want.reorthogonalized)
@@ -740,9 +761,9 @@ def test_sphere_solve_matches_the_ball_solve(k, radii):
     assert notes["ball_sizes"] == [op.n for op in blocks]
     assert notes["eigensolver_converged"] == [rep.converged for rep in reports]
     assert _agree(notes["radius_estimates"], [rep.radius_estimate for rep in reports], scale)
-    assert _agree(notes["lower_bounds"], lowers, scale)
-    assert verdict.certified == (max(lowers) >= 2 * k - verdict.tolerance)
-    assert _agree(verdict.best_residual, 2 * k - max(lowers), scale)
+    assert near(notes["lower_bounds"], lowers)
+    assert verdict.certified == (max(lowers) >= verdict.target - verdict.tolerance)
+    assert near([verdict.best_residual], [verdict.target - max(lowers)])
 
 
 # -- group laws ---------------------------------------------------------------
